@@ -557,6 +557,8 @@ def _cmd_oracle_verify(args) -> tuple[dict, int]:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(_SUITES))}, all"
         )
+    if args.max_size < 1:
+        raise ParseError(f"--max-size must be at least 1, got {args.max_size}")
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     checks: list[dict] = []

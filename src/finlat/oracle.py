@@ -4,9 +4,13 @@ Everything here certifies or refutes by exhaustion.  Retractions are found
 (or ruled out) by backtracking with join/meet forcing; equation systems
 follow the parameterized old/new rules and are solved independently of the
 retraction search, so the two routes can be compared; congruences are
-generated by closing under translations; and small lattices are enumerated
-up to isomorphism, with a Birkhoff-dual generator for distributive ones
-that reaches a little further.
+generated by closing under translations.  Isomorphism is decided by
+individualisation–refinement on the two cover digraphs, and every positive
+answer is checked as an explicit bijection.  Small lattices are enumerated
+up to isomorphism over canonical posets, with a Birkhoff-dual generator for
+distributive ones that lists down-sets in one pass over a linear extension;
+both enumerators are ordered by `canonical_key`, an exact but exponential
+key that serves as their sort order, not as the isomorphism test.
 """
 
 from __future__ import annotations
@@ -610,16 +614,97 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
 
 
 def canonical_key(lattice: FiniteLattice) -> tuple:
-    """Isomorphism-invariant key of the cover digraph."""
+    """Exact isomorphism-invariant key of the cover digraph.
+
+    The minimum adjacency encoding over all orderings that respect the
+    refined vertex colours.  It is exponential in the size of the colour
+    classes (4!·6!·4! orderings for B4), and it fixes the output order of
+    both enumerators, so its values must never change.  Isomorphism tests
+    go through `is_isomorphic` instead.
+    """
     n = len(lattice)
     adj = tuple(lattice._ucov)
     return _digraph_canonical_key(n, adj)
 
 
+def _refine(up: list[list[int]], down: list[list[int]], colour: list[int]) -> list[int]:
+    """Coarsest equitable refinement of a colouring numbered 0..c-1.
+
+    Each round a vertex's new colour is (its colour, the sorted colours of
+    its upper covers, the sorted colours of its lower covers), numbered in
+    sorted order, so the numbering depends only on colours and never on
+    vertex labels.  Stops when the number of classes stops growing.
+    """
+    classes = len(set(colour))
+    while True:
+        signature = [
+            (
+                colour[v],
+                tuple(sorted([colour[w] for w in up[v]])),
+                tuple(sorted([colour[w] for w in down[v]])),
+            )
+            for v in range(len(colour))
+        ]
+        number = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        colour = [number[sig] for sig in signature]
+        if len(number) == classes:
+            return colour
+        classes = len(number)
+
+
 def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
-    if len(a) != len(b) or len(a.covers) != len(b.covers):
+    """Whether the cover digraphs of a and b are isomorphic.
+
+    Individualisation–refinement in the style of McKay & Piperno,
+    "Practical graph isomorphism II" (2014), run directly on the two graphs:
+    vertices 0..n-1 are a's elements and n..2n-1 are b's, coloured with one
+    shared numbering.  After refinement, differing colour histograms refute
+    the branch; an all-singleton colouring gives the only candidate
+    bijection, which is checked cover by cover, so a True is always
+    certified.  Otherwise one vertex of a in the smallest non-singleton cell
+    (lowest colour first) is given a fresh colour together with each vertex
+    of b in that cell in turn.  The search runs on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    n = len(a)
+    if n != len(b) or len(a.covers) != len(b.covers):
         return False
-    return canonical_key(a) == canonical_key(b)
+    up: list[list[int]] = []
+    down: list[list[int]] = []
+    for offset, lattice in ((0, a), (n, b)):
+        up += [[w + offset for w in _mask_bits(m)] for m in lattice._ucov]
+        down += [[w + offset for w in _mask_bits(m)] for m in lattice._lcov]
+
+    colour = _refine(up, down, [0] * (2 * n))
+    # frames: (colouring, individualised vertex of a, untried vertices of b)
+    stack: list[tuple[list[int], int, list[int]]] = []
+    while True:
+        if sorted(colour[:n]) == sorted(colour[n:]):
+            size = [0] * (max(colour) + 1)
+            for c in colour[:n]:
+                size[c] += 1
+            cells = [(s, c) for c, s in enumerate(size) if s > 1]
+            if not cells:
+                image = {colour[w]: w - n for w in range(n, 2 * n)}
+                phi = [image[colour[v]] for v in range(n)]
+                if all(
+                    {phi[w] for w in up[v]} == {w - n for w in up[n + phi[v]]}
+                    for v in range(n)
+                ):
+                    return True
+            else:
+                target = min(cells)[1]
+                v = colour.index(target)
+                candidates = [w for w in range(2 * n - 1, n - 1, -1) if colour[w] == target]
+                stack.append((colour, v, candidates))
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return False
+        base, v, candidates = stack[-1]
+        colour = list(base)
+        colour[v] = colour[candidates.pop()] = max(base) + 1
+        colour = _refine(up, down, colour)
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +712,28 @@ def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _downsets(leq: tuple[int, ...], limit: int | None = None) -> list[int]:
+    """Masks of all down-sets of an up-set encoded poset, in ascending order.
+
+    Index order is a linear extension (elements are only ever added as
+    maximal), so the down-sets containing i are exactly those of elements
+    0..i-1 that contain everything strictly below i, plus i.  Stops early,
+    with more than `limit` masks, once the count exceeds `limit`: a poset
+    has at least as many down-sets as any of its prefixes.
+    """
+    masks = [0]
+    for i in range(len(leq)):
+        below = leq_down(leq, i) & ~(1 << i)
+        masks += [m | 1 << i for m in masks if below & ~m == 0]
+        if limit is not None and len(masks) > limit:
+            break
+    return masks
+
+
 def _poset_extensions(leq: tuple[int, ...]):
     """All posets obtained by adding one new maximal element over an ideal."""
     k = len(leq)
-    for ideal in range(1 << k):
-        ok = True
-        for i in _mask_bits(ideal):
-            if leq_down(leq, i) & ~ideal:
-                ok = False
-                break
-        if not ok:
-            continue
+    for ideal in _downsets(leq):
         new = list(leq)
         for i in _mask_bits(ideal):
             new[i] |= 1 << k
@@ -789,14 +885,6 @@ def enumerate_distributive_lattices(max_size: int):
     if max_size < 1:
         return
 
-    def downset_masks(leq: tuple[int, ...]) -> list[int]:
-        k = len(leq)
-        masks = []
-        for m in range(1 << k):
-            if all(leq_down(leq, i) & ~m == 0 for i in _mask_bits(m)):
-                masks.append(m)
-        return masks
-
     frontier: list[tuple[int, ...]] = [()]
     seen_keys = {_digraph_canonical_key(0, ())}
     all_posets: list[tuple[int, ...]] = [()]
@@ -804,7 +892,7 @@ def enumerate_distributive_lattices(max_size: int):
         next_frontier = []
         for poset in frontier:
             for ext in _poset_extensions(poset):
-                if len(downset_masks(ext)) > max_size:
+                if len(_downsets(ext, max_size)) > max_size:
                     continue
                 key = _digraph_canonical_key(len(ext), ext)
                 if key in seen_keys:
@@ -816,7 +904,7 @@ def enumerate_distributive_lattices(max_size: int):
 
     produced = []
     for poset in all_posets:
-        masks = sorted(downset_masks(poset), key=lambda m: (bin(m).count("1"), m))
+        masks = sorted(_downsets(poset), key=lambda m: (bin(m).count("1"), m))
         width = len(str(len(masks)))
         ids = {m: f"{i:0{width}d}" for i, m in enumerate(masks)}
         covers = []

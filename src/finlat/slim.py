@@ -388,11 +388,22 @@ class ForkScript:
 
     @classmethod
     def from_jsonable(cls, data) -> "ForkScript":
-        if isinstance(data, list):
+        if not isinstance(data, dict):
             raise LatticeError("fork script must be an object with base_sizes and steps")
-        base = tuple(data.get("base_sizes", ()))
-        steps = tuple((str(t), str(l)) for t, l in data.get("steps", ()))
-        return cls(base, steps)
+        base = data.get("base_sizes")
+        if not (
+            isinstance(base, list)
+            and len(base) == 2
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in base)
+        ):
+            raise LatticeError(f"base_sizes must be a list of two integers, got {base!r}")
+        steps = data.get("steps", [])
+        if not isinstance(steps, list) or not all(
+            isinstance(step, list) and len(step) == 2 and all(isinstance(e, str) for e in step)
+            for step in steps
+        ):
+            raise LatticeError(f"steps must be a list of [top, left] string pairs, got {steps!r}")
+        return cls(tuple(base), tuple(tuple(step) for step in steps))
 
 
 def build_slim_rectangular(script: ForkScript) -> OrientedLattice:

@@ -225,3 +225,21 @@ def test_reports_are_deterministic(tmp_path):
     first, _ = run(["classify", path, "--class", "dfin:2"])
     second, _ = run(["classify", path, "--class", "dfin:2"])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, script",
+    [
+        (["witness-sps", "C3", "--forks", "S"], {"base_sizes": "ab", "steps": []}),
+        (["witness-sps", "C3", "--forks", "S"], {"base_sizes": [3, 3], "steps": [[1]]}),
+        (["gen-slim", "--grid", "3x3", "--forks", "S"], {"base_sizes": [4, 4], "steps": [[1]]}),
+        (["oracle-verify", "--suite", "congruence-bound", "--max-size", "0"], None),
+    ],
+)
+def test_malformed_inputs_give_json_error(tmp_path, argv, script):
+    files = {"C3": write(tmp_path, "c3.json", C3_FILE)}
+    if script is not None:
+        files["S"] = write(tmp_path, "script.json", script)
+    report, code = run([files.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert "error" in json.loads(json.dumps(report))

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from finlat import (
     NotProper,
     all_sublattices,
     build_equation_system,
+    build_lattice,
     check_sublattice,
     classify_properties,
     congruence_generated_by,
@@ -22,7 +24,14 @@ from finlat import (
     search_retraction,
     solve_equation_system,
 )
-from finlat.oracle import NotASublatticeHere
+from finlat.oracle import (
+    NotASublatticeHere,
+    _canonical_posets_upto,
+    canonical_key,
+    _downsets,
+    leq_down,
+)
+from tests.conftest import S7_COVERS, S7_ELEMENTS
 
 
 def brute_force_retractions(lattice, sub):
@@ -354,3 +363,118 @@ def test_congruence_blocks_are_convex_sublattices(case):
                 assert lattice.meet(x, y) in block
                 for z in lattice.interval(x, y):
                     assert z in block
+
+
+def relabelled(lattice, rng):
+    """A copy under a random renaming, so the sorted element order changes."""
+    names = [f"x{i}" for i in range(len(lattice))]
+    rng.shuffle(names)
+    rename = dict(zip(lattice.elements, names))
+    return build_lattice(names, [(rename[lo], rename[hi]) for lo, hi in lattice.covers])
+
+
+def m_lattice(k):
+    """M_k: a bottom, k pairwise incomparable atoms and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    return build_lattice(
+        ["0", "1", *atoms], [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    )
+
+
+def cycle_lattice(lengths):
+    """Height 3, with the atoms and coatoms joined by disjoint even cycles.
+
+    Every atom has two upper covers and every coatom two lower covers, so
+    colour refinement alone cannot tell two such lattices apart.
+    """
+    covers = []
+    start = 0
+    for length in lengths:
+        for j in range(length):
+            atom, coatom = f"a{start + j}", f"c{start + j}"
+            covers += [("0", atom), (coatom, "1")]
+            covers += [(atom, coatom), (atom, f"c{start + (j + 1) % length}")]
+        start += length
+    elements = {x for cover in covers for x in cover}
+    return build_lattice(sorted(elements), covers)
+
+
+def test_is_isomorphic_agrees_with_canonical_key():
+    rng = random.Random(2)
+    lattices = list(enumerate_small_lattices(6))
+    copies = [relabelled(lattice, rng) for lattice in lattices]
+    for first in lattices:
+        for second in lattices + copies:
+            same_key = canonical_key(first) == canonical_key(second)
+            assert is_isomorphic(first, second) == same_key, (first, second)
+
+
+def _vf2_isomorphic(a, b):
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for lattice in (a, b):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(lattice.elements)
+        graph.add_edges_from(lattice.covers)
+        graphs.append(graph)
+    return nx.is_isomorphic(*graphs)
+
+
+def test_is_isomorphic_agrees_with_vf2_on_relabelled_witnesses():
+    pytest.importorskip("networkx")
+    rng = random.Random(3)
+    named = [make_grid((2,) * 4).lattice, make_grid((2,) * 5).lattice]
+    named += [m_lattice(k) for k in range(5, 11)]
+    named += [make_grid((3, 3, 3)).lattice, build_lattice(S7_ELEMENTS, S7_COVERS)]
+    named += [cycle_lattice((3, 3, 3)), cycle_lattice((5, 4))]
+    for lattice in named:
+        copy = relabelled(lattice, rng)
+        assert is_isomorphic(lattice, copy) is True
+        assert _vf2_isomorphic(lattice, copy)
+
+
+def test_is_isomorphic_agrees_with_vf2_on_lookalike_pairs():
+    """Equal size and cover count, so only the search can tell them apart."""
+    pytest.importorskip("networkx")
+    groups: dict[tuple[int, int], list] = {}
+    cycles = [cycle_lattice(lengths) for lengths in ((9,), (6, 3), (5, 4), (3, 3, 3))]
+    for lattice in [*enumerate_small_lattices(7), *enumerate_distributive_lattices(12), *cycles]:
+        groups.setdefault((len(lattice), len(lattice.covers)), []).append(lattice)
+    pairs = 0
+    for group in groups.values():
+        for first, second in combinations(group, 2):
+            assert is_isomorphic(first, second) == _vf2_isomorphic(first, second)
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_is_isomorphic_deep_search_has_no_recursion_limit():
+    """M_1000 needs about a thousand individualisations."""
+    lattice = m_lattice(1000)
+    assert is_isomorphic(lattice, relabelled(lattice, random.Random(4)))
+
+
+def _downsets_by_scan(leq):
+    """Reference: every subset of the poset that is closed downwards."""
+    return [
+        m
+        for m in range(1 << len(leq))
+        if all(leq_down(leq, i) & ~m == 0 for i in range(len(leq)) if m >> i & 1)
+    ]
+
+
+def test_downsets_match_subset_scan():
+    for posets in _canonical_posets_upto(6):
+        for leq in posets:
+            assert _downsets(leq) == _downsets_by_scan(leq)
+
+
+def test_downsets_limit_cuts_off_exactly_when_count_exceeds():
+    for posets in _canonical_posets_upto(5):
+        for leq in posets:
+            full = _downsets(leq)
+            for limit in range(len(full) + 2):
+                cut = _downsets(leq, limit)
+                assert (len(cut) > limit) == (len(full) > limit)
+                if len(full) <= limit:
+                    assert cut == full
