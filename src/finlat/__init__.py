@@ -55,11 +55,10 @@ from .grids import (
     make_grid,
     recover_subgrid_chains,
 )
+from .morphisms import Congruence, Homomorphism, congruence_generated_by
 from .retractions import (
     ClassId,
-    Congruence,
     Cover01Report,
-    Homomorphism,
     NotEligible,
     NotInClass,
     Verdict,
@@ -80,7 +79,6 @@ from .oracle import (
     Term,
     all_sublattices,
     build_equation_system,
-    congruence_generated_by,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
     exists_retraction,

@@ -15,7 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from . import chains, core, grids, oracle, retractions, slim
+from . import chains, checks, core, oracle, retractions, slim
 
 __all__ = ["ParseError", "LatticeFile", "parse_lattice_file", "run", "main"]
 
@@ -285,291 +285,26 @@ def _cmd_gen_slim(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check(checks: list, name: str, passed: bool, detail: str):
-    checks.append({"name": name, "passed": bool(passed), "detail": detail})
-    print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", file=sys.stderr)
-
-
-def _suite_proposition(checks, max_size, rng):
-    size = min(max_size, 6)
-    mismatches = 0
-    pairs = 0
-    for big in oracle.enumerate_small_lattices(size):
-        for sub in oracle.all_sublattices(big):
-            if sub == frozenset(big.elements):
-                continue
-            pairs += 1
-            system = oracle.build_equation_system(big, sub)
-            solved = oracle.solve_equation_system(system)
-            hom = oracle.exists_retraction(big, sub)
-            if (solved is None) != (hom is None):
-                mismatches += 1
-            elif solved is not None:
-                induced = oracle.induced_homomorphism(system, solved)
-                if not induced.is_retraction():
-                    mismatches += 1
-    _check(
-        checks,
-        "equation-system-vs-retraction",
-        mismatches == 0,
-        f"{pairs} proper sublattice pairs up to size {size}, {mismatches} disagreements",
-    )
-
-
-def _suite_grid_facts(checks, max_size, rng):
-    bad = []
-    for m in range(1, 5):
-        for n in range(1, 5):
-            grid = grids.make_grid((m + 1, n + 1))
-            if len(core.four_cells(grid.lattice)) != m * n:
-                bad.append((m, n))
-    _check(checks, "grid-cell-count", not bad, f"m*n cells on all grids up to 4x4 {bad or ''}")
-    off = 0
-    total = 0
-    for lat in oracle.enumerate_small_lattices(min(max_size, 7), filters=("distributive",)):
-        total += 1
-        if core.lattice_length(lat) != len(core.join_irreducibles(lat)):
-            off += 1
-    _check(
-        checks,
-        "distributive-length-law",
-        off == 0,
-        f"length equals join-irreducible count on {total} lattices, {off} violations",
-    )
-
-
-def _suite_embedding(checks, max_size, rng):
-    failures = 0
-    total = 0
-    for lat in oracle.enumerate_small_lattices(min(max_size, 6), filters=("distributive",)):
-        if len(lat) < 2:
-            continue
-        total += 1
-        emb = chains.grid_embed(lat)
-        inclusion = retractions.Homomorphism(
-            lat, emb.target.lattice, emb.mapping
-        )
-        report = retractions.check_cover01(inclusion)
-        if not (report.is_cover01 and report.is_embedding and report.lengths_equal):
-            failures += 1
-    _check(
-        checks,
-        "grid-embedding-cover01",
-        failures == 0,
-        f"{total} distributive lattices embedded, {failures} failures",
-    )
-
-
-def _suite_cover01(checks, max_size, rng):
-    bad = 0
-    searched = 0
-    for big in oracle.enumerate_small_lattices(min(max_size, 6), filters=("semimodular",)):
-        for sub in oracle.all_sublattices(big):
-            sub_lat = core.induced_lattice(big, sub)
-            if not core.is_semimodular(sub_lat):
-                continue
-            inclusion = retractions.Homomorphism(sub_lat, big, {x: x for x in sub})
-            report = retractions.check_cover01(inclusion)
-            if report.is_cover01 != (report.is_embedding and report.lengths_equal):
-                bad += 1
-            if report.is_cover01 and len(sub) < len(big):
-                searched += 1
-                if oracle.exists_retraction(big, sub) is not None:
-                    bad += 1
-    _check(
-        checks,
-        "cover01-lemma",
-        bad == 0,
-        f"inclusion flags consistent; {searched} proper cover-01 extensions admit no retraction",
-    )
-
-
-def _suite_forks(checks, max_size, rng):
-    first = slim.add_fork(slim.oriented_grid(1, 1), slim.oriented_grid(1, 1).cells()[0])
-    s7 = core.build_lattice(
-        ["0", "u", "v", "l", "m", "r", "1"],
-        [("0", "u"), ("0", "v"), ("u", "l"), ("u", "m"), ("v", "m"), ("v", "r"),
-         ("l", "1"), ("m", "1"), ("r", "1")],
-    )
-    _check(
-        checks,
-        "fork-on-boolean-square",
-        oracle.is_isomorphic(first.lattice, s7),
-        "forking the 4-element boolean lattice gives the 7-element S7",
-    )
-    replays = 0
-    ok = True
-    for _ in range(100):
-        m = rng.randint(1, 2)
-        n = rng.randint(1, 2)
-        ol = slim.oriented_grid(m, n)
-        for _ in range(rng.randint(1, 3)):
-            cells = ol.cells()
-            before = core.lattice_length(ol.lattice)
-            ol = slim.add_fork(ol, cells[rng.randrange(len(cells))])
-            replays += 1
-            if core.lattice_length(ol.lattice) != before + 1:
-                ok = False
-    _check(checks, "fork-replays", ok, f"{replays} fork steps revalidated")
-
-
-def _suite_swing(checks, max_size, rng):
-    bad = 0
-    for t in range(1, 5):
-        member = slim.s7_family(t)
-        coats = slim.inner_coatoms(member)
-        top = member.lattice.top
-        for i in range(t):
-            for j in range(i + 1, t):
-                theta = oracle.congruence_generated_by(
-                    member.lattice, [(coats[i], coats[j])]
-                )
-                if not set(coats) <= theta.block_of(top):
-                    bad += 1
-    _check(
-        checks,
-        "swing-congruence-step",
-        bad == 0,
-        "collapsing two inner coatoms collapses all of them into the top block (t <= 4)",
-    )
-
-
-def _suite_subgrid(checks, max_size, rng):
-    failures = 0
-    tested = 0
-    sizes = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 4), (2, 2, 3)]
-    for factor_sizes in sizes:
-        grid = grids.make_grid(factor_sizes)
-        if len(grid.lattice) > 12:
-            continue
-        for sub in oracle.all_sublattices(grid.lattice):
-            sub_lat = core.induced_lattice(grid.lattice, sub)
-            factors = core.grid_factor_sizes(sub_lat)
-            if factors is None or len(factors) != grid.dimension:
-                continue
-            tested += 1
-            try:
-                recovered = grids.recover_subgrid_chains(grid, sub)
-            except grids.NotASubgrid:
-                failures += 1
-                continue
-            members = {
-                x
-                for x in grid.lattice.elements
-                if all(
-                    grids.canonical_joinands(grid, x)[j] in set(recovered[j])
-                    for j in range(grid.dimension)
-                )
-            }
-            if members != set(sub):
-                failures += 1
-    _check(
-        checks,
-        "subgrid-recovery",
-        failures == 0,
-        f"{tested} full-dimension grid sublattices recovered, {failures} failures",
-    )
-
-
-def _suite_generation(checks, max_size, rng):
-    size = min(max_size, 6)
-    counts_a = [0] * (size + 1)
-    for lat in oracle.enumerate_small_lattices(size):
-        counts_a[len(lat)] += 1
-    counts_b = [0] * (size + 1)
-    for lat in oracle.bruteforce_lattices(size):
-        counts_b[len(lat)] += 1
-    _check(
-        checks,
-        "generation-strategies-agree",
-        counts_a == counts_b,
-        f"per-size counts {counts_a[1:]} from both strategies",
-    )
-    dist_a = sum(
-        1 for _ in oracle.enumerate_small_lattices(size, filters=("distributive",))
-    )
-    dist_b = sum(1 for lat in oracle.enumerate_distributive_lattices(size))
-    _check(
-        checks,
-        "distributive-enumerators-agree",
-        dist_a == dist_b,
-        f"{dist_a} distributive lattices up to size {size} from both routes",
-    )
-
-
-def _suite_kernels(checks, max_size, rng):
-    bad = 0
-    total = 0
-    for big in oracle.enumerate_small_lattices(min(max_size, 5)):
-        for sub in oracle.all_sublattices(big):
-            hom = oracle.exists_retraction(big, sub)
-            if hom is None:
-                continue
-            total += 1
-            kernel = hom.kernel()
-            if not kernel.is_diagonal_on(sub):
-                bad += 1
-    _check(
-        checks,
-        "retraction-kernels",
-        bad == 0,
-        f"{total} retraction kernels are congruences with diagonal restriction",
-    )
-
-
-def _suite_congruence_bound(checks, max_size, rng):
-    lattices = list(oracle.enumerate_small_lattices(min(max_size, 6)))
-    bad = 0
-    for _ in range(50):
-        lat = lattices[rng.randrange(len(lattices))]
-        elems = lat.elements
-        pair1 = (elems[rng.randrange(len(elems))], elems[rng.randrange(len(elems))])
-        pair2 = (elems[rng.randrange(len(elems))], elems[rng.randrange(len(elems))])
-        theta1 = oracle.congruence_generated_by(lat, [pair1])
-        theta2 = oracle.congruence_generated_by(lat, [pair2])
-        meet = theta1.intersect(theta2)
-        if meet.block_count() > theta1.block_count() * theta2.block_count():
-            bad += 1
-    _check(
-        checks,
-        "congruence-intersection-bound",
-        bad == 0,
-        "intersections stay within the product of the block counts (50 samples)",
-    )
-
-
-_SUITES = {
-    "proposition": _suite_proposition,
-    "grid-facts": _suite_grid_facts,
-    "embedding": _suite_embedding,
-    "cover01": _suite_cover01,
-    "forks": _suite_forks,
-    "swing": _suite_swing,
-    "subgrid": _suite_subgrid,
-    "generation": _suite_generation,
-    "retraction-kernels": _suite_kernels,
-    "congruence-bound": _suite_congruence_bound,
-}
-
-
 def _cmd_oracle_verify(args) -> tuple[dict, int]:
-    if args.suite != "all" and args.suite not in _SUITES:
+    if args.suite != "all" and args.suite not in checks.SUITES:
         raise ParseError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(_SUITES))}, all"
+            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(checks.SUITES))}, all"
         )
     if args.max_size < 1:
         raise ParseError(f"--max-size must be at least 1, got {args.max_size}")
-    names = sorted(_SUITES) if args.suite == "all" else [args.suite]
+    names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    checks: list[dict] = []
+    results = []
     for name in names:
-        _SUITES[name](checks, args.max_size, rng)
-    passed = all(c["passed"] for c in checks)
+        for result in checks.SUITES[name](args.max_size, rng):
+            print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}", file=sys.stderr)
+            results.append(result._asdict())
+    passed = all(r["passed"] for r in results)
     return (
         {
             "command": "oracle-verify",
             "suite": args.suite,
-            "checks": checks,
+            "checks": results,
             "passed": passed,
         },
         0 if passed else 2,
@@ -620,9 +355,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--forks", help="JSON fork script")
     p.set_defaults(func=_cmd_gen_slim)
 
-    p = commands.add_parser("oracle-verify", help="run brute-force invariant suites")
+    p = commands.add_parser("oracle-verify", help="run the exhaustive checks of finlat.checks")
     p.add_argument("--suite", required=True,
-                   help=f"one of: {', '.join(sorted(_SUITES))}, all")
+                   help=f"one of: {', '.join(sorted(checks.SUITES))}, all")
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_verify)

@@ -18,6 +18,7 @@ from .core import (
     induced_lattice,
     lattice_length,
 )
+from .morphisms import Homomorphism
 
 __all__ = [
     "TrivialFactor",
@@ -297,20 +298,13 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
 def _validate_bump(grid: Grid, bumped: Grid, mapping: dict[str, str], split: int, q: int):
     src = grid.lattice
     dst = bumped.lattice
-    image = set(mapping.values())
-    if len(image) != len(src):
+    embedding = Homomorphism(src, dst, mapping)  # checks joins and meets
+    if not embedding.injective:
         raise LatticeError("bump embedding is not injective")
-    for x in src.elements:
-        for y in src.elements:
-            if mapping[src.join(x, y)] != dst.join(mapping[x], mapping[y]):
-                raise LatticeError("bump embedding does not preserve joins")
-            if mapping[src.meet(x, y)] != dst.meet(mapping[x], mapping[y]):
-                raise LatticeError("bump embedding does not preserve meets")
-    if mapping[src.bottom] != dst.bottom or mapping[src.top] != dst.top:
+    if not embedding.preserves_bounds:
         raise LatticeError("bump embedding does not preserve the bounds")
-    for lo, hi in src.covers:
-        if not dst.covered_by(mapping[lo], mapping[hi]):
-            raise LatticeError("bump embedding does not preserve covers")
+    if not embedding.cover_preserving:
+        raise LatticeError("bump embedding does not preserve covers")
     if lattice_length(src) != lattice_length(dst):
         raise LatticeError("bump changed the length")
     # The image decomposes as ideal-below ∪ filter-above the two overlap corners.
@@ -325,5 +319,5 @@ def _validate_bump(grid: Grid, bumped: Grid, mapping: dict[str, str], split: int
         tuple(0 if i == split else (q if i == split + 1 else 0) for i in range(n))
     )
     expected = dst.down_set(hi_corner) | dst.up_set(lo_corner)
-    if image != expected:
+    if set(mapping.values()) != expected:
         raise LatticeError("bump image is not the expected ideal-filter union")

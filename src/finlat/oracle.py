@@ -3,14 +3,15 @@
 Everything here certifies or refutes by exhaustion.  Retractions are found
 (or ruled out) by backtracking with join/meet forcing; equation systems
 follow the parameterized old/new rules and are solved independently of the
-retraction search, so the two routes can be compared; congruences are
-generated by closing under translations.  Isomorphism is decided by
-individualisation–refinement on the two cover digraphs, and every positive
-answer is checked as an explicit bijection.  Small lattices are enumerated
-up to isomorphism over canonical posets, with a Birkhoff-dual generator for
-distributive ones that lists down-sets in one pass over a linear extension;
-both enumerators are ordered by `canonical_key`, an exact but exponential
-key that serves as their sort order, not as the isomorphism test.
+retraction search, so the two routes can be compared (congruence
+generation lives in `morphisms` and is re-exported here).  Isomorphism is
+decided by individualisation–refinement on the two cover digraphs, and
+every positive answer is checked as an explicit bijection.  Small lattices
+are enumerated up to isomorphism over canonical posets, with a
+Birkhoff-dual generator for distributive ones that lists down-sets in one
+pass over a linear extension; both enumerators are ordered by
+`canonical_key`, an exact but exponential key that serves as their sort
+order, not as the isomorphism test.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import permutations
 from .core import (
     FiniteLattice,
     LatticeError,
+    _bits,
     build_lattice,
     check_sublattice,
     induced_lattice,
@@ -28,7 +30,7 @@ from .core import (
     is_semimodular,
     is_slim,
 )
-from .retractions import Congruence, Homomorphism
+from .morphisms import Homomorphism, congruence_generated_by
 
 __all__ = [
     "NotASublatticeHere",
@@ -178,16 +180,14 @@ def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
     mode="first" returns a verified Homomorphism or None; mode="count"
     returns the exact number of retractions.
     """
+    if mode == "first":
+        return search_retraction(lattice, sub)[0]
+    if mode != "count":
+        raise ValueError(f"unknown mode {mode!r}")
     sub = set(sub)
     if not check_sublattice(lattice, sub):
         raise NotASublatticeHere(f"{sorted(sub)!r} is not a sublattice")
-    if mode == "first":
-        hom, _ = search_retraction(lattice, sub)
-        return hom
-    if mode == "count":
-        _, count, _ = _search(lattice, sub, count_all=True)
-        return count
-    raise ValueError(f"unknown mode {mode!r}")
+    return _search(lattice, sub, count_all=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -380,47 +380,6 @@ def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homo
 
 
 # ---------------------------------------------------------------------------
-# congruence generation
-# ---------------------------------------------------------------------------
-
-
-def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
-    """Least congruence containing the pairs.
-
-    Union-find closure under join and meet translations: whenever two
-    elements merge, their joins and meets with every element merge too.
-    """
-    parent = {x: x for x in lattice.elements}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work: list[tuple[str, str]] = []
-
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            work.append((a, b))
-
-    for a, b in pairs:
-        union(a, b)
-    while work:
-        a, b = work.pop()
-        for z in lattice.elements:
-            union(lattice.join(a, z), lattice.join(b, z))
-            union(lattice.meet(a, z), lattice.meet(b, z))
-
-    blocks: dict[str, set[str]] = {}
-    for x in lattice.elements:
-        blocks.setdefault(find(x), set()).add(x)
-    return Congruence(lattice, tuple(frozenset(b) for b in blocks.values()))
-
-
-# ---------------------------------------------------------------------------
 # sublattice and embedding enumeration
 # ---------------------------------------------------------------------------
 
@@ -437,7 +396,7 @@ def all_sublattices(lattice: FiniteLattice):
     def closure(mask: int) -> int:
         while True:
             new = mask
-            items = list(_mask_bits(mask))
+            items = list(_bits(mask))
             for ii, i in enumerate(items):
                 for j in items[ii:]:
                     new |= 1 << join[i][j]
@@ -463,15 +422,8 @@ def all_sublattices(lattice: FiniteLattice):
         yield _mask_to_set(lattice, current)
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask_to_set(lattice: FiniteLattice, mask: int) -> frozenset[str]:
-    return frozenset(lattice.elements[i] for i in _mask_bits(mask))
+    return frozenset(lattice.elements[i] for i in _bits(mask))
 
 
 def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] | None:
@@ -565,7 +517,7 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
 
     radj = [0] * n
     for i in range(n):
-        for j in _mask_bits(adj[i]):
+        for j in _bits(adj[i]):
             radj[j] |= 1 << i
     color = [
         (bin(adj[i]).count("1"), bin(radj[i]).count("1")) for i in range(n)
@@ -573,8 +525,8 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     for _ in range(n):
         sig = []
         for i in range(n):
-            out_cols = tuple(sorted(color[j] for j in _mask_bits(adj[i])))
-            in_cols = tuple(sorted(color[j] for j in _mask_bits(radj[i])))
+            out_cols = tuple(sorted(color[j] for j in _bits(adj[i])))
+            in_cols = tuple(sorted(color[j] for j in _bits(radj[i])))
             sig.append((color[i], out_cols, in_cols))
         if len(set(sig)) == len(set(color)):
             color = sig
@@ -596,7 +548,7 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
             encoded = []
             for v in placement:
                 row = 0
-                for j in _mask_bits(adj[v]):
+                for j in _bits(adj[v]):
                     row |= 1 << pos[j]
                 encoded.append(row)
             key = tuple(encoded)
@@ -672,8 +624,8 @@ def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
     up: list[list[int]] = []
     down: list[list[int]] = []
     for offset, lattice in ((0, a), (n, b)):
-        up += [[w + offset for w in _mask_bits(m)] for m in lattice._ucov]
-        down += [[w + offset for w in _mask_bits(m)] for m in lattice._lcov]
+        up += [[w + offset for w in _bits(m)] for m in lattice._ucov]
+        down += [[w + offset for w in _bits(m)] for m in lattice._lcov]
 
     colour = _refine(up, down, [0] * (2 * n))
     # frames: (colouring, individualised vertex of a, untried vertices of b)
@@ -735,7 +687,7 @@ def _poset_extensions(leq: tuple[int, ...]):
     k = len(leq)
     for ideal in _downsets(leq):
         new = list(leq)
-        for i in _mask_bits(ideal):
+        for i in _bits(ideal):
             new[i] |= 1 << k
         new.append(1 << k)
         yield tuple(new)
@@ -771,12 +723,12 @@ def _poset_bounded_lattice(leq: tuple[int, ...]) -> FiniteLattice | None:
         for j in range(i + 1, k):
             uppers = leq[i] & leq[j]
             minimal = [
-                u for u in _mask_bits(uppers) if leq_down(leq, u) & uppers == 1 << u
+                u for u in _bits(uppers) if leq_down(leq, u) & uppers == 1 << u
             ]
             if len(minimal) > 1:
                 return None
             downs = leq_down(leq, i) & leq_down(leq, j)
-            maximal = [d for d in _mask_bits(downs) if leq[d] & downs == 1 << d]
+            maximal = [d for d in _bits(downs) if leq[d] & downs == 1 << d]
             if len(maximal) > 1:
                 return None
     width = len(str(k + 1))
@@ -788,10 +740,10 @@ def _poset_bounded_lattice(leq: tuple[int, ...]) -> FiniteLattice | None:
             covers.append((bottom, ids[i + 1]))
         if leq[i] == 1 << i:
             covers.append((ids[i + 1], top))
-        for j in _mask_bits(leq[i] & ~(1 << i)):
+        for j in _bits(leq[i] & ~(1 << i)):
             if not any(
                 leq[i] >> z & 1 and leq[z] >> j & 1
-                for z in _mask_bits(leq[i] & ~(1 << i) & ~(1 << j))
+                for z in _bits(leq[i] & ~(1 << i) & ~(1 << j))
             ):
                 covers.append((ids[i + 1], ids[j + 1]))
     if k == 0:

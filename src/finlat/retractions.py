@@ -14,16 +14,15 @@ refutation witness, optionally confirmed by exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     FiniteLattice,
     LatticeError,
     NotASublattice,
     check_sublattice,
-    classify_properties,
     grid_factor_sizes,
     induced_lattice,
+    is_boolean,
     is_distributive,
     is_semimodular,
     is_slim,
@@ -32,6 +31,9 @@ from .core import (
 )
 from .chains import NotDistributive, grid_embed, order_dimension
 from .grids import Grid, dimension_bump, recover_subgrid_chains
+from .morphisms import Congruence, Homomorphism, NotACongruence, NotAHomomorphism
+from .oracle import search_retraction
+from .slim import build_witness
 
 __all__ = [
     "NotAHomomorphism",
@@ -57,14 +59,6 @@ __all__ = [
 ]
 
 
-class NotAHomomorphism(LatticeError):
-    pass
-
-
-class NotACongruence(LatticeError):
-    pass
-
-
 class NotSemimodular(LatticeError):
     pass
 
@@ -87,165 +81,6 @@ class NotEligible(LatticeError):
 
 class NotInClass(LatticeError):
     pass
-
-
-class Homomorphism:
-    """A verified lattice homomorphism between two finite lattices.
-
-    Join and meet preservation is checked over all pairs at construction.
-    The derived flags (bound preservation, cover preservation, injectivity,
-    surjectivity) are computed on demand and cached.
-    """
-
-    def __init__(self, source: FiniteLattice, target: FiniteLattice, mapping: dict[str, str]):
-        if set(mapping) != set(source.elements):
-            raise NotAHomomorphism("mapping is not total on the source")
-        for v in mapping.values():
-            if v not in target:
-                raise NotAHomomorphism(f"image {v!r} is outside the target")
-        for x in source.elements:
-            for y in source.elements:
-                if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
-                    raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
-                if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
-                    raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
-
-    def __call__(self, x: str) -> str:
-        return self.mapping[x]
-
-    @cached_property
-    def preserves_bounds(self) -> bool:
-        return (
-            self.mapping[self.source.bottom] == self.target.bottom
-            and self.mapping[self.source.top] == self.target.top
-        )
-
-    @cached_property
-    def cover_preserving(self) -> bool:
-        return all(
-            self.target.covered_by(self.mapping[lo], self.mapping[hi])
-            for lo, hi in self.source.covers
-        )
-
-    @cached_property
-    def injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.source)
-
-    @cached_property
-    def surjective(self) -> bool:
-        return set(self.mapping.values()) == set(self.target.elements)
-
-    def fixes(self, subset) -> bool:
-        return all(self.mapping[x] == x for x in subset)
-
-    def is_retraction(self) -> bool:
-        """True iff the target is a sublattice of the source fixed pointwise."""
-        return (
-            all(t in self.source for t in self.target.elements)
-            and self.fixes(self.target.elements)
-        )
-
-    def kernel(self) -> "Congruence":
-        fibers: dict[str, set[str]] = {}
-        for x, v in self.mapping.items():
-            fibers.setdefault(v, set()).add(x)
-        blocks = tuple(
-            frozenset(b) for b in sorted(fibers.values(), key=lambda b: min(b))
-        )
-        return Congruence(self.source, blocks)
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """The composite self ∘ inner."""
-        if inner.target is not self.source and set(inner.target.elements) != set(
-            self.source.elements
-        ):
-            raise NotAHomomorphism("composition domains do not match")
-        return Homomorphism(
-            inner.source,
-            self.target,
-            {x: self.mapping[v] for x, v in inner.mapping.items()},
-        )
-
-    def __repr__(self) -> str:
-        return f"<Homomorphism {len(self.source)}->{len(self.target)}>"
-
-
-class Congruence:
-    """A partition of a lattice compatible with join and meet.
-
-    Compatibility and the convex-sublattice property of every block are
-    verified at construction.
-    """
-
-    def __init__(self, lattice: FiniteLattice, blocks):
-        blocks = tuple(frozenset(b) for b in blocks)
-        seen: set[str] = set()
-        for b in blocks:
-            if not b:
-                raise NotACongruence("empty block")
-            if b & seen:
-                raise NotACongruence("blocks overlap")
-            seen |= b
-        if seen != set(lattice.elements):
-            raise NotACongruence("blocks do not partition the lattice")
-        self.lattice = lattice
-        self.blocks = tuple(sorted(blocks, key=min))
-        self._block_of = {x: i for i, b in enumerate(self.blocks) for x in b}
-        self._validate()
-
-    def _validate(self):
-        lat = self.lattice
-        of = self._block_of
-        for block in self.blocks:
-            rep = min(block)
-            for other in block:
-                if other == rep:
-                    continue
-                for z in lat.elements:
-                    if of[lat.join(rep, z)] != of[lat.join(other, z)]:
-                        raise NotACongruence("partition is not join-compatible")
-                    if of[lat.meet(rep, z)] != of[lat.meet(other, z)]:
-                        raise NotACongruence("partition is not meet-compatible")
-            # blocks of a congruence are convex sublattices
-            for x in block:
-                for y in block:
-                    if lat.join(x, y) not in block or lat.meet(x, y) not in block:
-                        raise NotACongruence("block is not a sublattice")
-                    for z in lat.interval(x, y):
-                        if z not in block:
-                            raise NotACongruence("block is not convex")
-
-    def block_of(self, x: str) -> frozenset[str]:
-        return self.blocks[self._block_of[x]]
-
-    def related(self, x: str, y: str) -> bool:
-        return self._block_of[x] == self._block_of[y]
-
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def intersect(self, other: "Congruence") -> "Congruence":
-        """Common refinement with another congruence of the same lattice."""
-        pieces: dict[tuple[int, int], set[str]] = {}
-        for x in self.lattice.elements:
-            key = (self._block_of[x], other._block_of[x])
-            pieces.setdefault(key, set()).add(x)
-        return Congruence(self.lattice, tuple(frozenset(p) for p in pieces.values()))
-
-    def restrict(self, subset) -> tuple[frozenset[str], ...]:
-        """Nonempty traces of the blocks on a subset."""
-        subset = set(subset)
-        out = [b & subset for b in self.blocks]
-        return tuple(b for b in out if b)
-
-    def is_diagonal_on(self, subset) -> bool:
-        return all(len(b) == 1 for b in self.restrict(subset))
-
-    def __repr__(self) -> str:
-        return f"<Congruence {self.block_count()} blocks on {len(self.lattice)} elements>"
 
 
 @dataclass(frozen=True)
@@ -370,7 +205,7 @@ def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
     if not check_sublattice(lattice, subset):
         raise NotBooleanSublattice("subset is not a sublattice")
     sub = induced_lattice(lattice, subset)
-    if not classify_properties(sub).boolean:
+    if not is_boolean(sub):
         raise NotBooleanSublattice("subset is not a boolean sublattice")
 
     sub_atoms = sorted(sub.upper_covers(sub.bottom))
@@ -465,7 +300,7 @@ def _check_membership(lattice: FiniteLattice, cls: ClassId):
 
 def _qualifies(lattice: FiniteLattice, cls: ClassId) -> bool:
     """Positive side of the classification for the distributive classes."""
-    if classify_properties(lattice).boolean:
+    if is_boolean(lattice):
         return True
     if cls.kind in ("dfin", "dcov") and cls.n is not None:
         factors = grid_factor_sizes(lattice)
@@ -497,7 +332,7 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
         )
 
     sub = induced_lattice(lattice, subset)
-    boolean = classify_properties(sub).boolean
+    boolean = is_boolean(sub)
     grid_dim = None
     factors = grid_factor_sizes(sub)
     if factors is not None:
@@ -564,15 +399,12 @@ def classify_absolute_retract(
     for witnesses up to ``oracle_bound`` elements an exhaustive search is
     run as confirmation.
     """
-    from . import oracle  # local import; the oracle builds on this module
-    from . import slim
-
     _check_membership(lattice, cls)
 
     if cls.kind == "sps":
         if len(lattice) == 1:
             return Verdict(lattice, cls, True, case="singleton")
-        report = slim.build_witness(lattice)
+        report = build_witness(lattice)
         return Verdict(
             lattice,
             cls,
@@ -593,7 +425,7 @@ def classify_absolute_retract(
     target = emb.target
     n = cls.n
     if n is None or k < n:
-        if classify_properties(target.lattice).boolean:
+        if is_boolean(target.lattice):
             case = "boolean-target"
             witness_lattice = target.lattice
             mapping = dict(emb.mapping)
@@ -616,7 +448,7 @@ def classify_absolute_retract(
     nodes: int | None = None
     if len(witness_lattice) <= oracle_bound:
         image = {mapping[x] for x in lattice.elements}
-        found, nodes = oracle.search_retraction(witness_lattice, image)
+        found, nodes = search_retraction(witness_lattice, image)
         confirmed = found is None
         if not confirmed:  # pragma: no cover - impossible mathematically
             raise LatticeError("oracle found a retraction onto a refuted witness")

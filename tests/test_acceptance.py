@@ -1,46 +1,32 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Everything here is exact (combinatorial equality, zero-discrepancy counts);
-there are no numeric tolerances to calibrate.  The heavy quantifications
-reuse session-scoped enumerations.
+there are no numeric tolerances to calibrate.  Criteria 1 and 5-9 run the
+checks of `finlat.checks`, the code behind `finlat oracle-verify`, with
+larger bounds than the command line uses.
 """
 
 import random
-from itertools import combinations
+from itertools import chain
 
 import pytest
 
 from finlat import (
     ClassId,
-    Homomorphism,
-    add_fork,
     all_sublattices,
-    build_equation_system,
     build_lattice,
     build_witness,
-    canonical_joinands,
-    check_cover01,
+    checks,
     classify_absolute_retract,
-    classify_properties,
-    congruence_generated_by,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
     exists_retraction,
-    four_cells,
     grid_factor_sizes,
     induced_lattice,
-    inner_coatoms,
-    is_isomorphic,
-    is_semimodular,
-    join_irreducibles,
-    lattice_length,
-    make_grid,
+    is_boolean,
     order_dimension,
-    oriented_grid,
-    recover_subgrid_chains,
     retract_onto,
     s7_family,
-    solve_equation_system,
 )
 
 CLASSES = [ClassId.dfin(1), ClassId.dfin(2), ClassId.dfin(3), ClassId.dfin(None)]
@@ -50,17 +36,16 @@ def _report(name: str, detail: str):
     print(f"PASS {name}: {detail}")
 
 
+def _assert_passed(criterion: str, results):
+    """Assert every finlat.checks result and print its line."""
+    for name, passed, detail in results:
+        assert passed, f"{criterion}, {name}: {detail}"
+        _report(criterion, f"{name}: {detail}")
+
+
 @pytest.fixture(scope="module")
 def distributive_upto_10():
     return list(enumerate_distributive_lattices(10))
-
-
-@pytest.fixture(scope="module")
-def sublattices_of(distributive_upto_10):
-    return {
-        id(lat): [sub for sub in all_sublattices(lat)]
-        for lat in distributive_upto_10
-    }
 
 
 def _dimension(lattice):
@@ -69,8 +54,6 @@ def _dimension(lattice):
 
 def _qualifies(sub_lat, n):
     """Positive side of the classification: boolean, or a grid of dimension n."""
-    from finlat import is_boolean
-
     if is_boolean(sub_lat):
         return True
     if n is None:
@@ -80,27 +63,14 @@ def _qualifies(sub_lat, n):
 
 
 def test_criterion_1_equation_system_matches_retractions():
-    pairs = 0
-    for ambient in enumerate_small_lattices(6):
-        for sub in all_sublattices(ambient):
-            if sub == frozenset(ambient.elements):
-                continue
-            pairs += 1
-            system = build_equation_system(ambient, sub)
-            solution = solve_equation_system(system)
-            retraction = exists_retraction(ambient, sub)
-            assert (solution is None) == (retraction is None), (ambient, sub)
-    _report(
-        "criterion 1",
-        f"equation solvability equals retraction existence on {pairs} proper pairs, |B| <= 6",
-    )
+    _assert_passed("criterion 1", checks.proposition(6))  # |B| <= 6
 
 
-def test_criterion_2_positive_direction(distributive_upto_10, sublattices_of):
+def test_criterion_2_positive_direction(distributive_upto_10):
     built = 0
     for ambient in distributive_upto_10:
         ambient_dim = _dimension(ambient)
-        for sub in sublattices_of[id(ambient)]:
+        for sub in all_sublattices(ambient):
             if len(sub) > 8:
                 continue
             sub_lat = induced_lattice(ambient, sub)
@@ -158,180 +128,34 @@ def test_criterion_4_slim_semimodular_witnesses():
     )
 
 
-def test_criterion_5_fork_ground_truth(s7):
-    base = oriented_grid(1, 1)
-    forked = add_fork(base, base.cells()[0])
-    assert len(forked.lattice) == 7
-    assert is_isomorphic(forked.lattice, s7)
-
-    rng = random.Random(20260810)
-    steps = 0
-    while steps < 100:
-        ol = oriented_grid(rng.randint(1, 2), rng.randint(1, 2))
-        for _ in range(rng.randint(1, 3)):
-            before_length = lattice_length(ol.lattice)
-            cells = ol.cells()
-            ol = add_fork(ol, cells[rng.randrange(len(cells))])
-            report = classify_properties(ol.lattice)
-            assert report.slim and report.semimodular
-            assert lattice_length(ol.lattice) == before_length + 1
-            steps += 1
-    _report(
-        "criterion 5",
-        f"fork on the boolean square is the canonical S7; {steps} replayed fork steps stay slim semimodular with length +1",
-    )
+def test_criterion_5_fork_ground_truth():
+    # 100 rounds of one to three forks: at least 100 fork steps
+    _assert_passed("criterion 5", checks.forks(random.Random(20260810)))
 
 
 def test_criterion_6_grid_facts():
-    for m in range(1, 5):
-        for n in range(1, 5):
-            grid = make_grid((m + 1, n + 1))
-            assert len(four_cells(grid.lattice)) == m * n
-    counted = 0
-    for lattice in enumerate_small_lattices(8, filters=("distributive",)):
-        assert lattice_length(lattice) == len(join_irreducibles(lattice))
-        counted += 1
-    _report(
-        "criterion 6",
-        f"m*n cells on all grids up to 4x4; length equals |Ji| on {counted} distributive lattices <= 8",
-    )
+    _assert_passed("criterion 6", checks.grid_facts(8))  # distributive lattices <= 8
 
 
-def _grid_sizes_upto(limit):
-    out = []
-
-    def extend(prefix, remaining):
-        for s in range(prefix[-1] if prefix else 2, remaining + 1):
-            if s < 2:
-                continue
-            out.append(prefix + (s,))
-            if remaining // s >= 2:
-                extend(prefix + (s,), remaining // s)
-
-    extend((), limit)
-    return [sizes for sizes in out if _product(sizes) <= limit]
-
-
-def _product(sizes):
-    result = 1
-    for s in sizes:
-        result *= s
-    return result
-
-
-def _subset_grid_dimension(lattice, sub):
-    """Number of chain components of the sublattice's join-irreducibles.
-
-    Sublattices of distributive lattices are distributive, so chains of
-    join-irreducibles characterize grid structure without a separate
-    distributivity scan.  Returns None when some component is not a chain.
-    """
-    sub_lat = induced_lattice(lattice, sub)
-    ji = list(join_irreducibles(sub_lat))
-    remaining = set(ji)
-    dims = 0
-    total = 1
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in list(remaining - comp):
-                if sub_lat.leq(x, y) or sub_lat.leq(y, x):
-                    comp.add(y)
-                    frontier.append(y)
-        for a, b in combinations(sorted(comp), 2):
-            if not sub_lat.leq(a, b) and not sub_lat.leq(b, a):
-                return None
-        remaining -= comp
-        dims += 1
-        total *= len(comp) + 1
-    if total != len(sub):
-        return None
-    return dims
+# every factor tuple (ascending, each factor >= 2) of a grid with at most 16 elements
+GRIDS_UPTO_16 = (
+    [(k,) for k in range(2, 17)]
+    + [(a, b) for a in range(2, 5) for b in range(a, 16 // a + 1)]
+    + [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 2, 2)]
+)
 
 
 def test_criterion_7_subgrid_recovery():
-    tested = 0
-    for sizes in _grid_sizes_upto(16):
-        grid = make_grid(sizes)
-        dim = grid.dimension
-        for sub in all_sublattices(grid.lattice):
-            if dim == 1:
-                # subsets of a chain are subchains; nontrivial ones are 1-grids
-                if len(sub) < 2:
-                    continue
-            elif _subset_grid_dimension(grid.lattice, sub) != dim:
-                continue
-            chains = recover_subgrid_chains(grid, sub)
-            chain_sets = [set(c) for c in chains]
-            members = {
-                x
-                for x in grid.lattice.elements
-                if all(
-                    canonical_joinands(grid, x)[j] in chain_sets[j]
-                    for j in range(dim)
-                )
-            }
-            assert members == set(sub), (sizes, sub)
-            tested += 1
-    _report(
-        "criterion 7",
-        f"membership formula exact on {tested} equal-dimension grid sublattices, |K| <= 16",
-    )
+    assert len(GRIDS_UPTO_16) == 30
+    _assert_passed("criterion 7", checks.subgrid(GRIDS_UPTO_16))
 
 
 def test_criterion_8_swing_step():
-    checked = 0
-    for t in range(1, 5):
-        member = s7_family(t)
-        coats = inner_coatoms(member)
-        assert len(coats) == t
-        top = member.lattice.top
-        for i in range(t):
-            for j in range(i + 1, t):
-                theta = congruence_generated_by(member.lattice, [(coats[i], coats[j])])
-                assert set(coats) <= theta.block_of(top), (t, i, j)
-                checked += 1
-    _report(
-        "criterion 8",
-        f"{checked} inner coatom pairs collapse every inner coatom into the top block (t <= 4)",
-    )
+    _assert_passed("criterion 8", checks.swing(4))  # t <= 4
 
 
-def test_criterion_9_cover01_lemma(distributive_upto_10, sublattices_of):
-    instances = 0
-    searches = 0
-    # inclusions among distributive (hence semimodular) lattices up to 10
-    for ambient in distributive_upto_10:
-        for sub in sublattices_of[id(ambient)]:
-            inclusion = Homomorphism(
-                induced_lattice(ambient, sub), ambient, {x: x for x in sub}
-            )
-            report = check_cover01(inclusion)
-            # (a) and (b) together: cover-01 iff embedding of equal length
-            assert report.is_cover01 == (report.is_embedding and report.lengths_equal)
-            instances += 1
-            if report.is_cover01 and len(sub) < len(ambient):
-                # (c): a retraction would be an isomorphism, impossible here
-                assert exists_retraction(ambient, sub) is None, (ambient, sub)
-                searches += 1
-    # general semimodular pairs from the small enumeration
-    for ambient in enumerate_small_lattices(8, filters=("semimodular",)):
-        for sub in all_sublattices(ambient):
-            sub_lat = induced_lattice(ambient, sub)
-            if not is_semimodular(sub_lat):
-                continue
-            inclusion = Homomorphism(sub_lat, ambient, {x: x for x in sub})
-            report = check_cover01(inclusion)
-            assert report.is_cover01 == (report.is_embedding and report.lengths_equal)
-            instances += 1
-            if report.is_cover01 and len(sub) < len(ambient):
-                assert exists_retraction(ambient, sub) is None, (ambient, sub)
-                searches += 1
-    _report(
-        "criterion 9",
-        f"{instances} semimodular embedding instances consistent; "
-        f"{searches} proper cover-01 extensions admit no retraction",
-    )
+def test_criterion_9_cover01_lemma(distributive_upto_10):
+    # inclusions among distributive (hence semimodular) lattices up to 10,
+    # then general semimodular pairs from the small enumeration up to 8
+    ambients = chain(distributive_upto_10, enumerate_small_lattices(8, filters=("semimodular",)))
+    _assert_passed("criterion 9", checks.cover01(ambients))

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from finlat import build_lattice, is_isomorphic, s7_family
-from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, parse_lattice_file, run
+from finlat import build_lattice, is_isomorphic, oracle, s7_family
+from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, main, parse_lattice_file, run
 from tests.conftest import S7_COVERS, S7_ELEMENTS
 
 
@@ -201,6 +202,30 @@ def test_oracle_verify_suite(tmp_path, capsys):
 def test_oracle_verify_unknown_suite():
     report, code = run(["oracle-verify", "--suite", "bogus"])
     assert code == 1
+
+
+# stdout, stderr and exit code of every suite at the default size, and of
+# --suite all at --max-size 1..8 with seeds 0 and 7, recorded before the
+# suites moved into finlat.checks.
+GOLDEN = json.loads((Path(__file__).parent / "oracle_verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
+def test_oracle_verify_matches_golden(case, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])
+
+
+def test_oracle_verify_names_the_first_failure(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "exists_retraction", lambda lattice, sub: None)
+    report, code = run(["oracle-verify", "--suite", "proposition", "--max-size", "3"])
+    assert code == 2 and report["passed"] is False
+    (check,) = report["checks"]
+    assert check["passed"] is False
+    assert check["detail"].endswith("first failure: sublattice ['1'] of the 2-element lattice [0<1]")
+    assert f"FAIL equation-system-vs-retraction: {check['detail']}\n" in capsys.readouterr().err
 
 
 def test_unknown_command_is_domain_error():
