@@ -7,6 +7,7 @@ brute-force oracle that certifies everything by exhaustion.
 """
 
 from .core import (
+    MAX_ELEMENTS,
     Cell,
     CycleDetected,
     FiniteLattice,

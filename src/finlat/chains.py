@@ -20,6 +20,7 @@ from .core import (
     lattice_length,
 )
 from .grids import Grid, make_grid
+from .morphisms import Homomorphism
 
 __all__ = [
     "NotDistributive",
@@ -232,8 +233,8 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
 
 
 def _validate_embedding(lattice, target, mapping, e_plus):
-    dst = target.lattice
-    if len(set(mapping.values())) != len(lattice):
+    embedding = Homomorphism(lattice, target.lattice, mapping)  # checks joins and meets
+    if not embedding.injective:
         raise LatticeError("grid embedding is not injective")
     for x in lattice.elements:
         # x is recovered as the join of its coordinates, taken in the source.
@@ -244,15 +245,9 @@ def _validate_embedding(lattice, target, mapping, e_plus):
         recovered = lattice.join_all(chain[k] for chain, k in zip(e_plus, top_of))
         if recovered != x:
             raise LatticeError("coordinate join law failed")
-        for y in lattice.elements:
-            if mapping[lattice.join(x, y)] != dst.join(mapping[x], mapping[y]):
-                raise LatticeError("grid embedding does not preserve joins")
-            if mapping[lattice.meet(x, y)] != dst.meet(mapping[x], mapping[y]):
-                raise LatticeError("grid embedding does not preserve meets")
-    if mapping[lattice.bottom] != dst.bottom or mapping[lattice.top] != dst.top:
+    if not embedding.preserves_bounds:
         raise LatticeError("grid embedding does not preserve bounds")
-    for lo, hi in lattice.covers:
-        if not dst.covered_by(mapping[lo], mapping[hi]):
-            raise LatticeError("grid embedding does not preserve covers")
-    if lattice_length(lattice) != lattice_length(dst):
+    if not embedding.cover_preserving:
+        raise LatticeError("grid embedding does not preserve covers")
+    if lattice_length(lattice) != lattice_length(target.lattice):
         raise LatticeError("grid embedding changed the length")

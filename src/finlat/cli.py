@@ -10,6 +10,7 @@ progress lines go to stderr.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -316,6 +317,7 @@ def _cmd_oracle_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="finlat", description="finite lattice computations")
     commands = parser.add_subparsers(dest="command", required=True)

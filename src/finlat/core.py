@@ -5,7 +5,10 @@ extensions, the brute-force oracle) consumes the ``FiniteLattice`` values
 built here.  Element identifiers are opaque strings; internal indices are
 assigned by sorted identifier order, so all derived structure is
 reproducible across runs.  Lattice values are immutable after construction
-and safe for concurrent reads.
+and safe for concurrent reads.  The order comes from Kahn's topological
+sort and the join/meet tables from one up-/down-mask lookup per pair; the
+tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
+elements.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
+    "MAX_ELEMENTS",
     "LatticeError",
     "CycleDetected",
     "NonReducedCovers",
@@ -37,6 +41,10 @@ __all__ = [
     "check_sublattice",
     "induced_lattice",
 ]
+
+
+# The join and meet tables hold n² entries each.
+MAX_ELEMENTS = 1024
 
 
 class LatticeError(Exception):
@@ -70,14 +78,31 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _covers_within(up, mask: int) -> list[tuple[int, int]]:
+    """Cover pairs of an up-set encoded order restricted to the indices in mask.
+
+    The upper covers of i are its strict up-set within mask minus the strict
+    up-sets of the members of that set.
+    """
+    pairs = []
+    for i in _bits(mask):
+        above = up[i] & mask & ~(1 << i)
+        covers = above
+        for j in _bits(above):
+            covers &= ~up[j] | 1 << j
+        pairs += [(i, j) for j in _bits(covers)]
+    return pairs
+
+
 class FiniteLattice:
     """A finite lattice given by its covering relation.
 
     The order is the reflexive-transitive closure of the covers.  Join and
-    meet tables are materialized eagerly (target sizes are small), and
-    construction fails unless every pair of elements has a unique least
-    upper bound and a unique greatest lower bound.  Declared covers must be
-    transitively reduced; malformed input is rejected rather than repaired.
+    meet tables are materialized eagerly, so at most `MAX_ELEMENTS`
+    elements are accepted, and construction fails unless every pair of
+    elements has a unique least upper bound and a unique greatest lower
+    bound.  Declared covers must be transitively reduced; malformed input
+    is rejected rather than repaired.
     """
 
     __slots__ = (
@@ -98,6 +123,8 @@ class FiniteLattice:
 
     def __init__(self, elements, covers):
         ids = list(elements)
+        if len(ids) > MAX_ELEMENTS:
+            raise LatticeError(f"{len(ids)} elements exceed the limit of {MAX_ELEMENTS}")
         if not ids:
             raise LatticeError("a lattice needs at least one element")
         if len(set(ids)) != len(ids):
@@ -124,30 +151,25 @@ class FiniteLattice:
         self._ucov = tuple(ucov)
         self._lcov = tuple(lcov)
 
-        # Reflexive-transitive closure by DFS; detects cycles.
-        up = [0] * n
-        state = [0] * n  # 0 new, 1 on stack, 2 done
-
-        def close(i: int):
-            state[i] = 1
-            acc = 1 << i
+        # Kahn's topological order: lower-cover counts are the in-degrees.
+        indegree = [lc.bit_count() for lc in lcov]
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:
             for j in _bits(ucov[i]):
-                if state[j] == 1:
-                    raise CycleDetected("cover relation contains a cycle")
-                if state[j] == 0:
-                    close(j)
-                acc |= up[j]
-            up[i] = acc
-            state[i] = 2
-
-        for i in range(n):
-            if state[i] == 0:
-                close(i)
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < n:
+            raise CycleDetected("cover relation contains a cycle")
+        up = [1 << i for i in range(n)]
+        down = up[:]
+        for i in reversed(order):
+            for j in _bits(ucov[i]):
+                up[i] |= up[j]
+        for i in order:
+            for j in _bits(lcov[i]):
+                down[i] |= down[j]
         self._up = tuple(up)
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self._down = tuple(down)
 
         # Declared covers must be exactly the transitive reduction.
@@ -166,23 +188,23 @@ class FiniteLattice:
         self.bottom = self.elements[bottoms[0]]
         self.top = self.elements[tops[0]]
 
-        # Join and meet tables; existence and uniqueness checked pairwise.
+        # In a lattice up(i) & up(j) == up(i ∨ j) and down(i) & down(j) ==
+        # down(i ∧ j), so each table entry is one lookup; a miss means the
+        # pair has no least upper or greatest lower bound.
+        by_up = {m: k for k, m in enumerate(up)}
+        by_down = {m: k for k, m in enumerate(down)}
         join = [[0] * n for _ in range(n)]
         meet = [[0] * n for _ in range(n)]
         for i in range(n):
-            join[i][i] = i
-            meet[i][i] = i
+            join[i][i] = meet[i][i] = i
+            up_i, down_i = up[i], down[i]
             for j in range(i + 1, n):
-                common = up[i] & up[j]
-                least = [k for k in _bits(common) if down[k] & common == 1 << k]
-                if len(least) != 1:
+                k = by_up.get(up_i & up[j])
+                m = by_down.get(down_i & down[j])
+                if k is None or m is None:
                     raise NotALattice((self.elements[i], self.elements[j]))
-                join[i][j] = join[j][i] = least[0]
-                common = down[i] & down[j]
-                greatest = [k for k in _bits(common) if up[k] & common == 1 << k]
-                if len(greatest) != 1:
-                    raise NotALattice((self.elements[i], self.elements[j]))
-                meet[i][j] = meet[j][i] = greatest[0]
+                join[i][j] = join[j][i] = k
+                meet[i][j] = meet[j][i] = m
         self._join = tuple(tuple(row) for row in join)
         self._meet = tuple(tuple(row) for row in meet)
 
@@ -486,11 +508,7 @@ def induced_lattice(lattice: FiniteLattice, subset) -> FiniteLattice:
     if not check_sublattice(lattice, subset):
         raise NotASublattice(f"{sorted(subset)!r} is not closed under join and meet")
     elems = sorted(subset, key=lattice.index)
-    covers = []
-    for x in elems:
-        for y in elems:
-            if lattice.lt(x, y) and not any(
-                lattice.lt(x, z) and lattice.lt(z, y) for z in elems
-            ):
-                covers.append((x, y))
+    mask = sum(1 << lattice.index(x) for x in set(elems))
+    ids = lattice.elements
+    covers = [(ids[i], ids[j]) for i, j in _covers_within(lattice._up, mask)]
     return FiniteLattice(elems, covers)

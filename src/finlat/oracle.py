@@ -22,7 +22,9 @@ from itertools import permutations
 from .core import (
     FiniteLattice,
     LatticeError,
+    NotALattice,
     _bits,
+    _covers_within,
     build_lattice,
     check_sublattice,
     induced_lattice,
@@ -505,16 +507,9 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
 # isomorphism and canonical forms
 # ---------------------------------------------------------------------------
 
-_canon_cache: dict[tuple, tuple] = {}
-
 
 def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     """Minimum adjacency encoding over invariant-respecting permutations."""
-    cache_key = (n, adj)
-    hit = _canon_cache.get(cache_key)
-    if hit is not None:
-        return hit
-
     radj = [0] * n
     for i in range(n):
         for j in _bits(adj[i]):
@@ -560,9 +555,7 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
 
     rec(0, [])
     assert best is not None
-    result = (n, best)
-    _canon_cache[cache_key] = result
-    return result
+    return (n, best)
 
 
 def canonical_key(lattice: FiniteLattice) -> tuple:
@@ -717,38 +710,18 @@ def _canonical_posets_upto(max_size: int) -> list[list[tuple[int, ...]]]:
 
 
 def _poset_bounded_lattice(leq: tuple[int, ...]) -> FiniteLattice | None:
-    """The lattice P ∪ {0,1} when unique bounds exist pairwise in P."""
+    """The lattice P ∪ {0,1}, or None when some pair of P lacks a unique bound."""
     k = len(leq)
-    for i in range(k):
-        for j in range(i + 1, k):
-            uppers = leq[i] & leq[j]
-            minimal = [
-                u for u in _bits(uppers) if leq_down(leq, u) & uppers == 1 << u
-            ]
-            if len(minimal) > 1:
-                return None
-            downs = leq_down(leq, i) & leq_down(leq, j)
-            maximal = [d for d in _bits(downs) if leq[d] & downs == 1 << d]
-            if len(maximal) > 1:
-                return None
+    top = 1 << (k + 1)
+    # index 0 is the new bottom, P follows shifted by one, k + 1 is the new top
+    up = [2 * top - 1] + [leq_i << 1 | top for leq_i in leq] + [top]
     width = len(str(k + 1))
     ids = [f"{v:0{width}d}" for v in range(k + 2)]
-    bottom, top = ids[0], ids[-1]
-    covers = []
-    for i in range(k):
-        if leq_down(leq, i) == 1 << i:
-            covers.append((bottom, ids[i + 1]))
-        if leq[i] == 1 << i:
-            covers.append((ids[i + 1], top))
-        for j in _bits(leq[i] & ~(1 << i)):
-            if not any(
-                leq[i] >> z & 1 and leq[z] >> j & 1
-                for z in _bits(leq[i] & ~(1 << i) & ~(1 << j))
-            ):
-                covers.append((ids[i + 1], ids[j + 1]))
-    if k == 0:
-        covers.append((bottom, top))
-    return build_lattice(ids, covers)
+    covers = [(ids[i], ids[j]) for i, j in _covers_within(up, 2 * top - 1)]
+    try:
+        return build_lattice(ids, covers)
+    except NotALattice:
+        return None
 
 
 _FILTERS = {

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import finlat
 from finlat import build_lattice, is_isomorphic, oracle, s7_family
 from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, main, parse_lattice_file, run
 from tests.conftest import S7_COVERS, S7_ELEMENTS
@@ -268,3 +272,31 @@ def test_malformed_inputs_give_json_error(tmp_path, argv, script):
     report, code = run([files.get(arg, arg) for arg in argv])
     assert code == 1
     assert "error" in json.loads(json.dumps(report))
+
+
+def test_analyze_rejects_a_chain_over_the_element_cap(tmp_path):
+    ids = [f"{i:04d}" for i in range(1200)]
+    path = write(tmp_path, "c1200.json", {
+        "name": "C1200", "elements": ids, "covers": [list(c) for c in zip(ids, ids[1:])],
+    })
+    report, code = run(["analyze", path])
+    assert code == 1
+    assert report == {
+        "command": "analyze",
+        "error": "LatticeError: 1200 elements exceed the limit of 1024",
+    }
+
+
+def test_shared_parser_gives_fresh_process_reports(tmp_path):
+    path = write(tmp_path, "c3.json", C3_FILE)
+    argvs = [["classify", path], ["classify", path, "--class", "dfin:2"]]
+    in_process = [run(argv) for argv in argvs]
+    env = {**os.environ, "PYTHONPATH": str(Path(finlat.__file__).parents[1])}
+    fresh = []
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, "-m", "finlat", *argv], capture_output=True, env=env, check=False
+        )
+        fresh.append((json.loads(done.stdout), done.returncode))
+    assert in_process == fresh
+    assert [code for _, code in fresh] == [1, 0]

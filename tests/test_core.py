@@ -1,12 +1,18 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finlat import (
+    MAX_ELEMENTS,
     Cell,
     CycleDetected,
+    LatticeError,
     NonReducedCovers,
     NotALattice,
     NotASublattice,
+    all_sublattices,
     build_lattice,
     check_sublattice,
     classify_properties,
@@ -206,3 +212,198 @@ def test_absorption_associativity_exhaustive_to_eight():
                 for z in elems:
                     assert lat.join(lat.join(x, y), z) == lat.join(x, lat.join(y, z))
                     assert lat.meet(lat.meet(x, y), z) == lat.meet(x, lat.meet(y, z))
+
+
+# -- the construction kernel against the DFS closure and per-pair scan it replaced
+
+
+def _bit_list(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _reference_tables(elements, covers):
+    """The former constructor: DFS closure and a least-element scan per pair.
+
+    Returns (up, down, join, meet, bottom, top) in sorted-identifier indices,
+    or raises exactly what the former constructor raised.
+    """
+    ids = list(elements)
+    if not ids:
+        raise LatticeError("a lattice needs at least one element")
+    if len(set(ids)) != len(ids):
+        raise LatticeError("element identifiers must be distinct")
+    elems = tuple(sorted(ids))
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    cover_pairs = set()
+    for lo, hi in covers:
+        if lo not in index or hi not in index:
+            raise LatticeError(f"cover ({lo!r}, {hi!r}) mentions an undeclared element")
+        if lo == hi:
+            raise CycleDetected(f"cover ({lo!r}, {hi!r}) is a self-loop")
+        cover_pairs.add((lo, hi))
+    ucov = [0] * n
+    for lo, hi in cover_pairs:
+        ucov[index[lo]] |= 1 << index[hi]
+
+    up = [0] * n
+    state = [0] * n  # 0 new, 1 on stack, 2 done
+
+    def close(i):
+        state[i] = 1
+        acc = 1 << i
+        for j in _bit_list(ucov[i]):
+            if state[j] == 1:
+                raise CycleDetected("cover relation contains a cycle")
+            if state[j] == 0:
+                close(j)
+            acc |= up[j]
+        up[i] = acc
+        state[i] = 2
+
+    for i in range(n):
+        if state[i] == 0:
+            close(i)
+    down = [0] * n
+    for i in range(n):
+        for j in _bit_list(up[i]):
+            down[j] |= 1 << i
+
+    for lo, hi in cover_pairs:
+        i, j = index[lo], index[hi]
+        if up[i] & down[j] & ~(1 << i) & ~(1 << j):
+            raise NonReducedCovers(f"cover ({lo!r}, {hi!r}) is implied transitively")
+    bottoms = [i for i in range(n) if down[i] == 1 << i]
+    tops = [i for i in range(n) if up[i] == 1 << i]
+    if len(bottoms) > 1:
+        raise NotALattice((elems[bottoms[0]], elems[bottoms[1]]))
+    if len(tops) > 1:
+        raise NotALattice((elems[tops[0]], elems[tops[1]]))
+
+    join = [[i if i == j else None for j in range(n)] for i in range(n)]
+    meet = [[i if i == j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = up[i] & up[j]
+            least = [k for k in _bit_list(common) if down[k] & common == 1 << k]
+            if len(least) != 1:
+                raise NotALattice((elems[i], elems[j]))
+            join[i][j] = join[j][i] = least[0]
+            common = down[i] & down[j]
+            greatest = [k for k in _bit_list(common) if up[k] & common == 1 << k]
+            if len(greatest) != 1:
+                raise NotALattice((elems[i], elems[j]))
+            meet[i][j] = meet[j][i] = greatest[0]
+    return (
+        tuple(up),
+        tuple(down),
+        tuple(map(tuple, join)),
+        tuple(map(tuple, meet)),
+        elems[bottoms[0]],
+        elems[tops[0]],
+    )
+
+
+def _outcome(build, elements, covers):
+    try:
+        return build(elements, covers)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+def _kernel_tables(elements, covers):
+    lat = build_lattice(elements, covers)
+    return lat._up, lat._down, lat._join, lat._meet, lat.bottom, lat.top
+
+
+def _random_presentation(rng):
+    """Element names and covers: random orders, reductions, cycles, self-loops."""
+    n = rng.randint(1, 8)
+    names = rng.sample("abcdefghijklmnop", n)
+    order = rng.sample(names, n)  # covers run upwards in this order
+    density = rng.random()
+    covers = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    kind = rng.randrange(4)
+    if kind == 1 and covers:  # keep only the transitive reduction
+        above = {x: {hi for lo, hi in covers if lo == x} for x in order}
+        for x in reversed(order):
+            for y in list(above[x]):
+                above[x] |= above[y]
+        covers = [
+            (lo, hi) for lo, hi in covers
+            if not any(hi in above[z] for z in above[lo] if z != hi)
+        ]
+    elif kind == 2 and covers:  # close a cycle
+        lo, hi = rng.choice(covers)
+        covers.append((hi, order[0]) if rng.random() < 0.5 else (hi, lo))
+    elif kind == 3 and rng.random() < 0.1:
+        x = rng.choice(names)
+        covers.append((x, x))
+    rng.shuffle(covers)
+    return names, covers
+
+
+def test_kernel_matches_former_constructor_on_random_presentations():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(4000):
+        names, covers = _random_presentation(rng)
+        expected = _outcome(_reference_tables, names, covers)
+        assert _outcome(_kernel_tables, names, covers) == expected, (names, covers)
+        seen[expected[0] if isinstance(expected[0], type) else "lattice"] += 1
+    # every branch of the constructor is exercised
+    assert {CycleDetected, NonReducedCovers, NotALattice, "lattice"} <= set(seen)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_kernel_matches_former_constructor_on_lattices():
+    rng = random.Random(7)
+    for lat in enumerate_small_lattices(8):
+        names = [f"x{i}" for i in range(len(lat))]
+        rng.shuffle(names)
+        rename = dict(zip(lat.elements, names))
+        covers = [(rename[lo], rename[hi]) for lo, hi in sorted(lat.covers)]
+        assert _kernel_tables(names, covers) == _reference_tables(names, covers)
+
+
+def _reference_induced_covers(lattice, subset):
+    """The former `induced_lattice` reduction, by `lt` over all triples."""
+    elems = sorted(subset, key=lattice.index)
+    return {
+        (x, y)
+        for x in elems
+        for y in elems
+        if lattice.lt(x, y)
+        and not any(lattice.lt(x, z) and lattice.lt(z, y) for z in elems)
+    }
+
+
+def test_induced_lattice_matches_lt_reduction():
+    ambients = list(enumerate_small_lattices(6))
+    ambients += [make_grid((3, 3)).lattice, make_grid((2, 2, 3)).lattice]
+    count = 0
+    for lat in ambients:
+        for sub in all_sublattices(lat):
+            induced = induced_lattice(lat, sub)
+            assert induced.elements == tuple(sorted(sub))
+            assert induced.covers == _reference_induced_covers(lat, sub)
+            count += 1
+    assert count > 1000
+
+
+def test_element_cap():
+    def chain(n):
+        ids = [f"{i:04d}" for i in range(n)]
+        return ids, list(zip(ids, ids[1:]))
+
+    lat = build_lattice(*chain(MAX_ELEMENTS))
+    assert len(lat) == MAX_ELEMENTS == 1024
+    assert lat.join("0000", "1023") == "1023"
+    assert lat.meet("0100", "0900") == "0100"
+    with pytest.raises(LatticeError, match="1025 elements exceed the limit of 1024"):
+        build_lattice(*chain(MAX_ELEMENTS + 1))

@@ -354,15 +354,24 @@ def test_congruence_intersection_bound_random(case):
 @given(lattice_with_pairs())
 @settings(max_examples=60, deadline=None)
 def test_congruence_blocks_are_convex_sublattices(case):
-    lattice, pair1, _ = case
-    theta = congruence_generated_by(lattice, [pair1])
-    for block in theta.blocks:
-        for x in block:
-            for y in block:
-                assert lattice.join(x, y) in block
-                assert lattice.meet(x, y) in block
-                for z in lattice.interval(x, y):
-                    assert z in block
+    # Congruence checks compatibility only; convexity is the theorem tested here.
+    lattice, pair1, pair2 = case
+    theta1 = congruence_generated_by(lattice, [pair1])
+    theta2 = congruence_generated_by(lattice, [pair2])
+    congruences = [theta1, theta1.intersect(theta2)]
+    a, b = pair2
+    interval = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
+    retraction = exists_retraction(lattice, interval)
+    if retraction is not None:
+        congruences.append(retraction.kernel())
+    for theta in congruences:
+        for block in theta.blocks:
+            for x in block:
+                for y in block:
+                    assert lattice.join(x, y) in block
+                    assert lattice.meet(x, y) in block
+                    for z in lattice.interval(x, y):
+                        assert z in block
 
 
 def relabelled(lattice, rng):
