@@ -3,8 +3,11 @@
 A `Homomorphism` checks join and meet preservation over all pairs when it
 is built, and a `Congruence` checks that its partition is compatible with
 join and meet.  `congruence_generated_by` closes a set of pairs under
-translations.  The module depends on `core` only, so every other module
-can build and verify maps.
+translations.  Element ids appear only at the API edge: every check runs
+on index arrays, the map as a list of target indices and a partition as
+the block index of each element, compared row by row against the
+lattice's integer `_join`/`_meet` tables.  The module depends on `core`
+only, so every other module can build and verify maps.
 """
 
 from __future__ import annotations
@@ -44,11 +47,25 @@ class Homomorphism:
         for v in mapping.values():
             if v not in target:
                 raise NotAHomomorphism(f"image {v!r} is outside the target")
-        for x in source.elements:
-            for y in source.elements:
-                if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+        # f[i] is the target index of the i-th source element; row i of the
+        # source tables, read through f, must equal row f[i] of the target
+        # tables read at f.
+        f = [target._index[mapping[x]] for x in source.elements]
+        image = f.__getitem__
+        for i, (s_join, s_meet) in enumerate(zip(source._join, source._meet)):
+            t_join, t_meet = target._join[f[i]], target._meet[f[i]]
+            joins = list(map(image, s_join))
+            meets = list(map(image, s_meet))
+            if joins == list(map(t_join.__getitem__, f)) and meets == list(
+                map(t_meet.__getitem__, f)
+            ):
+                continue
+            x = source.elements[i]
+            for j, fj in enumerate(f):
+                y = source.elements[j]
+                if joins[j] != t_join[fj]:
                     raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
-                if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
+                if meets[j] != t_meet[fj]:
                     raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
         self.source = source
         self.target = target
@@ -117,8 +134,12 @@ class Homomorphism:
 class Congruence:
     """A partition of a lattice compatible with join and meet.
 
-    Compatibility is verified at construction.  It implies that every block
-    is a convex sublattice, which the tests check separately.
+    ``blocks`` are frozensets of element ids sorted by least member.
+    Inside, ``_of[i]`` is the position of the block holding element index
+    i, and compatibility is verified at construction on index arrays: the
+    join and meet rows of every block member, read through ``_of``, must
+    equal those of the block's least member.  Compatibility implies that
+    every block is a convex sublattice, which the tests check separately.
     """
 
     def __init__(self, lattice: FiniteLattice, blocks):
@@ -134,28 +155,45 @@ class Congruence:
             raise NotACongruence("blocks do not partition the lattice")
         self.lattice = lattice
         self.blocks = tuple(sorted(blocks, key=min))
-        self._block_of = {x: i for i, b in enumerate(self.blocks) for x in b}
+        index = lattice._index
+        of = [0] * len(lattice)
+        for k, b in enumerate(self.blocks):
+            for x in b:
+                of[index[x]] = k
+        self._of = of
         self._validate()
 
     def _validate(self):
         lat = self.lattice
-        of = self._block_of
-        for block in self.blocks:
-            rep = min(block)
-            for other in block:
-                if other == rep:
+        index = lat._index
+        block = self._of.__getitem__
+        for members in self.blocks:
+            if len(members) == 1:
+                continue
+            # Element indices follow sorted ids, so the least id has the least index.
+            rep = index[min(members)]
+            rep_joins = list(map(block, lat._join[rep]))
+            rep_meets = list(map(block, lat._meet[rep]))
+            for other in members:
+                i = index[other]
+                if i == rep:
                     continue
-                for z in lat.elements:
-                    if of[lat.join(rep, z)] != of[lat.join(other, z)]:
+                joins = list(map(block, lat._join[i]))
+                meets = list(map(block, lat._meet[i]))
+                if joins == rep_joins and meets == rep_meets:
+                    continue
+                for z in range(len(lat)):
+                    if joins[z] != rep_joins[z]:
                         raise NotACongruence("partition is not join-compatible")
-                    if of[lat.meet(rep, z)] != of[lat.meet(other, z)]:
+                    if meets[z] != rep_meets[z]:
                         raise NotACongruence("partition is not meet-compatible")
 
     def block_of(self, x: str) -> frozenset[str]:
-        return self.blocks[self._block_of[x]]
+        return self.blocks[self._of[self.lattice._index[x]]]
 
     def related(self, x: str, y: str) -> bool:
-        return self._block_of[x] == self._block_of[y]
+        index = self.lattice._index
+        return self._of[index[x]] == self._of[index[y]]
 
     def block_count(self) -> int:
         return len(self.blocks)
@@ -163,8 +201,8 @@ class Congruence:
     def intersect(self, other: "Congruence") -> "Congruence":
         """Common refinement with another congruence of the same lattice."""
         pieces: dict[tuple[int, int], set[str]] = {}
-        for x in self.lattice.elements:
-            key = (self._block_of[x], other._block_of[x])
+        for i, x in enumerate(self.lattice.elements):
+            key = (self._of[i], other._of[other.lattice._index[x]])
             pieces.setdefault(key, set()).add(x)
         return Congruence(self.lattice, tuple(frozenset(p) for p in pieces.values()))
 
@@ -184,34 +222,41 @@ class Congruence:
 def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
     """Least congruence containing the pairs.
 
-    Union-find closure under join and meet translations: whenever two
-    elements merge, their joins and meets with every element merge too.
+    Union by size over element indices, where ``label[i]`` always names the
+    block of i, closed under join and meet translations: whenever two
+    elements merge, their rows of the join and meet tables are walked side
+    by side and every pair in different blocks is merged in turn.
     """
-    parent = {x: x for x in lattice.elements}
+    index = lattice._index
+    join, meet = lattice._join, lattice._meet
+    label = list(range(len(lattice)))
+    members: list[list[int]] = [[i] for i in range(len(lattice))]
+    work: list[tuple[int, int]] = []
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work: list[tuple[str, str]] = []
-
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            work.append((a, b))
+    def merge(a: int, b: int):
+        keep, drop = label[a], label[b]
+        if keep == drop:
+            return
+        if len(members[keep]) < len(members[drop]):
+            keep, drop = drop, keep
+        for i in members[drop]:
+            label[i] = keep
+        members[keep] += members[drop]
+        members[drop] = []
+        work.append((a, b))
 
     for a, b in pairs:
-        union(a, b)
+        merge(index[a], index[b])
     while work:
         a, b = work.pop()
-        for z in lattice.elements:
-            union(lattice.join(a, z), lattice.join(b, z))
-            union(lattice.meet(a, z), lattice.meet(b, z))
+        for x, y in zip(join[a], join[b]):
+            if label[x] != label[y]:
+                merge(x, y)
+        for x, y in zip(meet[a], meet[b]):
+            if label[x] != label[y]:
+                merge(x, y)
 
-    blocks: dict[str, set[str]] = {}
-    for x in lattice.elements:
-        blocks.setdefault(find(x), set()).add(x)
+    blocks: dict[int, set[str]] = {}
+    for i, x in enumerate(lattice.elements):
+        blocks.setdefault(label[i], set()).add(x)
     return Congruence(lattice, tuple(frozenset(b) for b in blocks.values()))

@@ -4,12 +4,17 @@ Everything here certifies or refutes by exhaustion.  Retractions are found
 (or ruled out) by backtracking with join/meet forcing; equation systems
 follow the parameterized old/new rules and are solved independently of the
 retraction search, so the two routes can be compared (congruence
-generation lives in `morphisms` and is re-exported here).  Isomorphism is
-decided by individualisation–refinement on the two cover digraphs, and
-every positive answer is checked as an explicit bijection.  Small lattices
-are enumerated up to isomorphism over canonical posets, with a
-Birkhoff-dual generator for distributive ones that lists down-sets in one
-pass over a linear extension; both enumerators are ordered by
+generation lives in `morphisms` and is re-exported here).  Both run on
+index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
+solver on integer equation slots derived once per system, with element ids
+only in the values they return.  Every backtracking search keeps its
+choices on an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit and a call leaves no reference cycles.
+Isomorphism is decided by individualisation–refinement on the two cover
+digraphs, and every positive answer is checked as an explicit bijection.
+Small lattices are enumerated up to isomorphism over canonical posets,
+with a Birkhoff-dual generator for distributive ones that lists down-sets
+in one pass over a linear extension; both enumerators are ordered by
 `canonical_key`, an exact but exponential key that serves as their sort
 order, not as the isomorphism test.
 """
@@ -17,6 +22,7 @@ order, not as the isomorphism test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .core import (
@@ -75,6 +81,54 @@ class CeilingExceeded(LatticeError):
 # ---------------------------------------------------------------------------
 
 
+def _backtrack(order, values, val, assigned, propagate, leaf) -> int:
+    """Depth-first search over the slots in `order`, on an explicit stack.
+
+    ``val[x] == -1`` marks an open slot; ``assigned`` lists the assigned
+    slots in the order they were assigned.  At each open slot, in order,
+    the values are tried in order: the slot is assigned, then
+    ``propagate(x, trail)`` assigns what that forces, appending each forced
+    slot to the trail and to ``assigned``, and returns False on a conflict.
+    A trail is undone before the next value of its slot is tried.
+    ``leaf()`` runs at every complete assignment and returns True to stop.
+    Returns the number of values tried.
+    """
+    nodes = 0
+    stack: list[list] = []  # frames: [position in order, next value, trail]
+    pos = 0
+    while True:
+        while pos < len(order) and val[order[pos]] != -1:
+            pos += 1
+        if pos < len(order):
+            stack.append([pos, 0, ()])
+        elif leaf():
+            return nodes
+        while stack:
+            frame = stack[-1]
+            for z in frame[2]:
+                val[z] = -1
+                assigned.pop()
+            if frame[1] == len(values):
+                stack.pop()
+                continue
+            x = order[frame[0]]
+            val[x] = values[frame[1]]
+            assigned.append(x)
+            frame[1] += 1
+            frame[2] = trail = [x]
+            nodes += 1
+            if propagate(x, trail):
+                pos = frame[0] + 1
+                break
+        else:
+            return nodes
+
+
+def _cover_degrees(lattice: FiniteLattice) -> list[int]:
+    """Number of upper plus lower covers of each element index."""
+    return [up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)]
+
+
 def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
     """Backtracking over maps from the new elements into the sublattice.
 
@@ -97,15 +151,11 @@ def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
         f[i] = i
     assigned = list(sub_idx)
 
-    degree = [
-        len(lattice.upper_covers(x)) + len(lattice.lower_covers(x))
-        for x in lattice.elements
-    ]
+    degree = _cover_degrees(lattice)
     variables = sorted(
         (i for i in range(n) if not in_sub[i]), key=lambda i: (-degree[i], i)
     )
 
-    nodes = 0
     count = 0
     first: list[int] | None = None
 
@@ -130,32 +180,14 @@ def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
                         return False
         return True
 
-    def undo(trail: list[int]):
-        for z in trail:
-            f[z] = -1
-            assigned.pop()
+    def leaf() -> bool:
+        nonlocal count, first
+        count += 1
+        if first is None:
+            first = list(f)
+        return not count_all
 
-    def solve(pos: int) -> bool:
-        nonlocal nodes, count, first
-        while pos < len(variables) and f[variables[pos]] != -1:
-            pos += 1
-        if pos == len(variables):
-            count += 1
-            if first is None:
-                first = list(f)
-            return not count_all
-        x = variables[pos]
-        for v in sub_idx:
-            nodes += 1
-            f[x] = v
-            assigned.append(x)
-            trail = [x]
-            if propagate(x, trail) and solve(pos + 1):
-                return True
-            undo(trail)
-        return False
-
-    solve(0)
+    nodes = _backtrack(variables, sub_idx, f, assigned, propagate, leaf)
     mapping = None
     if first is not None:
         mapping = {
@@ -231,6 +263,37 @@ class EquationSystem:
     unknowns: tuple[str, ...]
     equations: tuple[Equation, ...]
 
+    @cached_property
+    def _slots(self) -> tuple[list[tuple], dict[int, list[tuple]]]:
+        """The equations on integer slots, derived once per system.
+
+        Parameter e is slot index(e) and unknown x is slot n + index(x), so
+        a value array starting as ``list(range(n)) + [-1] * n`` evaluates
+        every term.  Returns the ``(table, left, right, result)`` equations
+        in system order, and for each unknown slot the equations that
+        mention it, in the same order.
+        """
+        lat = self.ambient
+        n = len(lat)
+        index = lat._index
+        join, meet = lat._join, lat._meet
+        by_unknown: dict[int, list[tuple]] = {n + index[x]: [] for x in self.unknowns}
+        coded = []
+        for eq in self.equations:
+            a, b, c = eq.left, eq.right, eq.result
+            i = index[a.element] + n if a.kind == "unknown" else index[a.element]
+            j = index[b.element] + n if b.kind == "unknown" else index[b.element]
+            k = index[c.element] + n if c.kind == "unknown" else index[c.element]
+            code = (join if eq.op == "join" else meet, i, j, k)
+            coded.append(code)
+            if i >= n:
+                by_unknown[i].append(code)
+            if j >= n and j != i:
+                by_unknown[j].append(code)
+            if k >= n and k != i and k != j:
+                by_unknown[k].append(code)
+        return coded, by_unknown
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -247,21 +310,16 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     if sub == frozenset(lattice.elements):
         raise NotProper("the sublattice must be proper")
 
-    def term(e: str) -> Term:
-        return Term("param" if e in sub else "unknown", e)
-
-    new = tuple(x for x in lattice.elements if x not in sub)
+    terms = [Term("param" if e in sub else "unknown", e) for e in lattice.elements]
+    new = tuple(t.element for t in terms if t.kind == "unknown")
     equations = []
-    for a in lattice.elements:
-        for b in lattice.elements:
-            if a in sub and b in sub:
+    for ta, joins, meets in zip(terms, lattice._join, lattice._meet):
+        old = ta.kind == "param"
+        for b, tb in enumerate(terms):
+            if old and tb.kind == "param":
                 continue
-            equations.append(
-                Equation("join", term(a), term(b), term(lattice.join(a, b)))
-            )
-            equations.append(
-                Equation("meet", term(a), term(b), term(lattice.meet(a, b)))
-            )
+            equations.append(Equation("join", ta, tb, terms[joins[b]]))
+            equations.append(Equation("meet", ta, tb, terms[meets[b]]))
     system = EquationSystem(lattice, sub, new, tuple(equations))
     identity = Assignment({x: x for x in new})
     if not _satisfies(system, identity, ambient=True):  # pragma: no cover
@@ -277,13 +335,12 @@ def _satisfies(system: EquationSystem, assignment: Assignment, ambient: bool = F
         return False
     if not ambient and not all(v in system.sub for v in values.values()):
         return False
-
-    def ev(t: Term) -> str:
-        return t.element if t.kind == "param" else values[t.element]
-
-    for eq in system.equations:
-        op = lat.join if eq.op == "join" else lat.meet
-        if op(ev(eq.left), ev(eq.right)) != ev(eq.result):
+    n = len(lat)
+    val = list(range(n)) + [-1] * n
+    for x, v in values.items():
+        val[n + lat._index[x]] = lat._index[v]
+    for table, left, right, result in system._slots[0]:
+        if table[val[left]][val[right]] != val[result]:
             return False
     return True
 
@@ -292,74 +349,53 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     """Solve over the sublattice by backtracking with forcing.
 
     Equations whose operand slots are fully assigned force (or check) their
-    result slot.  mode="first" returns an Assignment or None; mode="count"
-    returns the number of solutions.
+    result slot.  Unknowns are taken in decreasing cover-degree order,
+    values in canonical element order, on the integer slots of the system.
+    mode="first" returns an Assignment or None; mode="count" returns the
+    number of solutions.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     lat = system.ambient
-    unknowns = list(system.unknowns)
-    degree = {
-        x: len(lat.upper_covers(x)) + len(lat.lower_covers(x)) for x in unknowns
-    }
-    unknowns.sort(key=lambda x: (-degree[x], x))
-    values = sorted(system.sub)
-
-    by_unknown: dict[str, list[Equation]] = {x: [] for x in unknowns}
-    for eq in system.equations:
-        mentioned = {
-            t.element for t in (eq.left, eq.right, eq.result) if t.kind == "unknown"
-        }
-        for x in mentioned:
-            by_unknown[x].append(eq)
-
-    assignment: dict[str, str] = {}
+    n = len(lat)
+    index = lat._index
+    by_unknown = system._slots[1]
+    degree = _cover_degrees(lat)
+    unknowns = sorted(
+        (n + index[x] for x in system.unknowns), key=lambda s: (-degree[s - n], s)
+    )
+    values = sorted(index[v] for v in system.sub)
+    val = list(range(n)) + [-1] * n
+    assigned: list[int] = []
     count = 0
     first: dict[str, str] | None = None
 
-    def ev(t: Term) -> str | None:
-        if t.kind == "param":
-            return t.element
-        return assignment.get(t.element)
-
-    def propagate(x: str, trail: list[str]) -> bool:
+    def propagate(x: int, trail: list[int]) -> bool:
         queue = [x]
         while queue:
-            cur = queue.pop()
-            for eq in by_unknown[cur]:
-                left, right = ev(eq.left), ev(eq.right)
-                if left is None or right is None:
+            for table, left, right, result in by_unknown[queue.pop()]:
+                a, b = val[left], val[right]
+                if a < 0 or b < 0:
                     continue
-                value = (lat.join if eq.op == "join" else lat.meet)(left, right)
-                res = ev(eq.result)
-                if res is None:
-                    assignment[eq.result.element] = value
-                    trail.append(eq.result.element)
-                    queue.append(eq.result.element)
-                elif res != value:
+                value = table[a][b]
+                have = val[result]
+                if have < 0:
+                    val[result] = value
+                    trail.append(result)
+                    assigned.append(result)
+                    queue.append(result)
+                elif have != value:
                     return False
         return True
 
-    def solve(pos: int) -> bool:
+    def leaf() -> bool:
         nonlocal count, first
-        while pos < len(unknowns) and unknowns[pos] in assignment:
-            pos += 1
-        if pos == len(unknowns):
-            count += 1
-            if first is None:
-                first = dict(assignment)
-            return mode == "first"
-        x = unknowns[pos]
-        for v in values:
-            assignment[x] = v
-            trail = [x]
-            if propagate(x, trail) and solve(pos + 1):
-                return True
-            for y in trail:
-                del assignment[y]
-        return False
+        count += 1
+        if first is None:
+            first = {lat.elements[x - n]: lat.elements[val[x]] for x in assigned}
+        return mode == "first"
 
-    solve(0)
+    _backtrack(unknowns, values, val, assigned, propagate, leaf)
     if mode == "count":
         return count
     if first is None:
@@ -433,7 +469,8 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
 
     Elements are processed bottom-up; an element that is the join of two
     earlier ones has a forced image, so branching happens only on the
-    bottom and the join-irreducibles.
+    bottom and the join-irreducibles.  The search runs on an explicit
+    stack of untried candidates, one frame per mapped element.
     """
     order = sorted(
         small.elements, key=lambda x: (len(small.down_set(x)), x)
@@ -478,29 +515,37 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
                     return False
         return True
 
-    def solve(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        x = order[pos]
+    # One frame per mapped position: (element, untried candidates, reversed).
+    stack: list[tuple[str, list[str]]] = []
+    while len(stack) < len(order):
+        x = order[len(stack)]
         if x in forced:
             a, b = forced[x]
             candidates = [big.join(mapping[a], mapping[b])]
         else:
             candidates = list(big.elements)
-        for v in candidates:
-            if v in used:
+        stack.append((x, candidates[::-1]))
+        while stack:
+            x, untried = stack[-1]
+            if x in mapping:
+                used.discard(mapping.pop(x))
+            while untried:
+                v = untried.pop()
+                if v in used:
+                    continue
+                mapping[x] = v
+                used.add(v)
+                if consistent(x):
+                    break
+                del mapping[x]
+                used.discard(v)
+            else:
+                stack.pop()
                 continue
-            mapping[x] = v
-            used.add(v)
-            if consistent(x) and solve(pos + 1):
-                return True
-            del mapping[x]
-            used.discard(v)
-        return False
-
-    if solve(0):
-        return dict(mapping)
-    return None
+            break
+        else:
+            return None
+    return dict(mapping)
 
 
 # ---------------------------------------------------------------------------

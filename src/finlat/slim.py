@@ -437,19 +437,24 @@ def find_rectangular_extension(
         key=lambda mn: ((mn[0] + 1) * (mn[1] + 1), mn),
     )
     for base_index, (m, n) in enumerate(bases):
-
-        def grow(ol: OrientedLattice, steps: tuple):
-            candidates.append((len(ol.lattice), base_index, len(steps), steps, ol))
-            if len(steps) >= max_forks:
-                return
-            for cell in ol.cells():
-                if len(ol.lattice) + 3 > max_size:
-                    continue
-                extended = add_fork(ol, cell)
-                if len(extended.lattice) <= max_size:
-                    grow(extended, steps + ((cell.top, cell.left),))
-
-        grow(oriented_grid(m, n), ())
+        # Depth-first, cells in order, on an explicit stack of cell iterators.
+        root = oriented_grid(m, n)
+        candidates.append((len(root.lattice), base_index, 0, (), root))
+        stack = [(root, (), iter(root.cells()))] if max_forks > 0 else []
+        while stack:
+            ol, steps, cells = stack[-1]
+            cell = next(cells, None)
+            if cell is None:
+                stack.pop()
+                continue
+            if len(ol.lattice) + 3 > max_size:
+                continue
+            extended = add_fork(ol, cell)
+            if len(extended.lattice) <= max_size:
+                grown = steps + ((cell.top, cell.left),)
+                candidates.append((len(extended.lattice), base_index, len(grown), grown, extended))
+                if len(grown) < max_forks:
+                    stack.append((extended, grown, iter(extended.cells())))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
     for size, base_index, _, steps, ol in candidates:

@@ -300,3 +300,24 @@ def test_shared_parser_gives_fresh_process_reports(tmp_path):
         fresh.append((json.loads(done.stdout), done.returncode))
     assert in_process == fresh
     assert [code for _, code in fresh] == [1, 0]
+
+
+def test_retract_on_a_thousand_element_chain(tmp_path):
+    """998 nested choices: the search runs on an explicit stack, not the interpreter's."""
+    ids = [f"{i:04d}" for i in range(1000)]
+    path = write(tmp_path, "c1000.json", {
+        "name": "C1000",
+        "elements": ids,
+        "covers": [list(c) for c in zip(ids, ids[1:])],
+        "sub": [ids[0], ids[-1]],
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(finlat.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "finlat", "retract", path], capture_output=True, env=env, check=False
+    )
+    assert done.returncode == 0, done.stderr.decode()[-500:]
+    report = json.loads(done.stdout)
+    assert report["retraction_exists"] is True
+    assert report["search_nodes"] == 998
+    assert set(report["map"].values()) <= {ids[0], ids[-1]}
+    assert all(report["map"][x] == x for x in (ids[0], ids[-1]))

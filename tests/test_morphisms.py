@@ -1,0 +1,240 @@
+"""Differential tests: the index-array morphism kernel against the former
+string implementations, kept here as `_reference_*`."""
+
+import random
+
+import pytest
+
+from finlat import (
+    Congruence,
+    Homomorphism,
+    all_sublattices,
+    congruence_generated_by,
+    enumerate_small_lattices,
+    search_retraction,
+)
+from finlat.morphisms import NotACongruence, NotAHomomorphism
+
+LATTICES = list(enumerate_small_lattices(6))
+
+
+def _reference_homomorphism(source, target, mapping):
+    """The former string-keyed check of `Homomorphism.__init__`."""
+    if set(mapping) != set(source.elements):
+        raise NotAHomomorphism("mapping is not total on the source")
+    for v in mapping.values():
+        if v not in target:
+            raise NotAHomomorphism(f"image {v!r} is outside the target")
+    for x in source.elements:
+        for y in source.elements:
+            if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+                raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
+            if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
+                raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
+
+
+def _reference_congruence(lattice, blocks):
+    """The former string-keyed `Congruence.__init__` and `_validate`; returns the blocks."""
+    blocks = tuple(frozenset(b) for b in blocks)
+    seen = set()
+    for b in blocks:
+        if not b:
+            raise NotACongruence("empty block")
+        if b & seen:
+            raise NotACongruence("blocks overlap")
+        seen |= b
+    if seen != set(lattice.elements):
+        raise NotACongruence("blocks do not partition the lattice")
+    blocks = tuple(sorted(blocks, key=min))
+    of = {x: i for i, b in enumerate(blocks) for x in b}
+    for block in blocks:
+        rep = min(block)
+        for other in block:
+            if other == rep:
+                continue
+            for z in lattice.elements:
+                if of[lattice.join(rep, z)] != of[lattice.join(other, z)]:
+                    raise NotACongruence("partition is not join-compatible")
+                if of[lattice.meet(rep, z)] != of[lattice.meet(other, z)]:
+                    raise NotACongruence("partition is not meet-compatible")
+    return blocks
+
+
+def _reference_congruence_generated_by(lattice, pairs):
+    """The former string-keyed union-find closure; returns the blocks."""
+    parent = {x: x for x in lattice.elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = []
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            work.append((a, b))
+
+    for a, b in pairs:
+        union(a, b)
+    while work:
+        a, b = work.pop()
+        for z in lattice.elements:
+            union(lattice.join(a, z), lattice.join(b, z))
+            union(lattice.meet(a, z), lattice.meet(b, z))
+    blocks = {}
+    for x in lattice.elements:
+        blocks.setdefault(find(x), set()).add(x)
+    return _reference_congruence(lattice, tuple(frozenset(b) for b in blocks.values()))
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _retraction_maps():
+    """(lattice, sublattice, mapping) for a retraction onto every retract of every lattice."""
+    out = []
+    for lattice in LATTICES:
+        for sub in all_sublattices(lattice):
+            hom, _ = search_retraction(lattice, sub)
+            if hom is not None:
+                out.append((lattice, hom.target, hom.mapping))
+    return out
+
+
+def _homomorphism_cases(rng):
+    cases = [(lat, sub, mapping) for lat, sub, mapping in _retraction_maps()]
+    for source, target, mapping in list(cases):
+        # one changed image: usually breaks a pair, sometimes the first one
+        x = rng.choice(source.elements)
+        cases.append((source, target, {**mapping, x: rng.choice(target.elements)}))
+    for source in LATTICES:
+        for target in LATTICES:
+            constant = rng.choice(target.elements)
+            cases.append((source, target, {x: constant for x in source.elements}))
+            for _ in range(3):
+                cases.append((source, target, {x: rng.choice(target.elements) for x in source.elements}))
+            order = sorted(target.elements, key=lambda e: len(target.down_set(e)))
+            cases.append((source, target, {
+                x: order[min(len(order) - 1, len(source.down_set(x)) - 1)] for x in source.elements
+            }))
+    source, target = LATTICES[5], LATTICES[7]
+    total = {x: target.bottom for x in source.elements}
+    cases.append((source, target, {x: v for x, v in total.items() if x != source.top}))
+    cases.append((source, target, {**total, source.top: "not-an-element"}))
+    return cases
+
+
+def test_homomorphism_matches_reference():
+    rng = random.Random(20261018)
+    cases = _homomorphism_cases(rng)
+    accepted = 0
+    messages = set()
+    for source, target, mapping in cases:
+        expected = _outcome(lambda: _reference_homomorphism(source, target, mapping))
+        got = _outcome(lambda: Homomorphism(source, target, mapping) and None)
+        assert got == expected, (source.elements, target.elements, mapping)
+        accepted += expected[0] == "ok"
+        messages.add(expected[1].split(" ")[0] if expected[0] != "ok" else "ok")
+    assert len(cases) > 3000
+    assert 500 < accepted < len(cases) - 1000
+    assert {"ok", "join", "meet", "mapping", "image"} <= messages
+
+
+def _partition_cases(rng):
+    cases = []
+    for lattice in LATTICES:
+        elements = list(lattice.elements)
+        for _ in range(12):
+            k = rng.randint(1, len(elements))
+            labels = {x: rng.randrange(k) for x in elements}
+            blocks = {}
+            for x in elements:
+                blocks.setdefault(labels[x], set()).add(x)
+            cases.append((lattice, list(blocks.values())))
+        cases.append((lattice, [{x} for x in elements]))
+        cases.append((lattice, [set(elements), set()]))
+        cases.append((lattice, [set(elements), {elements[0]}]))
+        cases.append((lattice, [set(elements[1:])]))
+    for lattice, _, mapping in _retraction_maps():
+        fibers = {}
+        for x, v in mapping.items():
+            fibers.setdefault(v, set()).add(x)
+        blocks = [frozenset(b) for b in fibers.values()]
+        cases.append((lattice, blocks))
+        # move one element into another block
+        if len(blocks) > 1:
+            src, dst = rng.sample(range(len(blocks)), 2)
+            x = rng.choice(sorted(blocks[src]))
+            moved = [set(b) for b in blocks]
+            moved[src].discard(x)
+            moved[dst].add(x)
+            cases.append((lattice, [b for b in moved if b]))
+    return cases
+
+
+def test_congruence_matches_reference():
+    rng = random.Random(7)
+    cases = _partition_cases(rng)
+    outcomes = set()
+    for lattice, blocks in cases:
+        expected = _outcome(lambda: _reference_congruence(lattice, blocks))
+        got = _outcome(lambda: Congruence(lattice, blocks).blocks)
+        assert got == expected, (lattice.elements, blocks)
+        if expected[0] == "ok":
+            assert [list(b) for b in got[1]] == [list(b) for b in expected[1]]
+        outcomes.add(expected[1] if expected[0] != "ok" else "ok")
+    assert outcomes == {
+        "ok",
+        "empty block",
+        "blocks overlap",
+        "blocks do not partition the lattice",
+        "partition is not join-compatible",
+        "partition is not meet-compatible",
+    }
+
+
+def test_congruence_generated_by_matches_reference():
+    rng = random.Random(11)
+    calls = 0
+    for lattice in LATTICES:
+        elements = lattice.elements
+        for _ in range(15):
+            pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(rng.randint(0, 3))]
+            expected = _reference_congruence_generated_by(lattice, pairs)
+            got = congruence_generated_by(lattice, pairs).blocks
+            assert got == expected, (elements, pairs)
+            assert [list(b) for b in got] == [list(b) for b in expected]
+            calls += 1
+    assert calls == 15 * len(LATTICES)
+
+
+@pytest.mark.parametrize("pairs", [[("0", "nowhere")], [("nowhere", "0")]])
+def test_congruence_generated_by_unknown_element_is_a_key_error(pairs):
+    lattice = LATTICES[2]
+    with pytest.raises(KeyError) as expected:
+        _reference_congruence_generated_by(lattice, pairs)
+    with pytest.raises(KeyError) as got:
+        congruence_generated_by(lattice, pairs)
+    assert got.value.args == expected.value.args
+
+
+def test_kernel_and_intersection_match_reference():
+    for lattice, sub, mapping in _retraction_maps():
+        kernel = Homomorphism(lattice, sub, mapping).kernel()
+        fibers = {}
+        for x, v in mapping.items():
+            fibers.setdefault(v, set()).add(x)
+        assert kernel.blocks == _reference_congruence(lattice, fibers.values())
+        for x in lattice.elements:
+            assert kernel.block_of(x) == next(b for b in kernel.blocks if x in b)
+            assert kernel.related(x, mapping[x])
+        full = Congruence(lattice, [set(lattice.elements)])
+        assert kernel.intersect(full).blocks == kernel.blocks

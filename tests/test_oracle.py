@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -19,13 +21,17 @@ from finlat import (
     exists_retraction,
     find_embedding,
     induced_homomorphism,
+    induced_lattice,
     is_isomorphic,
     make_grid,
     search_retraction,
     solve_equation_system,
 )
 from finlat.oracle import (
+    Equation,
+    EquationSystem,
     NotASublatticeHere,
+    Term,
     _canonical_posets_upto,
     canonical_key,
     _downsets,
@@ -251,6 +257,71 @@ def test_find_embedding_sound_and_complete():
                         assert mapping[small.meet(x, y)] == big.meet(
                             mapping[x], mapping[y]
                         )
+
+
+def _reference_find_embedding(small, big):
+    """The former recursive `find_embedding`, with the same forcing and checks."""
+    order = sorted(small.elements, key=lambda x: (len(small.down_set(x)), x))
+    position = {x: i for i, x in enumerate(order)}
+    forced = {}
+    for x in small.elements:
+        below = [y for y in small.elements if small.lt(y, x)]
+        pair = next(
+            ((a, b) for a in below for b in below
+             if small.join(a, b) == x and position[a] < position[x] and position[b] < position[x]),
+            None,
+        )
+        if pair is not None:
+            forced[x] = pair
+    mapping = {}
+
+    def consistent(x):
+        fx = mapping[x]
+        for y, fy in mapping.items():
+            if y != x:
+                for op, big_op in ((small.join, big.join), (small.meet, big.meet)):
+                    z = op(x, y)
+                    if z in mapping and big_op(fx, fy) != mapping[z]:
+                        return False
+        return all(
+            (small.join(a, b) != x or big.join(fa, fb) == fx)
+            and (small.meet(a, b) != x or big.meet(fa, fb) == fx)
+            for a, fa in mapping.items()
+            for b, fb in mapping.items()
+        )
+
+    def solve(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        if x in forced:
+            candidates = [big.join(mapping[forced[x][0]], mapping[forced[x][1]])]
+        else:
+            candidates = list(big.elements)
+        for v in candidates:
+            if v in mapping.values():
+                continue
+            mapping[x] = v
+            if consistent(x) and solve(pos + 1):
+                return True
+            del mapping[x]
+        return False
+
+    return dict(mapping) if solve(0) else None
+
+
+def test_find_embedding_matches_reference():
+    lattices = list(enumerate_small_lattices(6))
+    found = 0
+    for small in lattices[:10]:
+        for big in lattices:
+            got = find_embedding(small, big)
+            expected = _reference_find_embedding(small, big)
+            assert got == expected
+            if got is not None:
+                assert list(got.items()) == list(expected.items())
+                found += 1
+    assert 0 < found < 250
 
 
 def test_enumeration_counts():
@@ -487,3 +558,189 @@ def test_downsets_limit_cuts_off_exactly_when_count_exceeds():
                 assert (len(cut) > limit) == (len(full) > limit)
                 if len(full) <= limit:
                     assert cut == full
+
+
+# ---------------------------------------------------------------------------
+# equation systems on integer slots against the former string implementation
+# ---------------------------------------------------------------------------
+
+
+def _reference_build_equation_system(lattice, sub):
+    """The former string-keyed `build_equation_system`: three Terms per equation."""
+    sub = frozenset(sub)
+
+    def term(e):
+        return Term("param" if e in sub else "unknown", e)
+
+    new = tuple(x for x in lattice.elements if x not in sub)
+    equations = []
+    for a in lattice.elements:
+        for b in lattice.elements:
+            if a in sub and b in sub:
+                continue
+            equations.append(Equation("join", term(a), term(b), term(lattice.join(a, b))))
+            equations.append(Equation("meet", term(a), term(b), term(lattice.meet(a, b))))
+    return EquationSystem(lattice, sub, new, tuple(equations))
+
+
+def _reference_solve_equation_system(system, mode="first"):
+    """The former string-keyed recursive solver; returns the first values dict or the count."""
+    lat = system.ambient
+    unknowns = sorted(
+        system.unknowns,
+        key=lambda x: (-(len(lat.upper_covers(x)) + len(lat.lower_covers(x))), x),
+    )
+    values = sorted(system.sub)
+    by_unknown = {x: [] for x in unknowns}
+    for eq in system.equations:
+        for x in {t.element for t in (eq.left, eq.right, eq.result) if t.kind == "unknown"}:
+            by_unknown[x].append(eq)
+    assignment = {}
+    found = []
+
+    def ev(t):
+        return t.element if t.kind == "param" else assignment.get(t.element)
+
+    def propagate(x, trail):
+        queue = [x]
+        while queue:
+            for eq in by_unknown[queue.pop()]:
+                left, right = ev(eq.left), ev(eq.right)
+                if left is None or right is None:
+                    continue
+                value = (lat.join if eq.op == "join" else lat.meet)(left, right)
+                res = ev(eq.result)
+                if res is None:
+                    assignment[eq.result.element] = value
+                    trail.append(eq.result.element)
+                    queue.append(eq.result.element)
+                elif res != value:
+                    return False
+        return True
+
+    def solve(pos):
+        while pos < len(unknowns) and unknowns[pos] in assignment:
+            pos += 1
+        if pos == len(unknowns):
+            found.append(dict(assignment))
+            return mode == "first"
+        x = unknowns[pos]
+        for v in values:
+            assignment[x] = v
+            trail = [x]
+            if propagate(x, trail) and solve(pos + 1):
+                return True
+            for y in trail:
+                del assignment[y]
+        return False
+
+    solve(0)
+    if mode == "count":
+        return len(found)
+    return found[0] if found else None
+
+
+def test_equation_systems_match_reference():
+    pairs = 0
+    for lattice in enumerate_small_lattices(6):
+        for sub in all_sublattices(lattice):
+            if len(sub) == len(lattice):
+                continue
+            system = build_equation_system(lattice, sub)
+            reference = _reference_build_equation_system(lattice, sub)
+            assert system.unknowns == reference.unknowns
+            assert system.equations == reference.equations
+            assert system == reference
+            solution = solve_equation_system(system)
+            expected = _reference_solve_equation_system(reference)
+            if expected is None:
+                assert solution is None
+            else:
+                assert list(solution.values.items()) == list(expected.items())
+            count = solve_equation_system(system, mode="count")
+            assert count == _reference_solve_equation_system(reference, mode="count")
+            assert count == exists_retraction(lattice, sub, mode="count")
+            pairs += 1
+    assert pairs == 767
+
+
+def _chain(n):
+    ids = [f"c{i:04d}" for i in range(n)]
+    return build_lattice(ids, list(zip(ids, ids[1:])))
+
+
+def test_searches_run_under_a_low_recursion_limit():
+    """A 150-element chain needs 148 nested choices; the searches keep no frames for them."""
+    chain = _chain(150)
+    ends = {chain.bottom, chain.top}
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        solution = solve_equation_system(build_equation_system(chain, ends))
+        hom, nodes = search_retraction(chain, ends)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert solution is not None and set(solution.values.values()) <= ends
+    assert hom is not None and hom.is_retraction()
+    assert nodes == 148
+
+
+def _leaves_no_cycles(call) -> int:
+    """Objects the collector finds unreachable after one call, run with the collector off.
+
+    One call first warms any lazy set-up, so the count is that of every later call.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _largest_slim_case():
+    lattice = [
+        lat for lat in enumerate_small_lattices(7, filters=("slim", "semimodular"))
+        if len(lat) == 7
+    ][-1]
+    sub = next(
+        sub for sub in all_sublattices(lattice)
+        if 2 < len(sub) < len(lattice) and search_retraction(lattice, sub)[0] is not None
+    )
+    return lattice, sub
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "search_retraction",
+        "equation_system",
+        "find_embedding",
+        "congruence_generated_by",
+        "kernel",
+        "build_witness",
+    ],
+)
+def test_certification_calls_leave_no_reference_cycles(name):
+    from finlat import Homomorphism, build_witness
+
+    lattice, sub = _largest_slim_case()
+    small = induced_lattice(lattice, sub)
+    mapping = search_retraction(lattice, sub)[0].mapping
+    a, b = sorted(set(lattice.elements) - sub)[:1] + sorted(sub)[:1]
+    calls = {
+        "search_retraction": lambda: search_retraction(lattice, sub),
+        "equation_system": lambda: solve_equation_system(build_equation_system(lattice, sub)),
+        "find_embedding": lambda: find_embedding(small, lattice),
+        "congruence_generated_by": lambda: congruence_generated_by(lattice, [(a, b)]),
+        "kernel": lambda: Homomorphism(lattice, small, mapping).kernel(),
+        "build_witness": lambda: build_witness(lattice),
+    }
+    assert _leaves_no_cycles(calls[name]) == 0

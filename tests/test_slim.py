@@ -1,6 +1,7 @@
 import pytest
 
 from finlat import (
+    LatticeError,
     ForkScript,
     NoRectangularExtensionFound,
     NotA4Cell,
@@ -11,6 +12,7 @@ from finlat import (
     build_witness,
     classify_properties,
     enumerate_small_lattices,
+    find_embedding,
     find_rectangular_extension,
     four_cells,
     inner_coatoms,
@@ -127,6 +129,66 @@ def test_find_rectangular_extension_bound():
     big = make_grid((4, 4)).lattice
     with pytest.raises(NoRectangularExtensionFound):
         find_rectangular_extension(big, max_size=6)
+
+
+def _reference_rectangular_extension(lattice, max_size=None, max_forks=3):
+    """The former `find_rectangular_extension`, growing fork scripts recursively."""
+    if max_size is None:
+        max_size = max(14, len(lattice) + 8)
+    bases = sorted(
+        ((m, n) for m in range(1, max_size) for n in range(1, max_size) if (m + 1) * (n + 1) <= max_size),
+        key=lambda mn: ((mn[0] + 1) * (mn[1] + 1), mn),
+    )
+    candidates = []
+
+    def grow(ol, base_index, steps):
+        candidates.append((len(ol.lattice), base_index, len(steps), steps, ol))
+        if len(steps) >= max_forks:
+            return
+        for cell in ol.cells():
+            if len(ol.lattice) + 3 <= max_size:
+                extended = add_fork(ol, cell)
+                if len(extended.lattice) <= max_size:
+                    grow(extended, base_index, steps + ((cell.top, cell.left),))
+
+    for base_index, (m, n) in enumerate(bases):
+        grow(oriented_grid(m, n), base_index, ())
+    candidates.sort(key=lambda c: c[:4])
+    for size, base_index, _, steps, ol in candidates:
+        embedding = find_embedding(lattice, ol.lattice) if size >= len(lattice) else None
+        if embedding is not None:
+            m, n = bases[base_index]
+            return ForkScript((m + 1, n + 1), steps), embedding
+    raise NoRectangularExtensionFound(
+        f"no slim rectangular extension within {max_size} elements and {max_forks} forks"
+    )
+
+
+def _extension_outcome(find, lattice, **bounds):
+    try:
+        found = find(lattice, **bounds)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    return found[0], list(found[-1].items())
+
+
+def test_find_rectangular_extension_matches_reference():
+    bounds = ({}, {"max_forks": 0}, {"max_forks": 1}, {"max_forks": 2}, {"max_size": 9})
+    cases = [
+        (lattice, bound)
+        for lattice in enumerate_small_lattices(7, filters=("slim", "semimodular"))
+        if len(lattice) >= 2
+        for bound in bounds
+    ]
+    # the smallest extension of this one takes two forks
+    cases += [(s7_family(2).lattice, bound) for bound in bounds[:4]]
+    outcomes = set()
+    for lattice, bound in cases:
+        got = _extension_outcome(find_rectangular_extension, lattice, **bound)
+        expected = _extension_outcome(_reference_rectangular_extension, lattice, **bound)
+        assert got == expected, (lattice.elements, bound)
+        outcomes.add(len(got[0].steps) if isinstance(got[0], ForkScript) else "none")
+    assert {0, 1, 2, "none"} <= outcomes
 
 
 def test_witness_c2_exact(c2):
