@@ -45,14 +45,10 @@ from .chains import (
 from .grids import (
     BooleanInput,
     Grid,
-    NotAFilter,
-    NotAnIdeal,
     NotASubgrid,
-    NotIsomorphism,
     TrivialFactor,
     canonical_joinands,
     dimension_bump,
-    hall_dilworth_glue,
     make_grid,
     recover_subgrid_chains,
 )

@@ -3,9 +3,8 @@
 A grid is kept together with its canonical chains (the principal ideals
 below the maximal join-irreducible of each axis).  The module provides the
 canonical-joinand decomposition, recovery of the defining subchains of a
-full-dimensional grid sublattice, Hall-Dilworth gluing, and the
-length-preserving embedding of a non-boolean grid into a grid of one
-dimension higher.
+full-dimensional grid sublattice, and the length-preserving embedding of
+a non-boolean grid into a grid of one dimension higher.
 """
 
 from __future__ import annotations
@@ -23,15 +22,11 @@ from .morphisms import Homomorphism
 __all__ = [
     "TrivialFactor",
     "NotASubgrid",
-    "NotAFilter",
-    "NotAnIdeal",
-    "NotIsomorphism",
     "BooleanInput",
     "Grid",
     "make_grid",
     "canonical_joinands",
     "recover_subgrid_chains",
-    "hall_dilworth_glue",
     "dimension_bump",
 ]
 
@@ -42,18 +37,6 @@ class TrivialFactor(LatticeError):
 
 class NotASubgrid(LatticeError):
     """The subset is not a grid sublattice of full dimension."""
-
-
-class NotAFilter(LatticeError):
-    pass
-
-
-class NotAnIdeal(LatticeError):
-    pass
-
-
-class NotIsomorphism(LatticeError):
-    pass
 
 
 class BooleanInput(LatticeError):
@@ -179,89 +162,6 @@ def recover_subgrid_chains(grid: Grid, subset) -> tuple[tuple[str, ...], ...]:
     return tuple(chains)
 
 
-def _is_filter(lattice: FiniteLattice, subset: set[str]) -> bool:
-    if not subset:
-        return False
-    for x in subset:
-        for y in lattice.up_set(x):
-            if y not in subset:
-                return False
-    return check_sublattice(lattice, subset)
-
-
-def _is_ideal(lattice: FiniteLattice, subset: set[str]) -> bool:
-    if not subset:
-        return False
-    for x in subset:
-        for y in lattice.down_set(x):
-            if y not in subset:
-                return False
-    return check_sublattice(lattice, subset)
-
-
-def hall_dilworth_glue(
-    h1: FiniteLattice,
-    f1,
-    h2: FiniteLattice,
-    i2,
-    psi: dict[str, str],
-) -> FiniteLattice:
-    """Glue h2 on top of h1 along an isomorphism from a filter onto an ideal.
-
-    Elements of the filter f1 of h1 are identified with psi-images in the
-    ideal i2 of h2, keeping h1's identifiers for the overlap.  Identifiers
-    of h2 that would collide with h1's are suffixed deterministically.
-    """
-    f1 = set(f1)
-    i2 = set(i2)
-    if not _is_filter(h1, f1):
-        raise NotAFilter(f"{sorted(f1)!r} is not a filter of the first lattice")
-    if not _is_ideal(h2, i2):
-        raise NotAnIdeal(f"{sorted(i2)!r} is not an ideal of the second lattice")
-    if set(psi) != f1 or set(psi.values()) != i2 or len(psi) != len(set(psi.values())):
-        raise NotIsomorphism("psi is not a bijection from the filter onto the ideal")
-    for x in f1:
-        for y in f1:
-            if h1.leq(x, y) != h2.leq(psi[x], psi[y]):
-                raise NotIsomorphism("psi does not preserve order both ways")
-
-    inv_psi = {v: k for k, v in psi.items()}
-    used = set(h1.elements)
-    rename: dict[str, str] = {}
-    for x in sorted(h2.elements):
-        if x in i2:
-            rename[x] = inv_psi[x]
-        else:
-            fresh = x
-            while fresh in used:
-                fresh = fresh + "'"
-            rename[x] = fresh
-            used.add(fresh)
-    original = {v: k for k, v in rename.items() if k not in i2}
-
-    elements = list(h1.elements) + sorted(original)
-
-    def glued_leq(x: str, y: str) -> bool:
-        if x in h1 and y in h1:
-            return h1.leq(x, y)
-        if x in h1 and y in original:
-            return any(h1.leq(x, z) and h2.leq(psi[z], original[y]) for z in f1)
-        if x in original and y in original:
-            return h2.leq(original[x], original[y])
-        return False
-
-    covers = []
-    for x in elements:
-        for y in elements:
-            if x != y and glued_leq(x, y):
-                if not any(
-                    z != x and z != y and glued_leq(x, z) and glued_leq(z, y)
-                    for z in elements
-                ):
-                    covers.append((x, y))
-    return build_lattice(elements, covers)
-
-
 def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     """Embed a non-boolean grid into a grid of one higher dimension, keeping length.
 
@@ -270,8 +170,7 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     sends elements with small split-coordinate via (x, ...) ↦ (q, x, ...) and
     the rest via (x, ...) ↦ (x, q, ...), and the two parts agree on the
     overlap.  The image is the union of the ideal below (q, q, 1, ..., 1)
-    and the filter above (q, q, 0, ..., 0), i.e. a Hall-Dilworth gluing of
-    the two pieces inside the larger grid.
+    and the filter above (q, q, 0, ..., 0) inside the larger grid.
     """
     sizes = grid.factor_sizes
     split = next((j for j, s in enumerate(sizes) if s >= 3), None)

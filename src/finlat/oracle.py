@@ -7,23 +7,26 @@ retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
 solver on integer equation slots derived once per system, with element ids
-only in the values they return.  Every backtracking search keeps its
-choices on an explicit stack, so its depth is not bounded by the
-interpreter's recursion limit and a call leaves no reference cycles.
+only in the values they return.  One driver, `_backtrack`, runs the
+retraction search, the solver and `find_embedding` on an explicit stack,
+and one join/meet forcing propagator, `_forcing`, serves the retraction
+search and `find_embedding`.  Every search here keeps its choices on a
+stack, so its depth is not bounded by the interpreter's recursion limit
+and a call leaves no reference cycles.
 Isomorphism is decided by individualisation–refinement on the two cover
 digraphs, and every positive answer is checked as an explicit bijection.
-Small lattices are enumerated up to isomorphism over canonical posets,
-with a Birkhoff-dual generator for distributive ones that lists down-sets
-in one pass over a linear extension; both enumerators are ordered by
-`canonical_key`, an exact but exponential key that serves as their sort
-order, not as the isomorphism test.
+Small lattices are enumerated up to isomorphism over canonical posets from
+one generator, which the Birkhoff-dual enumerator of distributive lattices
+prunes by down-set count; both enumerators are ordered by `canonical_key`,
+an exact but exponential key that colours with the same `_refine` as the
+isomorphism test and serves as their sort order, not as that test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations, product
 
 from .core import (
     FiniteLattice,
@@ -129,48 +132,34 @@ def _cover_degrees(lattice: FiniteLattice) -> list[int]:
     return [up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)]
 
 
-def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
-    """Backtracking over maps from the new elements into the sublattice.
+def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injective: bool):
+    """The join/meet forcing propagator both searches run on `_backtrack`.
 
-    Assignments are propagated through the join and meet tables: once both
-    arguments of a pair are mapped, the image of their join and meet is
-    forced.  Variables are taken in decreasing cover-degree order, values in
-    canonical element order.  Returns (first mapping or None, count, nodes).
+    ``f`` maps source indices to target indices, -1 marking an open slot, and
+    ``assigned`` lists the mapped slots.  Once x and y are both mapped, the
+    images of x ∨ y and x ∧ y are forced to f(x) ∨ f(y) and f(x) ∧ f(y) in
+    the target; a forced slot that already holds another image is a
+    conflict, and so, when `injective`, is f(x) = f(y).  Every pair is
+    checked when the later of its two slots is mapped, so a complete
+    assignment that survives is a homomorphism (an embedding when
+    `injective`).  Returns ``propagate(x, trail)`` in `_backtrack`'s form.
     """
-    n = len(lattice)
-    idx = lattice.index
-    join = lattice._join
-    meet = lattice._meet
-    sub_idx = sorted(idx(x) for x in sub)
-    in_sub = [False] * n
-    for i in sub_idx:
-        in_sub[i] = True
-
-    f = [-1] * n
-    for i in sub_idx:
-        f[i] = i
-    assigned = list(sub_idx)
-
-    degree = _cover_degrees(lattice)
-    variables = sorted(
-        (i for i in range(n) if not in_sub[i]), key=lambda i: (-degree[i], i)
-    )
-
-    count = 0
-    first: list[int] | None = None
+    s_join, s_meet = source._join, source._meet
+    t_join, t_meet = target._join, target._meet
 
     def propagate(i: int, trail: list[int]) -> bool:
         queue = [i]
         while queue:
             x = queue.pop()
             fx = f[x]
+            sj, sm, tj, tm = s_join[x], s_meet[x], t_join[fx], t_meet[fx]
             for y in list(assigned):
                 if y == x:
                     continue
                 fy = f[y]
-                for table in (join, meet):
-                    z = table[x][y]
-                    t = table[fx][fy]
+                if injective and fy == fx:
+                    return False
+                for z, t in ((sj[y], tj[fy]), (sm[y], tm[fy])):
                     if f[z] == -1:
                         f[z] = t
                         trail.append(z)
@@ -180,6 +169,31 @@ def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
                         return False
         return True
 
+    return propagate
+
+
+def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
+    """Backtracking over maps from the new elements into the sublattice.
+
+    Assignments are propagated by `_forcing` within the lattice.  Variables
+    are taken in decreasing cover-degree order, values in canonical element
+    order.  Returns (first mapping or None, count, nodes).
+    """
+    n = len(lattice)
+    sub_idx = sorted(lattice.index(x) for x in sub)
+    f = [-1] * n
+    for i in sub_idx:
+        f[i] = i
+    assigned = list(sub_idx)
+
+    degree = _cover_degrees(lattice)
+    variables = sorted(
+        (i for i in range(n) if f[i] == -1), key=lambda i: (-degree[i], i)
+    )
+
+    count = 0
+    first: list[int] | None = None
+
     def leaf() -> bool:
         nonlocal count, first
         count += 1
@@ -187,6 +201,7 @@ def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
             first = list(f)
         return not count_all
 
+    propagate = _forcing(lattice, lattice, f, assigned, injective=False)
     nodes = _backtrack(variables, sub_idx, f, assigned, propagate, leaf)
     mapping = None
     if first is not None:
@@ -467,85 +482,22 @@ def _mask_to_set(lattice: FiniteLattice, mask: int) -> frozenset[str]:
 def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] | None:
     """First injective homomorphism in canonical search order, or None.
 
-    Elements are processed bottom-up; an element that is the join of two
-    earlier ones has a forced image, so branching happens only on the
-    bottom and the join-irreducibles.  The search runs on an explicit
-    stack of untried candidates, one frame per mapped element.
+    Elements are mapped bottom-up, by down-set size and then id, onto big's
+    elements in canonical order, with `_forcing` from small to big on
+    `_backtrack`.  An element that is the join or meet of two mapped ones
+    has a forced image, so branching happens only where nothing is forced.
+    Forcing never removes an embedding, so the first one found is the
+    lexicographically first in that order; its keys follow the same order.
     """
-    order = sorted(
-        small.elements, key=lambda x: (len(small.down_set(x)), x)
-    )
-    position = {x: i for i, x in enumerate(order)}
-    forced: dict[str, tuple[str, str]] = {}
-    for x in small.elements:
-        below = [y for y in small.elements if small.lt(y, x)]
-        for a in below:
-            for b in below:
-                if (
-                    small.join(a, b) == x
-                    and position[a] < position[x]
-                    and position[b] < position[x]
-                ):
-                    forced[x] = (a, b)
-                    break
-            if x in forced:
-                break
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(x: str) -> bool:
-        # pairs involving x, and pairs whose join or meet lands on x: together
-        # these verify every constraint once its last participant is mapped
-        fx = mapping[x]
-        for y, fy in mapping.items():
-            if y == x:
-                continue
-            jxy = small.join(x, y)
-            mxy = small.meet(x, y)
-            if jxy in mapping and big.join(fx, fy) != mapping[jxy]:
-                return False
-            if mxy in mapping and big.meet(fx, fy) != mapping[mxy]:
-                return False
-        for a, fa in mapping.items():
-            for b, fb in mapping.items():
-                if small.join(a, b) == x and big.join(fa, fb) != fx:
-                    return False
-                if small.meet(a, b) == x and big.meet(fa, fb) != fx:
-                    return False
-        return True
-
-    # One frame per mapped position: (element, untried candidates, reversed).
-    stack: list[tuple[str, list[str]]] = []
-    while len(stack) < len(order):
-        x = order[len(stack)]
-        if x in forced:
-            a, b = forced[x]
-            candidates = [big.join(mapping[a], mapping[b])]
-        else:
-            candidates = list(big.elements)
-        stack.append((x, candidates[::-1]))
-        while stack:
-            x, untried = stack[-1]
-            if x in mapping:
-                used.discard(mapping.pop(x))
-            while untried:
-                v = untried.pop()
-                if v in used:
-                    continue
-                mapping[x] = v
-                used.add(v)
-                if consistent(x):
-                    break
-                del mapping[x]
-                used.discard(v)
-            else:
-                stack.pop()
-                continue
-            break
-        else:
-            return None
-    return dict(mapping)
+    n = len(small)
+    order = sorted(range(n), key=lambda i: (small._down[i].bit_count(), small.elements[i]))
+    f = [-1] * n
+    assigned: list[int] = []
+    propagate = _forcing(small, big, f, assigned, injective=True)
+    _backtrack(order, range(len(big)), f, assigned, propagate, lambda: True)
+    if -1 in f:
+        return None
+    return {small.elements[i]: big.elements[f[i]] for i in order}
 
 
 # ---------------------------------------------------------------------------
@@ -554,52 +506,35 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
 
 
 def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
-    """Minimum adjacency encoding over invariant-respecting permutations."""
-    radj = [0] * n
-    for i in range(n):
-        for j in _bits(adj[i]):
-            radj[j] |= 1 << i
-    color = [
-        (bin(adj[i]).count("1"), bin(radj[i]).count("1")) for i in range(n)
-    ]
-    for _ in range(n):
-        sig = []
-        for i in range(n):
-            out_cols = tuple(sorted(color[j] for j in _bits(adj[i])))
-            in_cols = tuple(sorted(color[j] for j in _bits(radj[i])))
-            sig.append((color[i], out_cols, in_cols))
-        if len(set(sig)) == len(set(color)):
-            color = sig
-            break
-        color = sig
+    """Minimum adjacency encoding over invariant-respecting permutations.
 
-    classes: dict[tuple, list[int]] = {}
-    for i, c in enumerate(sorted(range(n), key=lambda i: (color[i], i))):
-        classes.setdefault(color[c], []).append(c)
-    ordered = sorted(classes.items())
+    Vertices are coloured by `_refine`, starting from the rank of their
+    (out-degree, in-degree) pair, so classes are numbered by colours alone
+    and never by vertex labels.  Every concatenation of one permutation per
+    class, in class order, is encoded as rows of out-neighbour positions,
+    and the least encoding wins.
+    """
+    up = [list(_bits(adj[v])) for v in range(n)]
+    down: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in up[v]:
+            down[w].append(v)
+    degrees = [(len(up[v]), len(down[v])) for v in range(n)]
+    rank = {d: r for r, d in enumerate(sorted(set(degrees)))}
+    colour = _refine(up, down, [rank[d] for d in degrees])
+    classes: list[list[int]] = [[] for _ in range(len(set(colour)))]
+    for v in range(n):
+        classes[colour[v]].append(v)
 
     best: tuple | None = None
-    perms_per_class = [list(permutations(members)) for _, members in ordered]
-
-    def rec(class_idx: int, placement: list[int]):
-        nonlocal best
-        if class_idx == len(perms_per_class):
-            pos = {v: i for i, v in enumerate(placement)}
-            encoded = []
-            for v in placement:
-                row = 0
-                for j in _bits(adj[v]):
-                    row |= 1 << pos[j]
-                encoded.append(row)
-            key = tuple(encoded)
-            if best is None or key < best:
-                best = key
-            return
-        for perm in perms_per_class[class_idx]:
-            rec(class_idx + 1, placement + list(perm))
-
-    rec(0, [])
-    assert best is not None
+    position = [0] * n
+    for choice in product(*(permutations(members) for members in classes)):
+        placement = list(chain.from_iterable(choice))
+        for i, v in enumerate(placement):
+            position[v] = 1 << i
+        key = tuple([sum([position[w] for w in up[v]]) for v in placement])
+        if best is None or key < best:
+            best = key
     return (n, best)
 
 
@@ -713,7 +648,7 @@ def _downsets(leq: tuple[int, ...], limit: int | None = None) -> list[int]:
     """
     masks = [0]
     for i in range(len(leq)):
-        below = leq_down(leq, i) & ~(1 << i)
+        below = sum(1 << j for j in range(i) if leq[j] >> i & 1)
         masks += [m | 1 << i for m in masks if below & ~m == 0]
         if limit is not None and len(masks) > limit:
             break
@@ -731,22 +666,21 @@ def _poset_extensions(leq: tuple[int, ...]):
         yield tuple(new)
 
 
-def leq_down(leq: tuple[int, ...], i: int) -> int:
-    """Mask of elements below i (inclusive) in an up-set encoded poset."""
-    down = 0
-    for j in range(len(leq)):
-        if leq[j] >> i & 1:
-            down |= 1 << j
-    return down
+def _canonical_posets_upto(
+    max_size: int, max_downsets: int | None = None
+) -> list[list[tuple[int, ...]]]:
+    """Pairwise non-isomorphic posets by size, as tuples of up-set masks.
 
-
-def _canonical_posets_upto(max_size: int) -> list[list[tuple[int, ...]]]:
-    """Pairwise non-isomorphic posets by size, as tuples of up-set masks."""
+    With `max_downsets`, only posets with at most that many down-sets are
+    kept; adding an element only adds down-sets, so the pruning is exact.
+    """
     by_size: list[list[tuple[int, ...]]] = [[()]]
     for size in range(max_size):
         seen: dict[tuple, tuple[int, ...]] = {}
         for poset in by_size[size]:
             for ext in _poset_extensions(poset):
+                if max_downsets is not None and len(_downsets(ext, max_downsets)) > max_downsets:
+                    continue
                 key = _digraph_canonical_key(size + 1, ext)
                 if key not in seen:
                     seen[key] = ext
@@ -817,8 +751,6 @@ def bruteforce_lattices(max_size: int):
     cover, keeps the ones that build a lattice, and rejects isomorphs by
     canonical key.  Exponential, so only usable for very small sizes.
     """
-    from itertools import product as iter_product
-
     yield build_lattice(["0"], [])
     for n in range(2, max_size + 1):
         ids = [f"{i}" for i in range(n)]
@@ -830,7 +762,7 @@ def bruteforce_lattices(max_size: int):
                 for mask in range(1, 1 << j)
             ]
             lower_choices.append(subsets)
-        for combo in iter_product(*lower_choices):
+        for combo in product(*lower_choices):
             covers = [
                 (ids[i], ids[j + 1]) for j, lows in enumerate(combo) for i in lows
             ]
@@ -847,33 +779,15 @@ def bruteforce_lattices(max_size: int):
 def enumerate_distributive_lattices(max_size: int):
     """Distributive lattices up to max_size, via Birkhoff duality.
 
-    Generates posets with at most max_size down-sets (pruned during
-    extension, since adding an element only adds down-sets) and emits the
-    lattice of down-sets of each.  Distinct posets give non-isomorphic
-    lattices, so no lattice-level isomorph rejection is needed.
+    Takes the canonical posets with at most max_size down-sets (so at most
+    max_size - 1 elements) and emits the lattice of down-sets of each.
+    Distinct posets give non-isomorphic lattices, so no lattice-level
+    isomorph rejection is needed.
     """
     if max_size < 1:
         return
-
-    frontier: list[tuple[int, ...]] = [()]
-    seen_keys = {_digraph_canonical_key(0, ())}
-    all_posets: list[tuple[int, ...]] = [()]
-    while frontier:
-        next_frontier = []
-        for poset in frontier:
-            for ext in _poset_extensions(poset):
-                if len(_downsets(ext, max_size)) > max_size:
-                    continue
-                key = _digraph_canonical_key(len(ext), ext)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                next_frontier.append(ext)
-                all_posets.append(ext)
-        frontier = next_frontier
-
     produced = []
-    for poset in all_posets:
+    for poset in chain.from_iterable(_canonical_posets_upto(max_size - 1, max_downsets=max_size)):
         masks = sorted(_downsets(poset), key=lambda m: (bin(m).count("1"), m))
         width = len(str(len(masks)))
         ids = {m: f"{i:0{width}d}" for i, m in enumerate(masks)}

@@ -332,19 +332,14 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
         )
 
     sub = induced_lattice(lattice, subset)
-    boolean = is_boolean(sub)
-    grid_dim = None
-    factors = grid_factor_sizes(sub)
-    if factors is not None:
-        grid_dim = len(factors)
-    if not boolean and not (cls.n is not None and grid_dim == cls.n):
+    if not _qualifies(sub, cls):
         raise NotEligible(
             "target is neither boolean nor a grid of the class dimension"
         )
 
     emb = grid_embed(lattice)
     image = {emb.mapping[d] for d in subset}
-    if boolean:
+    if is_boolean(sub):
         inner = boolean_retraction(emb.target.lattice, image)
     else:
         inner = grid_retraction(emb.target, image)

@@ -34,6 +34,7 @@ from .core import (
     lattice_length,
 )
 from .grids import make_grid
+from .morphisms import Homomorphism, NotAHomomorphism
 from .oracle import congruence_generated_by, find_embedding, search_retraction
 
 __all__ = [
@@ -501,15 +502,9 @@ def _interval_iso(
         return None
 
     mapping: dict[str, str] = {}
-    for i, bl in enumerate(base_left):
-        for j, br in enumerate(base_right):
-            src = base.lattice.join(bl, br)
-            dst = ambient.lattice.join(amb_left[i], amb_right[j])
-            if dst not in members:
-                return None
-            mapping[src] = dst
-    if len(mapping) != len(base.lattice) or set(mapping.values()) != members:
-        return None
+    for bl, al in zip(base_left, amb_left):
+        for br, ar in zip(base_right, amb_right):
+            mapping[base.lattice.join(bl, br)] = ambient.lattice.join(al, ar)
     if not _check_interval_iso(base, ambient, lo, hi, mapping, mirrored):
         return None
     return mapping
@@ -528,15 +523,11 @@ def _check_interval_iso(
         return False
     if set(mapping.values()) != members:
         return False
-    lat = src.lattice
-    amb = ambient.lattice
-    for x in lat.elements:
-        for y in lat.elements:
-            if mapping[lat.join(x, y)] != amb.join(mapping[x], mapping[y]):
-                return False
-            if mapping[lat.meet(x, y)] != amb.meet(mapping[x], mapping[y]):
-                return False
-    for x in lat.elements:
+    try:
+        Homomorphism(src.lattice, ambient.lattice, mapping)
+    except NotAHomomorphism:
+        return False
+    for x in src.lattice.elements:
         image_ups = [mapping[u] for u in src.up[x]]
         amb_ups = [u for u in ambient.up[mapping[x]] if u in members]
         if mirrored:

@@ -4,16 +4,12 @@ from finlat import (
     BooleanInput,
     Homomorphism,
     NotASubgrid,
-    NotIsomorphism,
     TrivialFactor,
-    build_lattice,
     canonical_joinands,
     check_cover01,
     classify_properties,
     dimension_bump,
     four_cells,
-    hall_dilworth_glue,
-    is_isomorphic,
     join_irreducibles,
     lattice_length,
     make_grid,
@@ -140,32 +136,6 @@ def test_recover_membership_formula_small_grids():
             assert members == set(sub)
 
 
-def test_hall_dilworth_chain_concatenation():
-    h1 = build_lattice(["a", "b"], [("a", "b")])
-    h2 = build_lattice(["x", "y"], [("x", "y")])
-    glued = hall_dilworth_glue(h1, {"b"}, h2, {"x"}, {"b": "x"})
-    assert len(glued) == 3
-    assert lattice_length(glued) == 2
-
-
-def test_hall_dilworth_rejects_bad_psi():
-    h1 = make_grid((2, 2)).lattice
-    h2 = make_grid((2, 2)).lattice
-    filter_part = {"1,0", "0,1", "1,1", "0,0"}
-    # order-reversing map is not an isomorphism
-    psi = {"0,0": "1,1", "1,0": "0,1", "0,1": "1,0", "1,1": "0,0"}
-    with pytest.raises(NotIsomorphism):
-        hall_dilworth_glue(h1, filter_part, h2, filter_part, psi)
-
-
-def test_hall_dilworth_renames_collisions():
-    h1 = build_lattice(["a", "b"], [("a", "b")])
-    h2 = build_lattice(["a", "b"], [("a", "b")])
-    glued = hall_dilworth_glue(h1, {"b"}, h2, {"a"}, {"b": "a"})
-    assert len(glued) == 3
-    assert glued.bottom == "a"
-
-
 def test_dimension_bump_c3():
     bumped, mapping = dimension_bump(make_grid((3,)))
     assert bumped.factor_sizes == (2, 2)
@@ -200,7 +170,7 @@ def test_dimension_bump_cover01_and_size():
 
 
 def test_dimension_bump_image_is_ideal_filter_gluing():
-    # the embedded copy decomposes as a Hall-Dilworth gluing in the big grid
+    # the embedded copy is the union of an ideal and a filter of the big grid
     grid = make_grid((3,))
     bumped, mapping = dimension_bump(grid)
     lat = bumped.lattice
@@ -208,7 +178,3 @@ def test_dimension_bump_image_is_ideal_filter_gluing():
     filter_part = lat.up_set("0,1")
     image = set(mapping.values())
     assert image == ideal_part | filter_part
-    h1 = build_lattice(sorted(ideal_part), [("0,0", "0,1")])
-    h2 = build_lattice(sorted(filter_part), [("0,1", "1,1")])
-    glued = hall_dilworth_glue(h1, {"0,1"}, h2, {"0,1"}, {"0,1": "0,1"})
-    assert is_isomorphic(glued, build_lattice(["0", "a", "1"], [("0", "a"), ("a", "1")]))

@@ -1,7 +1,8 @@
-"""The package's internal import graph is acyclic, and no module imports a
-sibling from inside a function."""
+"""The package's internal import graph is acyclic, no module imports a
+sibling from inside a function, and every exported name is bound."""
 
 import ast
+import importlib
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -53,3 +54,12 @@ def test_no_function_level_package_imports():
         if _imported_modules(node)
     ]
     assert nested == []
+
+
+def test_every_exported_name_is_bound():
+    unbound = []
+    for name in sorted(MODULES - {"__main__"}):
+        module = importlib.import_module("finlat" if name == "__init__" else f"finlat.{name}")
+        exports = getattr(module, "__all__", ())
+        unbound += [f"{name}.{export}" for export in exports if not hasattr(module, export)]
+    assert unbound == []

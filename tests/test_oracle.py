@@ -1,7 +1,7 @@
 import gc
 import random
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,17 +25,19 @@ from finlat import (
     is_isomorphic,
     make_grid,
     search_retraction,
+    slim,
     solve_equation_system,
 )
+from finlat.core import _bits
 from finlat.oracle import (
     Equation,
     EquationSystem,
     NotASublatticeHere,
     Term,
     _canonical_posets_upto,
-    canonical_key,
+    _digraph_canonical_key,
     _downsets,
-    leq_down,
+    canonical_key,
 )
 from tests.conftest import S7_COVERS, S7_ELEMENTS
 
@@ -225,8 +227,6 @@ def test_find_embedding_rejects_impossible(b3, b2):
 
 
 def brute_force_embedding_exists(small, big):
-    from itertools import permutations
-
     for images in permutations(big.elements, len(small.elements)):
         mapping = dict(zip(small.elements, images))
         if all(
@@ -310,18 +310,39 @@ def _reference_find_embedding(small, big):
     return dict(mapping) if solve(0) else None
 
 
-def test_find_embedding_matches_reference():
+def _matches_reference_embedding(small, big) -> bool:
+    """Asserts the same first embedding, keys in the same order; returns whether one exists."""
+    got = find_embedding(small, big)
+    expected = _reference_find_embedding(small, big)
+    assert got == expected
+    if got is None:
+        return False
+    assert list(got.items()) == list(expected.items())
+    return True
+
+
+def test_find_embedding_matches_reference(monkeypatch):
     lattices = list(enumerate_small_lattices(6))
-    found = 0
-    for small in lattices[:10]:
-        for big in lattices:
-            got = find_embedding(small, big)
-            expected = _reference_find_embedding(small, big)
-            assert got == expected
-            if got is not None:
-                assert list(got.items()) == list(expected.items())
-                found += 1
+    found = sum(
+        _matches_reference_embedding(small, big) for small in lattices[:10] for big in lattices
+    )
     assert 0 < found < 250
+
+    # Every candidate find_rectangular_extension tries for the slim semimodular
+    # lattices with at most 6 elements; each search stops at its first embedding.
+    candidates = []
+
+    def recording(small, big):
+        candidates.append((small, big))
+        return find_embedding(small, big)
+
+    monkeypatch.setattr(slim, "find_embedding", recording)
+    slims = list(enumerate_small_lattices(6, filters=("slim", "semimodular")))
+    for lattice in slims:
+        slim.find_rectangular_extension(lattice)
+    monkeypatch.undo()
+    assert len(candidates) > len(slims)
+    assert sum(_matches_reference_embedding(small, big) for small, big in candidates) == len(slims)
 
 
 def test_enumeration_counts():
@@ -528,10 +549,80 @@ def test_is_isomorphic_agrees_with_vf2_on_lookalike_pairs():
     assert pairs > 1000
 
 
+def _reference_digraph_canonical_key(n, adj):
+    """The former `_digraph_canonical_key`: tuple colours refined inline, a recursive walk."""
+    radj = [0] * n
+    for i in range(n):
+        for j in _bits(adj[i]):
+            radj[j] |= 1 << i
+    color = [
+        (bin(adj[i]).count("1"), bin(radj[i]).count("1")) for i in range(n)
+    ]
+    for _ in range(n):
+        sig = []
+        for i in range(n):
+            out_cols = tuple(sorted(color[j] for j in _bits(adj[i])))
+            in_cols = tuple(sorted(color[j] for j in _bits(radj[i])))
+            sig.append((color[i], out_cols, in_cols))
+        if len(set(sig)) == len(set(color)):
+            color = sig
+            break
+        color = sig
+
+    classes: dict[tuple, list[int]] = {}
+    for i, c in enumerate(sorted(range(n), key=lambda i: (color[i], i))):
+        classes.setdefault(color[c], []).append(c)
+    ordered = sorted(classes.items())
+
+    best: tuple | None = None
+    perms_per_class = [list(permutations(members)) for _, members in ordered]
+
+    def rec(class_idx: int, placement: list[int]):
+        nonlocal best
+        if class_idx == len(perms_per_class):
+            pos = {v: i for i, v in enumerate(placement)}
+            encoded = []
+            for v in placement:
+                row = 0
+                for j in _bits(adj[v]):
+                    row |= 1 << pos[j]
+                encoded.append(row)
+            key = tuple(encoded)
+            if best is None or key < best:
+                best = key
+            return
+        for perm in perms_per_class[class_idx]:
+            rec(class_idx + 1, placement + list(perm))
+
+    rec(0, [])
+    assert best is not None
+    return (n, best)
+
+
+def test_digraph_canonical_key_matches_reference():
+    inputs = [(len(leq), leq) for posets in _canonical_posets_upto(7) for leq in posets]
+    inputs += [
+        (len(lattice), tuple(lattice._ucov))
+        for lattice in [*enumerate_small_lattices(8), *enumerate_distributive_lattices(12)]
+    ]
+    assert len(inputs) == 3093
+    for n, adj in inputs:
+        assert _digraph_canonical_key(n, adj) == _reference_digraph_canonical_key(n, adj), adj
+
+
 def test_is_isomorphic_deep_search_has_no_recursion_limit():
     """M_1000 needs about a thousand individualisations."""
     lattice = m_lattice(1000)
     assert is_isomorphic(lattice, relabelled(lattice, random.Random(4)))
+
+
+def leq_down(leq: tuple[int, ...], i: int) -> int:
+    """Mask of elements below i (inclusive) in an up-set encoded poset."""
+    down = 0
+    for j in range(len(leq)):
+        if leq[j] >> i & 1:
+            down |= 1 << j
+    return down
 
 
 def _downsets_by_scan(leq):
@@ -726,6 +817,8 @@ def _largest_slim_case():
         "congruence_generated_by",
         "kernel",
         "build_witness",
+        "canonical_key",
+        "enumerate_distributive_lattices",
     ],
 )
 def test_certification_calls_leave_no_reference_cycles(name):
@@ -735,6 +828,7 @@ def test_certification_calls_leave_no_reference_cycles(name):
     small = induced_lattice(lattice, sub)
     mapping = search_retraction(lattice, sub)[0].mapping
     a, b = sorted(set(lattice.elements) - sub)[:1] + sorted(sub)[:1]
+    b3 = make_grid((2, 2, 2)).lattice
     calls = {
         "search_retraction": lambda: search_retraction(lattice, sub),
         "equation_system": lambda: solve_equation_system(build_equation_system(lattice, sub)),
@@ -742,5 +836,7 @@ def test_certification_calls_leave_no_reference_cycles(name):
         "congruence_generated_by": lambda: congruence_generated_by(lattice, [(a, b)]),
         "kernel": lambda: Homomorphism(lattice, small, mapping).kernel(),
         "build_witness": lambda: build_witness(lattice),
+        "canonical_key": lambda: canonical_key(b3),
+        "enumerate_distributive_lattices": lambda: list(enumerate_distributive_lattices(8)),
     }
     assert _leaves_no_cycles(calls[name]) == 0
