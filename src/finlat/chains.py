@@ -5,7 +5,9 @@ bipartite matching on the strict order gives a minimum path cover, and the
 Koenig vertex cover turns into a maximum antichain certifying optimality.
 For a finite distributive lattice the order dimension is the width of its
 join-irreducibles, and the canonical chains of that width produce a
-cover-preserving {0,1}-embedding into a grid of equal length.
+cover-preserving {0,1}-embedding into a grid of equal length.  Both are
+memoised on the lattice (see `core`); the embedding is validated once, on
+the first call, and each call returns a fresh `GridEmbedding`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from .core import (
     FiniteLattice,
     LatticeError,
+    _memoised,
     is_distributive,
     join_irreducibles,
     lattice_length,
@@ -78,24 +81,36 @@ class ChainDecomposition:
 
 
 def _max_matching(elems: list[str], lt) -> dict[str, str]:
-    """Maximum matching u -> v over pairs with u < v, by augmenting paths."""
+    """Maximum matching u -> v over pairs with u < v, by augmenting paths.
+
+    Each augmenting path is a depth-first search on an explicit stack of
+    [u, remaining successors of u, v tried from u] frames.
+    """
     succs = {u: [v for v in elems if lt(u, v)] for u in elems}
     match_left: dict[str, str] = {}
     match_right: dict[str, str] = {}
 
-    def augment(u: str, seen: set[str]) -> bool:
-        for v in succs[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or augment(match_right[v], seen):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        return False
-
-    for u in elems:
-        augment(u, set())
+    for root in elems:
+        seen: set[str] = set()
+        stack = [[root, iter(succs[root]), None]]
+        while stack:
+            frame = stack[-1]
+            for v in frame[1]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                frame[2] = v
+                if v not in match_right:  # flip the augmenting path
+                    for u, _, w in stack:
+                        match_left[u] = w
+                        match_right[w] = u
+                    stack = []
+                else:
+                    u = match_right[v]
+                    stack.append([u, iter(succs[u]), None])
+                break
+            else:
+                stack.pop()
     return match_left
 
 
@@ -174,6 +189,7 @@ def disjointify_chains(decomposition: ChainDecomposition) -> ChainDecomposition:
     )
 
 
+@_memoised
 def order_dimension(lattice: FiniteLattice) -> int:
     """Order dimension of a finite distributive lattice: width of Ji."""
     if len(lattice) < 2:
@@ -209,27 +225,33 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
         raise TrivialLattice("cannot embed the one-element lattice")
     if not is_distributive(lattice):
         raise NotDistributive("grid embedding needs a distributive lattice")
+    target, mapping, e_plus = _grid_embedding_parts(lattice)
+    return GridEmbedding(
+        source=lattice,
+        target=target,
+        mapping=dict(mapping),
+        coordinate_chains=e_plus,
+    )
+
+
+@_memoised
+def _grid_embedding_parts(lattice: FiniteLattice):
+    """(target grid, mapping, coordinate chains), validated; never the lattice."""
     ji = join_irreducibles(lattice)
     cover = min_chain_cover(lattice, ji)
     disjoint = disjointify_chains(cover)
     e_plus = tuple((lattice.bottom,) + chain for chain in disjoint.chains)
     target = make_grid(tuple(len(chain) for chain in e_plus))
 
-    mapping: dict[str, str] = {}
-    for x in lattice.elements:
-        coords = []
-        for chain in e_plus:
-            k = max(i for i, e in enumerate(chain) if lattice.leq(e, x))
-            coords.append(k)
-        mapping[x] = target.id_of(coords)
-
+    # E_i^+ ∩ ↓x is a prefix of the chain E_i^+, so its largest element
+    # has index |E_i^+ ∩ ↓x| - 1.
+    chain_masks = [sum(1 << lattice.index(e) for e in chain) for chain in e_plus]
+    mapping = {
+        x: target.id_of([(down & m).bit_count() - 1 for m in chain_masks])
+        for x, down in zip(lattice.elements, lattice._down)
+    }
     _validate_embedding(lattice, target, mapping, e_plus)
-    return GridEmbedding(
-        source=lattice,
-        target=target,
-        mapping=mapping,
-        coordinate_chains=e_plus,
-    )
+    return target, mapping, e_plus
 
 
 def _validate_embedding(lattice, target, mapping, e_plus):

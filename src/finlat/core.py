@@ -9,10 +9,19 @@ and safe for concurrent reads.  The order comes from Kahn's topological
 sort and the join/meet tables from one up-/down-mask lookup per pair; the
 tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
 elements.
+
+Derived invariants (distributivity, slimness, the join-irreducibles, the
+length, the grid factor sizes, and in `chains` the order dimension and
+the grid embedding) are memoised per lattice in its private ``_memo``
+dict.  An entry is computed from the immutable tables, so a second writer
+stores an equal value: the writes are idempotent and reads stay safe.
+Entries are immutable or copied at the API edge, and none references its
+lattice, so a lattice never sits in a reference cycle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -119,6 +128,7 @@ class FiniteLattice:
         "_lcov",
         "_ucov_ids",
         "_lcov_ids",
+        "_memo",
     )
 
     def __init__(self, elements, covers):
@@ -214,6 +224,7 @@ class FiniteLattice:
         self._lcov_ids = tuple(
             tuple(self.elements[j] for j in _bits(lcov[i])) for i in range(n)
         )
+        self._memo = {}
 
     # -- structural accessors -------------------------------------------------
 
@@ -294,13 +305,37 @@ def build_lattice(elements, covers) -> FiniteLattice:
     return FiniteLattice(elements, covers)
 
 
+def _memoised(fn):
+    """Compute ``fn(lattice)`` once per lattice and keep it in ``lattice._memo``.
+
+    The value must not reference the lattice and must be immutable, or be
+    copied by the caller before it leaves the package.
+    """
+
+    @functools.wraps(fn)
+    def memoised(lattice):
+        memo = lattice._memo
+        if fn not in memo:
+            memo[fn] = fn(lattice)
+        return memo[fn]
+
+    return memoised
+
+
+@_memoised
+def _jmask(lattice: FiniteLattice) -> int:
+    """Index mask of the elements with exactly one lower cover."""
+    mask = 0
+    for i, lc in enumerate(lattice._lcov):
+        if lc and not lc & (lc - 1):
+            mask |= 1 << i
+    return mask
+
+
+@_memoised
 def join_irreducibles(lattice: FiniteLattice) -> tuple[str, ...]:
     """All non-bottom elements with exactly one lower cover, sorted."""
-    return tuple(
-        x
-        for x in lattice.elements
-        if x != lattice.bottom and len(lattice.lower_covers(x)) == 1
-    )
+    return tuple(lattice.elements[i] for i in _bits(_jmask(lattice)))
 
 
 def atoms(lattice: FiniteLattice) -> tuple[str, ...]:
@@ -311,9 +346,10 @@ def coatoms(lattice: FiniteLattice) -> tuple[str, ...]:
     return lattice.lower_covers(lattice.top)
 
 
+@_memoised
 def lattice_length(lattice: FiniteLattice) -> int:
     """Length of a longest maximal chain, computed by longest-path search."""
-    order = sorted(range(len(lattice)), key=lambda i: bin(lattice._down[i]).count("1"))
+    order = sorted(range(len(lattice)), key=lambda i: lattice._down[i].bit_count())
     dist = [0] * len(lattice)
     for i in order:
         for j in _bits(lattice._ucov[i]):
@@ -322,19 +358,23 @@ def lattice_length(lattice: FiniteLattice) -> int:
     return dist[lattice.index(lattice.top)]
 
 
+@_memoised
 def is_distributive(lattice: FiniteLattice) -> bool:
-    """Check x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) over all triples."""
-    n = len(lattice)
-    join = lattice._join
-    meet = lattice._meet
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            mxy = mx[y]
-            jy = join[y]
-            for z in range(n):
-                if mx[jy[z]] != join[mxy][mx[z]]:
-                    return False
+    """True iff x ↦ J(x), the join-irreducibles below x, preserves joins.
+
+    The map is injective and preserves meets in every finite lattice, so it
+    preserves joins exactly when it embeds the lattice into the power set
+    of J, that is, when the lattice is distributive (Davey & Priestley,
+    *Introduction to Lattices and Order*, ch. 5).  One mask compare per
+    pair: O(n²) in place of the O(n³) distributive law.
+    """
+    jmask = _jmask(lattice)
+    jd = [down & jmask for down in lattice._down]
+    for x, row in enumerate(lattice._join):
+        jx = jd[x]
+        for y in range(x + 1, len(jd)):
+            if jd[row[y]] != jx | jd[y]:
+                return False
     return True
 
 
@@ -374,19 +414,24 @@ def is_boolean(lattice: FiniteLattice) -> bool:
     return True
 
 
+@_memoised
 def is_slim(lattice: FiniteLattice) -> bool:
-    """True iff the join-irreducibles contain no 3-element antichain."""
-    ji = join_irreducibles(lattice)
-    for a, b, c in combinations(ji, 3):
-        if (
-            not lattice.leq(a, b) and not lattice.leq(b, a)
-            and not lattice.leq(a, c) and not lattice.leq(c, a)
-            and not lattice.leq(b, c) and not lattice.leq(c, b)
-        ):
-            return False
+    """True iff the join-irreducibles contain no 3-element antichain.
+
+    J has one exactly when some incomparable pair a, b of J has a common
+    incomparable c in J: one AND of incomparability masks per pair.
+    """
+    jmask = _jmask(lattice)
+    up, down = lattice._up, lattice._down
+    inc = {a: jmask & ~(up[a] | down[a]) for a in _bits(jmask)}
+    for a, inc_a in inc.items():
+        for b in _bits(inc_a):
+            if inc_a & inc[b]:
+                return False
     return True
 
 
+@_memoised
 def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     """Factor sizes if the lattice is a direct product of nontrivial chains.
 
@@ -397,26 +442,14 @@ def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     """
     if not is_distributive(lattice):
         return None
-    ji = list(join_irreducibles(lattice))
-    remaining = set(ji)
-    components: list[list[str]] = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in list(remaining - comp):
-                if lattice.leq(x, y) or lattice.leq(y, x):
-                    comp.add(y)
-                    frontier.append(y)
-        remaining -= comp
-        components.append(sorted(comp))
-    for comp in components:
-        for a, b in combinations(comp, 2):
-            if not lattice.leq(a, b) and not lattice.leq(b, a):
-                return None
-    sizes = tuple(sorted((len(c) + 1 for c in components), reverse=True))
+    jmask = _jmask(lattice)
+    up, down = lattice._up, lattice._down
+    # J splits into pairwise incomparable chains iff comparability is an
+    # equivalence on J, iff the distinct comparability masks are disjoint.
+    components = {jmask & (up[a] | down[a]) for a in _bits(jmask)}
+    if sum(c.bit_count() for c in components) != jmask.bit_count():
+        return None
+    sizes = tuple(sorted((c.bit_count() + 1 for c in components), reverse=True))
     prod = 1
     for s in sizes:
         prod *= s
@@ -490,17 +523,18 @@ def four_cells(lattice: FiniteLattice) -> tuple[Cell, ...]:
 
 def check_sublattice(lattice: FiniteLattice, subset) -> bool:
     """True iff the subset is nonempty and closed under join and meet."""
-    elems = set(subset)
-    if not elems:
-        return False
-    for x in elems:
+    mask = 0
+    for x in subset:
         if x not in lattice:
             return False
-    for x in elems:
-        for y in elems:
-            if lattice.join(x, y) not in elems or lattice.meet(x, y) not in elems:
+        mask |= 1 << lattice._index[x]
+    members = list(_bits(mask))
+    for k, i in enumerate(members):
+        join_i, meet_i = lattice._join[i], lattice._meet[i]
+        for j in members[k:]:
+            if not (mask >> join_i[j] & 1 and mask >> meet_i[j] & 1):
                 return False
-    return True
+    return bool(mask)
 
 
 def induced_lattice(lattice: FiniteLattice, subset) -> FiniteLattice:

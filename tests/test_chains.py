@@ -1,5 +1,6 @@
 import pytest
 
+from finlat import chains
 from finlat import (
     ChainDecomposition,
     EmptyChainProduced,
@@ -100,6 +101,66 @@ def test_grid_embed_d5(d5):
         "0": "0,0", "p": "1,0", "q": "0,1", "1": "1,1", "t": "2,1",
     }
     assert emb.coordinate_chains == (("0", "p", "t"), ("0", "q"))
+
+
+def test_grid_embed_memo_is_isolated_from_callers(d5):
+    first = grid_embed(d5)
+    expected = dict(first.mapping)
+    first.mapping["t"] = first.mapping["0"]
+    first.mapping.pop("p")
+    again = grid_embed(d5)
+    assert again.mapping == expected
+    assert again.mapping is not first.mapping
+    assert again.source is d5
+
+
+def test_grid_embed_validates_once_per_lattice(monkeypatch):
+    calls = []
+    validate = chains._validate_embedding
+    monkeypatch.setattr(
+        chains, "_validate_embedding", lambda *args: calls.append(args) or validate(*args)
+    )
+    fresh = build_lattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    results = [grid_embed(fresh) for _ in range(3)]
+    assert len(calls) == 1
+    assert all(r.mapping == results[0].mapping for r in results)
+    twin = build_lattice(fresh.elements, fresh.covers)  # equal, but its own memo
+    assert grid_embed(twin).mapping == results[0].mapping
+    assert len(calls) == 2
+
+
+def _reference_max_matching(elems, lt):
+    """The former recursive `_max_matching`."""
+    succs = {u: [v for v in elems if lt(u, v)] for u in elems}
+    match_left = {}
+    match_right = {}
+
+    def augment(u, seen):
+        for v in succs[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or augment(match_right[v], seen):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in elems:
+        augment(u, set())
+    return match_left
+
+
+def test_max_matching_matches_recursive_reference():
+    count = 0
+    for lat in enumerate_small_lattices(8):
+        for subset in (lat.elements, join_irreducibles(lat), lat.elements[::2]):
+            elems = sorted(subset)
+            got = chains._max_matching(elems, lat.lt)
+            expected = _reference_max_matching(elems, lat.lt)
+            assert list(got.items()) == list(expected.items()), (lat.elements, elems)
+            count += len(got)
+    assert count > 1000
 
 
 def test_grid_embed_grid_is_bijective(grid32):

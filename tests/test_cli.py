@@ -302,22 +302,66 @@ def test_shared_parser_gives_fresh_process_reports(tmp_path):
     assert [code for _, code in fresh] == [1, 0]
 
 
-def test_retract_on_a_thousand_element_chain(tmp_path):
-    """998 nested choices: the search runs on an explicit stack, not the interpreter's."""
+def _run_on_thousand_element_chain(tmp_path, *args, sub=None):
+    """Run `python -m finlat` in a fresh process on the chain 0000 < ... < 0999."""
     ids = [f"{i:04d}" for i in range(1000)]
-    path = write(tmp_path, "c1000.json", {
-        "name": "C1000",
-        "elements": ids,
-        "covers": [list(c) for c in zip(ids, ids[1:])],
-        "sub": [ids[0], ids[-1]],
-    })
+    payload = {"name": "C1000", "elements": ids, "covers": [list(c) for c in zip(ids, ids[1:])]}
+    if sub is not None:
+        payload["sub"] = [ids[i] for i in sub]
+    path = write(tmp_path, "c1000.json", payload)
     env = {**os.environ, "PYTHONPATH": str(Path(finlat.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-m", "finlat", "retract", path], capture_output=True, env=env, check=False
+        [sys.executable, "-m", "finlat", *args, path], capture_output=True, env=env, check=False
     )
-    assert done.returncode == 0, done.stderr.decode()[-500:]
-    report = json.loads(done.stdout)
+    assert done.stdout, done.stderr.decode()[-500:]
+    return ids, json.loads(done.stdout), done.returncode
+
+
+def test_retract_on_a_thousand_element_chain(tmp_path):
+    """998 nested choices: the search runs on an explicit stack, not the interpreter's."""
+    ids, report, code = _run_on_thousand_element_chain(tmp_path, "retract", sub=(0, -1))
+    assert code == 0, report
     assert report["retraction_exists"] is True
     assert report["search_nodes"] == 998
     assert set(report["map"].values()) <= {ids[0], ids[-1]}
     assert all(report["map"][x] == x for x in (ids[0], ids[-1]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("analyze",), ("dim",), ("embed-grid",), ("classify", "--class", "dfin:1")],
+    ids=["analyze", "dim", "embed-grid", "classify-dfin-1"],
+)
+def test_invariants_on_a_thousand_element_chain(tmp_path, args):
+    """O(n²) distributivity and memoised invariants keep these to seconds."""
+    ids, report, code = _run_on_thousand_element_chain(tmp_path, *args)
+    assert code == 0, report
+    if args[0] == "analyze":
+        assert report["properties"] == {
+            "distributive": True,
+            "semimodular": True,
+            "boolean": False,
+            "slim": True,
+            "length": 999,
+            "join_irreducible_count": 999,
+        }
+    elif args[0] == "dim":
+        assert report["dimension"] == 1
+    elif args[0] == "embed-grid":
+        assert report["factor_sizes"] == [1000]
+        assert report["coordinate_chains"] == [ids]
+        assert report["map"] == {x: str(i) for i, x in enumerate(ids)}
+        assert len(report["target"]["covers"]) == 999
+    else:
+        assert report["verdict"] == "absolute-retract"
+        assert "witness" not in report
+
+
+def test_classify_omega_on_a_thousand_element_chain_hits_the_element_cap(tmp_path):
+    """The dimension-bump witness of the 1,000-chain would have 2 x 999 elements."""
+    _, report, code = _run_on_thousand_element_chain(tmp_path, "classify", "--class", "dfin:omega")
+    assert code == 1
+    assert report == {
+        "command": "classify",
+        "error": "LatticeError: 1998 elements exceed the limit of 1024",
+    }

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,13 @@ from finlat import (
     build_lattice,
     check_sublattice,
     classify_properties,
+    enumerate_distributive_lattices,
     enumerate_small_lattices,
     four_cells,
     grid_factor_sizes,
     induced_lattice,
+    is_distributive,
+    is_slim,
     join_irreducibles,
     make_grid,
 )
@@ -407,3 +411,131 @@ def test_element_cap():
     assert lat.meet("0100", "0900") == "0100"
     with pytest.raises(LatticeError, match="1025 elements exceed the limit of 1024"):
         build_lattice(*chain(MAX_ELEMENTS + 1))
+
+
+# -- the invariants kernel against the scans it replaced
+
+
+def _reference_is_distributive(lattice):
+    """The former `is_distributive`: x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) over all triples."""
+    n = len(lattice)
+    join = lattice._join
+    meet = lattice._meet
+    for x in range(n):
+        mx = meet[x]
+        for y in range(n):
+            mxy = mx[y]
+            jy = join[y]
+            for z in range(n):
+                if mx[jy[z]] != join[mxy][mx[z]]:
+                    return False
+    return True
+
+
+def _reference_is_slim(lattice):
+    """The former `is_slim`: no three pairwise incomparable join-irreducibles."""
+    ji = [
+        x for x in lattice.elements
+        if x != lattice.bottom and len(lattice.lower_covers(x)) == 1
+    ]
+    for a, b, c in combinations(ji, 3):
+        if (
+            not lattice.leq(a, b) and not lattice.leq(b, a)
+            and not lattice.leq(a, c) and not lattice.leq(c, a)
+            and not lattice.leq(b, c) and not lattice.leq(c, b)
+        ):
+            return False
+    return True
+
+
+def _reference_grid_factor_sizes(lattice):
+    """The former `grid_factor_sizes`: components of J by comparability search."""
+    if not _reference_is_distributive(lattice):
+        return None
+    remaining = set(join_irreducibles(lattice))
+    components = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for y in list(remaining - comp):
+                if lattice.leq(x, y) or lattice.leq(y, x):
+                    comp.add(y)
+                    frontier.append(y)
+        remaining -= comp
+        components.append(comp)
+    for comp in components:
+        for a, b in combinations(comp, 2):
+            if not lattice.leq(a, b) and not lattice.leq(b, a):
+                return None
+    return tuple(sorted((len(c) + 1 for c in components), reverse=True))
+
+
+def _kernel_cases():
+    """All 300 lattices with at most 8 elements, the lattices among seeded
+    random presentations, relabelled distributive lattices with at most 12
+    elements, and the 3x3x3 and 4x4x4x2 grids."""
+    cases = list(enumerate_small_lattices(8))
+    rng = random.Random(20261018)
+    for _ in range(4000):
+        outcome = _outcome(build_lattice, *_random_presentation(rng))
+        if not isinstance(outcome, tuple):
+            cases.append(outcome)
+    for lat in enumerate_distributive_lattices(12):
+        names = [f"y{i}" for i in range(len(lat))]
+        rng.shuffle(names)
+        rename = dict(zip(lat.elements, names))
+        cases.append(build_lattice(names, [(rename[lo], rename[hi]) for lo, hi in lat.covers]))
+    cases += [make_grid((3, 3, 3)).lattice, make_grid((4, 4, 4, 2)).lattice]
+    return cases
+
+
+def test_invariants_kernel_matches_reference_scans():
+    cases = _kernel_cases()
+    outcomes = Counter()
+    for lat in cases:
+        expected = (
+            _reference_is_distributive(lat),
+            _reference_is_slim(lat),
+            _reference_grid_factor_sizes(lat),
+        )
+        assert (is_distributive(lat), is_slim(lat), grid_factor_sizes(lat)) == expected, (
+            lat.elements, sorted(lat.covers)
+        )
+        outcomes[expected[:2]] += 1
+        outcomes["grid"] += expected[2] is not None
+    # 300 small lattices, 900 from random presentations, 342 distributive, 2 grids
+    assert len(cases) == 1544
+    # every combination of verdicts occurs
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(outcomes)
+    assert outcomes["grid"] > 50
+
+
+def _reference_check_sublattice(lattice, subset):
+    """The former `check_sublattice`, on string `join`/`meet` calls."""
+    elems = set(subset)
+    if not elems:
+        return False
+    for x in elems:
+        if x not in lattice:
+            return False
+    for x in elems:
+        for y in elems:
+            if lattice.join(x, y) not in elems or lattice.meet(x, y) not in elems:
+                return False
+    return True
+
+
+def test_check_sublattice_matches_string_version():
+    count = Counter()
+    for lat in enumerate_small_lattices(6):
+        elems = lat.elements
+        for mask in range(1 << len(elems)):
+            subset = [x for i, x in enumerate(elems) if mask >> i & 1]
+            for candidate in (subset, subset + ["foreign"]):
+                expected = _reference_check_sublattice(lat, candidate)
+                assert check_sublattice(lat, candidate) == expected, (elems, candidate)
+                count[expected] += 1
+    assert count[True] > 500 and count[False] > 1000

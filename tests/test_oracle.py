@@ -819,10 +819,12 @@ def _largest_slim_case():
         "build_witness",
         "canonical_key",
         "enumerate_distributive_lattices",
+        "grid_embed",
+        "order_dimension",
     ],
 )
 def test_certification_calls_leave_no_reference_cycles(name):
-    from finlat import Homomorphism, build_witness
+    from finlat import Homomorphism, build_witness, grid_embed, order_dimension
 
     lattice, sub = _largest_slim_case()
     small = induced_lattice(lattice, sub)
@@ -838,5 +840,8 @@ def test_certification_calls_leave_no_reference_cycles(name):
         "build_witness": lambda: build_witness(lattice),
         "canonical_key": lambda: canonical_key(b3),
         "enumerate_distributive_lattices": lambda: list(enumerate_distributive_lattices(8)),
+        # b3 is fresh, so these compute and memoise inside the measured call
+        "grid_embed": lambda: grid_embed(b3),
+        "order_dimension": lambda: order_dimension(b3),
     }
     assert _leaves_no_cycles(calls[name]) == 0
