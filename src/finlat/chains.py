@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .core import (
     FiniteLattice,
     LatticeError,
+    _bits,
     _memoised,
     is_distributive,
     join_irreducibles,
@@ -80,13 +81,12 @@ class ChainDecomposition:
                         raise LatticeError("certificate is not an antichain")
 
 
-def _max_matching(elems: list[str], lt) -> dict[str, str]:
-    """Maximum matching u -> v over pairs with u < v, by augmenting paths.
+def _max_matching(elems: list[str], succs: dict[str, list[str]]) -> dict[str, str]:
+    """Maximum matching u -> v over pairs with v in succs[u], by augmenting paths.
 
     Each augmenting path is a depth-first search on an explicit stack of
     [u, remaining successors of u, v tried from u] frames.
     """
-    succs = {u: [v for v in elems if lt(u, v)] for u in elems}
     match_left: dict[str, str] = {}
     match_right: dict[str, str] = {}
 
@@ -127,8 +127,15 @@ def min_chain_cover(lattice: FiniteLattice, subset) -> ChainDecomposition:
     for x in elems:
         if x not in lattice:
             raise LatticeError(f"{x!r} is not an element of the lattice")
-    lt = lattice.lt
-    match_left = _max_matching(elems, lt)
+    # Index order is sorted-id order, so each list is sorted like elems.
+    ids, up = lattice.elements, lattice._up
+    indices = [lattice.index(x) for x in elems]
+    subset_mask = sum(1 << i for i in indices)
+    succs = {
+        u: [ids[j] for j in _bits(up[i] & subset_mask & ~(1 << i))]
+        for u, i in zip(elems, indices)
+    }
+    match_left = _max_matching(elems, succs)
     match_right = {v: u for u, v in match_left.items()}
 
     chains = []
@@ -147,8 +154,8 @@ def min_chain_cover(lattice: FiniteLattice, subset) -> ChainDecomposition:
     frontier = list(reach_left)
     while frontier:
         u = frontier.pop()
-        for v in elems:
-            if lt(u, v) and v not in reach_right:
+        for v in succs[u]:
+            if v not in reach_right:
                 reach_right.add(v)
                 w = match_right.get(v)
                 if w is not None and w not in reach_left:

@@ -10,13 +10,14 @@ sort and the join/meet tables from one up-/down-mask lookup per pair; the
 tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
 elements.
 
-Derived invariants (distributivity, slimness, the join-irreducibles, the
-length, the grid factor sizes, and in `chains` the order dimension and
-the grid embedding) are memoised per lattice in its private ``_memo``
-dict.  An entry is computed from the immutable tables, so a second writer
-stores an equal value: the writes are idempotent and reads stay safe.
-Entries are immutable or copied at the API edge, and none references its
-lattice, so a lattice never sits in a reference cycle.
+Derived invariants (distributivity, booleanness, slimness, the
+join-irreducibles, the length, the grid factor sizes, and in `chains` the
+order dimension and the grid embedding) are memoised per lattice in its
+private ``_memo`` dict.  An entry is computed from the immutable tables,
+so a second writer stores an equal value: the writes are idempotent and
+reads stay safe.  Entries are immutable or copied at the API edge, and
+none references its lattice, so a lattice never sits in a reference
+cycle.
 """
 
 from __future__ import annotations
@@ -392,26 +393,15 @@ def is_semimodular(lattice: FiniteLattice) -> bool:
     return True
 
 
+@_memoised
 def is_boolean(lattice: FiniteLattice) -> bool:
-    """Test isomorphism with the power set of the atoms."""
-    ats = atoms(lattice)
-    k = len(ats)
-    if len(lattice) != 1 << k:
-        return False
-    of_subset: dict[frozenset[str], str] = {}
-    for r in range(k + 1):
-        for sub in combinations(ats, r):
-            v = lattice.join_all(sub)
-            key = frozenset(sub)
-            if v in of_subset.values():
-                return False
-            of_subset[key] = v
-    items = list(of_subset.items())
-    for s1, v1 in items:
-        for s2, v2 in items:
-            if lattice.meet(v1, v2) != of_subset[s1 & s2]:
-                return False
-    return True
+    """True iff the lattice is distributive with 2^|J| elements.
+
+    A finite distributive lattice is the lattice of down-sets of its
+    join-irreducibles J, so it has 2^|J| elements exactly when J is an
+    antichain, that is, when it is the power set of its atoms.
+    """
+    return len(lattice) == 1 << len(join_irreducibles(lattice)) and is_distributive(lattice)
 
 
 @_memoised

@@ -9,12 +9,12 @@ a non-boolean grid into a grid of one dimension higher.
 
 from __future__ import annotations
 
+from math import prod
+
 from .core import (
-    FiniteLattice,
     LatticeError,
     build_lattice,
     check_sublattice,
-    induced_lattice,
     lattice_length,
 )
 from .morphisms import Homomorphism
@@ -100,15 +100,6 @@ class Grid:
             raise LatticeError(f"coordinates {coords!r} outside the grid")
         return x
 
-    def axis_lattice(self, axis: int) -> FiniteLattice:
-        """The canonical chain of one axis as a lattice in its own right."""
-        return induced_lattice(self.lattice, self.canonical_chains[axis])
-
-    def projection_map(self, axis: int) -> dict[str, str]:
-        """The surjection onto the axis chain, x ↦ x ∧ (top of the chain)."""
-        top = self.canonical_chains[axis][-1]
-        return {x: self.lattice.meet(x, top) for x in self.lattice.elements}
-
     def __repr__(self) -> str:
         return f"<Grid {'x'.join(str(s) for s in self.factor_sizes)}>"
 
@@ -133,31 +124,20 @@ def recover_subgrid_chains(grid: Grid, subset) -> tuple[tuple[str, ...], ...]:
 
     For a sublattice L that is a grid of the same dimension as the ambient
     grid, the j-th chain is { x_j : x in L } drawn from the j-th canonical
-    chain, and L is exactly the set of elements all of whose canonical
-    joinands land in the recovered chains.  Violation of either fact means
-    the subset was not such a sublattice.
+    chain, and L is exactly the product of these chains.  L always lies in
+    that product, so it equals the product iff the sizes agree.  A trivial
+    chain or a size mismatch means the subset was not such a sublattice.
     """
     elems = set(subset)
     if not check_sublattice(grid.lattice, elems):
         raise NotASubgrid("subset is not a sublattice")
-    joinands = {x: canonical_joinands(grid, x) for x in elems}
-    n = grid.dimension
     chains = []
-    for j in range(n):
-        members = {joinands[x][j] for x in elems}
-        chain = tuple(sorted(members, key=lambda c: grid.coords(c)[j]))
-        if len(chain) < 2:
+    for j, canonical in enumerate(grid.canonical_chains):
+        values = sorted({grid.coords(x)[j] for x in elems})
+        if len(values) < 2:
             raise NotASubgrid(f"recovered chain {j} is trivial")
-        chains.append(chain)
-    chain_sets = [set(c) for c in chains]
-    reproduced = {
-        x
-        for x in grid.lattice.elements
-        if all(
-            canonical_joinands(grid, x)[j] in chain_sets[j] for j in range(n)
-        )
-    }
-    if reproduced != elems:
+        chains.append(tuple(canonical[k] for k in values))
+    if prod(map(len, chains)) != len(elems):
         raise NotASubgrid("membership formula does not reproduce the subset")
     return tuple(chains)
 

@@ -115,18 +115,6 @@ class Homomorphism:
         )
         return Congruence(self.source, blocks)
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """The composite self ∘ inner."""
-        if inner.target is not self.source and set(inner.target.elements) != set(
-            self.source.elements
-        ):
-            raise NotAHomomorphism("composition domains do not match")
-        return Homomorphism(
-            inner.source,
-            self.target,
-            {x: self.mapping[v] for x, v in inner.mapping.items()},
-        )
-
     def __repr__(self) -> str:
         return f"<Homomorphism {len(self.source)}->{len(self.target)}>"
 

@@ -1,14 +1,20 @@
 """Retraction constructions and the absolute-retract classifier.
 
-Three explicit constructions are provided: retraction of a chain onto any
-subchain (via the block congruence), retraction of a grid onto a grid
-sublattice of the same dimension (intersecting the kernels of chain-wise
-projections), and retraction of a distributive lattice onto a boolean
-sublattice (intersecting two-block congruences from prime ideals).  A
-classifier decides whether a lattice is an absolute retract for the class
-of finite distributive lattices of bounded dimension, and in the negative
-case builds a proper cover-preserving {0,1}-extension of equal length as a
-refutation witness, optionally confirmed by exhaustive search.
+Three explicit constructions are provided, each by a closed form.  A chain
+retracts onto a subchain by sending x to the least member at or above it,
+or else to the largest member.  A grid retracts onto a grid sublattice of
+the same dimension by doing this on every coordinate, against the
+recovered subchain of its axis; the kernel is the intersection of the
+kernels of the chain-wise projections.  A distributive lattice retracts
+onto a boolean sublattice by sending x to the member whose
+join-irreducibles agree with those of x on one chosen prime per atom; the
+kernel is the intersection of the two-block congruences of those prime
+ideals.  The tests check both kernel identities against the congruence
+constructions.  A classifier decides whether a lattice is an absolute
+retract for the class of finite distributive lattices of bounded
+dimension, and in the negative case builds a proper cover-preserving
+{0,1}-extension of equal length as a refutation witness, optionally
+confirmed by exhaustive search.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .core import (
     FiniteLattice,
     LatticeError,
     NotASublattice,
+    _jmask,
     check_sublattice,
     grid_factor_sizes,
     induced_lattice,
@@ -26,7 +33,6 @@ from .core import (
     is_distributive,
     is_semimodular,
     is_slim,
-    join_irreducibles,
     lattice_length,
 )
 from .chains import NotDistributive, grid_embed, order_dimension
@@ -114,11 +120,7 @@ def check_cover01(f: Homomorphism) -> Cover01Report:
 
 
 def _is_chain(lattice: FiniteLattice) -> bool:
-    return all(
-        lattice.leq(x, y) or lattice.leq(y, x)
-        for x in lattice.elements
-        for y in lattice.elements
-    )
+    return lattice_length(lattice) == len(lattice) - 1
 
 
 def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
@@ -136,8 +138,7 @@ def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
     for e in subset:
         if e not in chain:
             raise LatticeError(f"{e!r} is not an element of the chain")
-    members = sorted(subset, key=chain.index)
-    members.sort(key=lambda e: sum(chain.leq(x, e) for x in chain.elements))
+    members = sorted(subset, key=lambda e: chain._down[chain.index(e)].bit_count())
     mapping = {}
     for x in chain.elements:
         img = members[-1]
@@ -149,44 +150,27 @@ def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
     return Homomorphism(chain, induced_lattice(chain, subset), mapping)
 
 
-def _retraction_from_congruence(
-    lattice: FiniteLattice, subset: set[str], theta: Congruence
-) -> Homomorphism:
-    """The map sending x to the unique subset element in its block."""
-    if theta.block_count() != len(subset):
-        raise LatticeError("congruence block count does not match the sublattice")
-    if not theta.is_diagonal_on(subset):
-        raise LatticeError("congruence is not diagonal on the sublattice")
-    rep: dict[frozenset[str], str] = {}
-    for d in subset:
-        rep[theta.block_of(d)] = d
-    if len(rep) != len(subset):  # pragma: no cover - guarded by the checks above
-        raise LatticeError("some block misses the sublattice")
-    mapping = {x: rep[theta.block_of(x)] for x in lattice.elements}
-    return Homomorphism(lattice, induced_lattice(lattice, subset), mapping)
-
-
 def grid_retraction(grid: Grid, subset) -> Homomorphism:
     """Retract a grid onto a grid sublattice of the same dimension.
 
-    Composes each axis projection with the chain retraction onto the
-    recovered subchain, intersects the kernels, checks the block count and
-    the diagonal restriction, and returns the induced map.
+    The subset is the product of its recovered subchains, and x maps to the
+    point whose j-th coordinate is the least recovered value on axis j at
+    or above x_j, or else the largest one.  This is the chain retraction
+    applied along every axis, so the kernel is the intersection of the
+    kernels of the axis projections composed with those retractions
+    (checked in the tests).
     """
     subset = set(subset)
     chains = recover_subgrid_chains(grid, subset)
-    theta: Congruence | None = None
-    for axis, target_chain in enumerate(chains):
-        axis_lat = grid.axis_lattice(axis)
-        g = chain_retraction(axis_lat, target_chain)
-        pi = grid.projection_map(axis)
-        f_axis = Homomorphism(
-            grid.lattice, g.target, {x: g.mapping[pi[x]] for x in grid.lattice.elements}
-        )
-        kernel = f_axis.kernel()
-        theta = kernel if theta is None else theta.intersect(kernel)
-    assert theta is not None
-    return _retraction_from_congruence(grid.lattice, subset, theta)
+    nearest = []
+    for axis, (chain, size) in enumerate(zip(chains, grid.factor_sizes)):
+        values = [grid.coords(c)[axis] for c in chain]
+        nearest.append([next((w for w in values if w >= v), values[-1]) for v in range(size)])
+    mapping = {
+        x: grid.id_of([r[v] for r, v in zip(nearest, grid.coords(x))])
+        for x in grid.lattice.elements
+    }
+    return Homomorphism(grid.lattice, induced_lattice(grid.lattice, subset), mapping)
 
 
 def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
@@ -194,10 +178,12 @@ def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
 
     Walks a maximal chain of the sublattice built greedily through its atoms
     in canonical order; for each step picks the least join-irreducible p
-    with p below the upper endpoint but not the lower one, and uses the
-    prime ideal {x : p not below x} as a two-block congruence.  The
-    intersection of these congruences has exactly |D| blocks and induces the
-    retraction.
+    with p below the upper endpoint but not the lower one.  With P the set
+    of these primes, x maps to the member d with J(d) ∩ P = J(x) ∩ P, where
+    J(x) is the set of join-irreducibles below x.  The kernel is the
+    intersection of the two-block congruences of the prime ideals
+    {x : p not below x}, which has exactly |D| blocks (checked in the
+    tests).
     """
     if not is_distributive(lattice):
         raise NotDistributive("boolean retraction needs a distributive ambient lattice")
@@ -208,23 +194,19 @@ def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
     if not is_boolean(sub):
         raise NotBooleanSublattice("subset is not a boolean sublattice")
 
-    sub_atoms = sorted(sub.upper_covers(sub.bottom))
     chain = [sub.bottom]
-    for a in sub_atoms:
+    for a in sorted(sub.upper_covers(sub.bottom)):
         chain.append(sub.join(chain[-1], a))
 
-    ji = join_irreducibles(lattice)
-    theta = Congruence(lattice, (frozenset(lattice.elements),))
+    # Index order is sorted-id order, so the lowest bit is the least p.
+    down, jmask = lattice._down, _jmask(lattice)
+    primes = 0
     for lower, upper in zip(chain, chain[1:]):
-        p = next(
-            p for p in ji if lattice.leq(p, upper) and not lattice.leq(p, lower)
-        )
-        ideal = frozenset(x for x in lattice.elements if not lattice.leq(p, x))
-        two_block = Congruence(
-            lattice, (ideal, frozenset(lattice.elements) - ideal)
-        )
-        theta = theta.intersect(two_block)
-    return _retraction_from_congruence(lattice, subset, theta)
+        candidates = down[lattice.index(upper)] & ~down[lattice.index(lower)] & jmask
+        primes |= candidates & -candidates
+    rep = {down[lattice.index(d)] & primes: d for d in subset}
+    mapping = {x: rep[dx & primes] for x, dx in zip(lattice.elements, down)}
+    return Homomorphism(lattice, sub, mapping)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .core import (
     LatticeError,
     build_lattice,
     four_cells,
-    induced_lattice,
     is_semimodular,
     is_slim,
     lattice_length,
@@ -171,14 +170,6 @@ class OrientedLattice:
         while chain[-1] != self.lattice.top:
             chain.append(self.up[chain[-1]][-1])
         return tuple(chain)
-
-    def interval(self, lo: str, hi: str) -> "OrientedLattice":
-        """The interval sublattice with the inherited cover order."""
-        members = set(self.lattice.interval(lo, hi))
-        sub = induced_lattice(self.lattice, members)
-        up = {x: tuple(y for y in self.up[x] if y in members) for x in members}
-        down = {x: tuple(y for y in self.down[x] if y in members) for x in members}
-        return OrientedLattice(sub, up, down, fresh=self._fresh)
 
     def __repr__(self) -> str:
         return f"<OrientedLattice |L|={len(self.lattice)}>"

@@ -2,6 +2,12 @@ import pytest
 
 from finlat import build_lattice, make_grid
 
+# Grids whose every sublattice the closed-form retractions and subgrid
+# recovery are compared on against their congruence-built references.
+REFERENCE_GRID_SIZES = [
+    (2, 2), (3, 2), (4, 2), (3, 3), (2, 2, 2), (4, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2),
+]
+
 S7_ELEMENTS = ["0", "u", "v", "l", "m", "r", "1"]
 S7_COVERS = [
     ("0", "u"), ("0", "v"), ("u", "l"), ("u", "m"), ("v", "m"), ("v", "r"),

@@ -22,6 +22,7 @@ from finlat import (
     four_cells,
     grid_factor_sizes,
     induced_lattice,
+    is_boolean,
     is_distributive,
     is_slim,
     join_irreducibles,
@@ -448,6 +449,28 @@ def _reference_is_slim(lattice):
     return True
 
 
+def _reference_is_boolean(lattice):
+    """The former `is_boolean`: the joins of the atom subsets form a power set."""
+    ats = lattice.upper_covers(lattice.bottom)
+    k = len(ats)
+    if len(lattice) != 1 << k:
+        return False
+    of_subset = {}
+    for r in range(k + 1):
+        for sub in combinations(ats, r):
+            v = lattice.join_all(sub)
+            key = frozenset(sub)
+            if v in of_subset.values():
+                return False
+            of_subset[key] = v
+    items = list(of_subset.items())
+    for s1, v1 in items:
+        for s2, v2 in items:
+            if lattice.meet(v1, v2) != of_subset[s1 & s2]:
+                return False
+    return True
+
+
 def _reference_grid_factor_sizes(lattice):
     """The former `grid_factor_sizes`: components of J by comparability search."""
     if not _reference_is_distributive(lattice):
@@ -500,17 +523,21 @@ def test_invariants_kernel_matches_reference_scans():
             _reference_is_distributive(lat),
             _reference_is_slim(lat),
             _reference_grid_factor_sizes(lat),
+            _reference_is_boolean(lat),
         )
-        assert (is_distributive(lat), is_slim(lat), grid_factor_sizes(lat)) == expected, (
-            lat.elements, sorted(lat.covers)
-        )
+        got = (is_distributive(lat), is_slim(lat), grid_factor_sizes(lat), is_boolean(lat))
+        assert got == expected, (lat.elements, sorted(lat.covers))
         outcomes[expected[:2]] += 1
         outcomes["grid"] += expected[2] is not None
+        outcomes["boolean", len(lat) > 2] += expected[3]
+        # lattices of 2^k elements that are not boolean: the size alone does not decide
+        outcomes["2^k, not boolean"] += not expected[3] and len(lat) & (len(lat) - 1) == 0
     # 300 small lattices, 900 from random presentations, 342 distributive, 2 grids
     assert len(cases) == 1544
     # every combination of verdicts occurs
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(outcomes)
     assert outcomes["grid"] > 50
+    assert outcomes["boolean", True] >= 8 and outcomes["2^k, not boolean"] > 100
 
 
 def _reference_check_sublattice(lattice, subset):

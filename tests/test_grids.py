@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from finlat import (
@@ -5,8 +8,10 @@ from finlat import (
     Homomorphism,
     NotASubgrid,
     TrivialFactor,
+    all_sublattices,
     canonical_joinands,
     check_cover01,
+    check_sublattice,
     classify_properties,
     dimension_bump,
     four_cells,
@@ -15,6 +20,7 @@ from finlat import (
     make_grid,
     recover_subgrid_chains,
 )
+from tests.conftest import REFERENCE_GRID_SIZES
 
 
 def test_make_grid_cube():
@@ -79,20 +85,6 @@ def test_canonical_joinands_give_product_isomorphism():
             assert joined == canonical_joinands(grid, grid.lattice.join(x, y))
 
 
-def test_projection_is_retraction_onto_chain():
-    grid = make_grid((3, 2))
-    for axis in range(2):
-        pi = grid.projection_map(axis)
-        chain = grid.canonical_chains[axis]
-        assert set(pi.values()) == set(chain)
-        for e in chain:
-            assert pi[e] == e
-        hom = Homomorphism(
-            grid.lattice, grid.axis_lattice(axis), pi
-        )
-        assert hom.surjective
-
-
 def test_recover_subgrid_chains():
     grid = make_grid((3, 3))
     chains = recover_subgrid_chains(grid, {"0,0", "2,0", "0,1", "2,1"})
@@ -134,6 +126,56 @@ def test_recover_membership_formula_small_grids():
                 )
             }
             assert members == set(sub)
+
+
+def _reference_recover_subgrid_chains(grid, subset):
+    """The former `recover_subgrid_chains`, on canonical joinands."""
+    elems = set(subset)
+    if not check_sublattice(grid.lattice, elems):
+        raise NotASubgrid("subset is not a sublattice")
+    joinands = {x: canonical_joinands(grid, x) for x in elems}
+    n = grid.dimension
+    chains = []
+    for j in range(n):
+        members = {joinands[x][j] for x in elems}
+        chain = tuple(sorted(members, key=lambda c: grid.coords(c)[j]))
+        if len(chain) < 2:
+            raise NotASubgrid(f"recovered chain {j} is trivial")
+        chains.append(chain)
+    chain_sets = [set(c) for c in chains]
+    reproduced = {
+        x
+        for x in grid.lattice.elements
+        if all(
+            canonical_joinands(grid, x)[j] in chain_sets[j] for j in range(n)
+        )
+    }
+    if reproduced != elems:
+        raise NotASubgrid("membership formula does not reproduce the subset")
+    return tuple(chains)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotASubgrid as error:
+        return type(error), str(error)
+
+
+def test_recover_subgrid_chains_matches_reference():
+    rng = random.Random(20261018)
+    messages = Counter()
+    for sizes in REFERENCE_GRID_SIZES:
+        grid = make_grid(sizes)
+        elems = grid.lattice.elements
+        subsets = list(all_sublattices(grid.lattice))
+        subsets += [{x for x in elems if rng.random() < 0.5} for _ in range(50)]
+        for subset in subsets:
+            expected = _outcome(_reference_recover_subgrid_chains, grid, subset)
+            assert _outcome(recover_subgrid_chains, grid, subset) == expected, (sizes, subset)
+            messages[expected[1].split()[0] if expected[0] is NotASubgrid else "chains"] += 1
+    # both successes and each of the three errors occur
+    assert set(messages) == {"chains", "subset", "recovered", "membership"}, messages
 
 
 def test_dimension_bump_c3():

@@ -1,12 +1,14 @@
 """The package's internal import graph is acyclic, no module imports a
-sibling from inside a function, and every exported name is bound."""
+sibling from inside a function, every exported name is bound, and every
+definition is used somewhere."""
 
 import ast
 import importlib
 from graphlib import TopologicalSorter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finlat"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "finlat"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -63,3 +65,32 @@ def test_every_exported_name_is_bound():
         exports = getattr(module, "__all__", ())
         unbound += [f"{name}.{export}" for export in exports if not hasattr(module, export)]
     assert unbound == []
+
+
+def _used_names(tree):
+    """Every name, attribute, import alias and string constant in a tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_used():
+    definitions = set()
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        used.update(_used_names(tree))
+        if path.parent == PACKAGE:
+            definitions.update(
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            )
+    assert sorted(definitions - used) == []

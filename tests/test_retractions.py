@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,20 +10,29 @@ from finlat import (
     LatticeError,
     NotEligible,
     NotInClass,
+    all_sublattices,
     boolean_retraction,
     build_lattice,
     chain_retraction,
     check_cover01,
+    check_sublattice,
     classify_absolute_retract,
+    enumerate_distributive_lattices,
     exists_retraction,
     grid_retraction,
     induced_lattice,
+    is_boolean,
+    is_distributive,
     is_isomorphic,
+    join_irreducibles,
+    make_grid,
+    recover_subgrid_chains,
     retract_onto,
 )
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
-from finlat.retractions import EmptySubset, NotAChain, NotSemimodular
+from finlat.retractions import EmptySubset, NotAChain, NotBooleanSublattice, NotSemimodular
+from tests.conftest import REFERENCE_GRID_SIZES
 
 
 def test_homomorphism_verifies_pairs(c3, b2):
@@ -261,3 +271,110 @@ def test_congruence_intersection_block_bound(grid33):
     b = Congruence(lat, (frozenset(lat.down_set("2,0")), frozenset(lat.elements) - lat.down_set("2,0")))
     meet = a.intersect(b)
     assert meet.block_count() <= a.block_count() * b.block_count()
+
+
+# -- the closed forms against the congruence pipelines they replaced
+
+
+def _reference_retraction_from_congruence(lattice, subset, theta):
+    """The former `_retraction_from_congruence`: x maps to the subset element in its block."""
+    if theta.block_count() != len(subset):
+        raise LatticeError("congruence block count does not match the sublattice")
+    if not theta.is_diagonal_on(subset):
+        raise LatticeError("congruence is not diagonal on the sublattice")
+    rep = {}
+    for d in subset:
+        rep[theta.block_of(d)] = d
+    if len(rep) != len(subset):
+        raise LatticeError("some block misses the sublattice")
+    mapping = {x: rep[theta.block_of(x)] for x in lattice.elements}
+    return Homomorphism(lattice, induced_lattice(lattice, subset), mapping)
+
+
+def _reference_grid_retraction(grid, subset):
+    """The former `grid_retraction`: intersect the kernels of the axis
+    projections composed with the chain retractions onto the subchains."""
+    subset = set(subset)
+    chains = recover_subgrid_chains(grid, subset)
+    theta = None
+    for axis, target_chain in enumerate(chains):
+        axis_lat = induced_lattice(grid.lattice, grid.canonical_chains[axis])
+        g = chain_retraction(axis_lat, target_chain)
+        top = grid.canonical_chains[axis][-1]
+        pi = {x: grid.lattice.meet(x, top) for x in grid.lattice.elements}
+        # each projection is a homomorphism onto its axis chain
+        assert Homomorphism(grid.lattice, axis_lat, pi).surjective
+        f_axis = Homomorphism(
+            grid.lattice, g.target, {x: g.mapping[pi[x]] for x in grid.lattice.elements}
+        )
+        kernel = f_axis.kernel()
+        theta = kernel if theta is None else theta.intersect(kernel)
+    return _reference_retraction_from_congruence(grid.lattice, subset, theta)
+
+
+def _reference_boolean_retraction(lattice, subset):
+    """The former `boolean_retraction`: intersect the two-block congruences
+    of one prime ideal per step of a maximal chain of the sublattice."""
+    if not is_distributive(lattice):
+        raise NotDistributive("boolean retraction needs a distributive ambient lattice")
+    subset = set(subset)
+    if not check_sublattice(lattice, subset):
+        raise NotBooleanSublattice("subset is not a sublattice")
+    sub = induced_lattice(lattice, subset)
+    if not is_boolean(sub):
+        raise NotBooleanSublattice("subset is not a boolean sublattice")
+
+    sub_atoms = sorted(sub.upper_covers(sub.bottom))
+    chain = [sub.bottom]
+    for a in sub_atoms:
+        chain.append(sub.join(chain[-1], a))
+
+    ji = join_irreducibles(lattice)
+    theta = Congruence(lattice, (frozenset(lattice.elements),))
+    for lower, upper in zip(chain, chain[1:]):
+        p = next(
+            p for p in ji if lattice.leq(p, upper) and not lattice.leq(p, lower)
+        )
+        ideal = frozenset(x for x in lattice.elements if not lattice.leq(p, x))
+        two_block = Congruence(
+            lattice, (ideal, frozenset(lattice.elements) - ideal)
+        )
+        theta = theta.intersect(two_block)
+    return _reference_retraction_from_congruence(lattice, subset, theta)
+
+
+def _outcome(fn, *args):
+    """The mapping items in order and the target, or the error type and message."""
+    try:
+        hom = fn(*args)
+    except LatticeError as error:
+        return type(error), str(error)
+    return list(hom.mapping.items()), hom.target
+
+
+def test_grid_and_boolean_retractions_match_congruence_references():
+    counts = Counter()
+    for sizes in REFERENCE_GRID_SIZES:
+        grid = make_grid(sizes)
+        for subset in all_sublattices(grid.lattice):
+            for fn, reference, arg in (
+                (grid_retraction, _reference_grid_retraction, grid),
+                (boolean_retraction, _reference_boolean_retraction, grid.lattice),
+            ):
+                expected = _outcome(reference, arg, subset)
+                assert _outcome(fn, arg, subset) == expected, (fn.__name__, sizes, subset)
+                counts[fn.__name__, isinstance(expected[0], list)] += 1
+    for lattice in enumerate_distributive_lattices(9):
+        for subset in all_sublattices(lattice):
+            expected = _outcome(_reference_boolean_retraction, lattice, subset)
+            assert _outcome(boolean_retraction, lattice, subset) == expected, (
+                lattice.elements, sorted(lattice.covers), subset
+            )
+            counts["boolean_retraction", isinstance(expected[0], list)] += 1
+    # (name, succeeded): both closed forms are compared on successes and errors
+    assert counts == {
+        ("grid_retraction", True): 203,
+        ("grid_retraction", False): 3825,
+        ("boolean_retraction", True): 2712,
+        ("boolean_retraction", False): 13044,
+    }
