@@ -6,8 +6,8 @@ follow the parameterized old/new rules and are solved independently of the
 retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
-solver on integer equation slots derived once per system, with element ids
-only in the values they return.  One driver, `_backtrack`, runs the
+solver on integer equation slots built straight from those rows, with
+element ids only in the values they return.  One driver, `_backtrack`, runs the
 retraction search, the solver and `find_embedding` on an explicit stack,
 and one join/meet forcing propagator, `_forcing`, serves the retraction
 search and `find_embedding`.  Every search here keeps its choices on a
@@ -262,7 +262,6 @@ class Equation:
     result: Term
 
 
-@dataclass(frozen=True)
 class EquationSystem:
     """The join/meet equation system of a sublattice inside an ambient lattice.
 
@@ -271,43 +270,77 @@ class EquationSystem:
     computed value decides which slots are parameters and which are
     unknowns.  Substituting each new element for its own unknown always
     satisfies the system inside the ambient lattice.
+
+    The solver reads only the integer slot codes (see `_codes`).  A system
+    is built from its ``equations`` or, by `build_equation_system`, from its
+    codes, and derives the other form on first access; two systems are
+    equal when ambient, sub, unknowns and equations agree.
     """
 
-    ambient: FiniteLattice
-    sub: frozenset[str]
-    unknowns: tuple[str, ...]
-    equations: tuple[Equation, ...]
+    def __init__(self, ambient, sub, unknowns, equations=None, *, _codes=None):
+        if (equations is None) == (_codes is None):
+            raise TypeError("give either the equations or their slot codes")
+        self.ambient, self.sub, self.unknowns = ambient, sub, unknowns
+        # Whichever form is given shadows the cached property deriving it.
+        if equations is None:
+            self._codes = _codes
+        else:
+            self.equations = equations
+
+    def __eq__(self, other):
+        if not isinstance(other, EquationSystem):
+            return NotImplemented
+        mine = (self.ambient, self.sub, self.unknowns, self.equations)
+        return mine == (other.ambient, other.sub, other.unknowns, other.equations)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.sub, self.unknowns))
 
     @cached_property
-    def _slots(self) -> tuple[list[tuple], dict[int, list[tuple]]]:
-        """The equations on integer slots, derived once per system.
+    def equations(self) -> tuple[Equation, ...]:
+        """The equations as Terms, read off the slot codes."""
+        lat = self.ambient
+        terms = [Term(kind, e) for kind in ("param", "unknown") for e in lat.elements]
+        return tuple(
+            Equation("join" if table is lat._join else "meet", terms[i], terms[j], terms[k])
+            for table, i, j, k in self._codes
+        )
+
+    @cached_property
+    def _codes(self) -> list[tuple]:
+        """The equations on integer slots, in system order.
 
         Parameter e is slot index(e) and unknown x is slot n + index(x), so
         a value array starting as ``list(range(n)) + [-1] * n`` evaluates
-        every term.  Returns the ``(table, left, right, result)`` equations
-        in system order, and for each unknown slot the equations that
-        mention it, in the same order.
+        every term; each code is ``(table, left, right, result)`` with the
+        ambient's join or meet table.
         """
         lat = self.ambient
-        n = len(lat)
-        index = lat._index
-        join, meet = lat._join, lat._meet
+        n, index = len(lat), lat._index
+
+        def slot(term: Term) -> int:
+            return index[term.element] + (n if term.kind == "unknown" else 0)
+
+        return [
+            (lat._join if eq.op == "join" else lat._meet, slot(eq.left), slot(eq.right), slot(eq.result))
+            for eq in self.equations
+        ]
+
+    @cached_property
+    def _by_unknown(self) -> dict[int, list[tuple]]:
+        """For each unknown slot, the codes that mention it, in system order."""
+        n = len(self.ambient)
+        index = self.ambient._index
         by_unknown: dict[int, list[tuple]] = {n + index[x]: [] for x in self.unknowns}
-        coded = []
-        for eq in self.equations:
-            a, b, c = eq.left, eq.right, eq.result
-            i = index[a.element] + n if a.kind == "unknown" else index[a.element]
-            j = index[b.element] + n if b.kind == "unknown" else index[b.element]
-            k = index[c.element] + n if c.kind == "unknown" else index[c.element]
-            code = (join if eq.op == "join" else meet, i, j, k)
-            coded.append(code)
+        for code in self._codes:
+            _, i, j, k = code
             if i >= n:
                 by_unknown[i].append(code)
             if j >= n and j != i:
                 by_unknown[j].append(code)
             if k >= n and k != i and k != j:
                 by_unknown[k].append(code)
-        return coded, by_unknown
+        return by_unknown
 
 
 @dataclass(frozen=True)
@@ -318,24 +351,27 @@ class Assignment:
 
 
 def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
-    """Emit the equations for all ordered pairs touching a new element."""
+    """Emit the equations for all ordered pairs touching a new element.
+
+    They go straight onto integer slots from the join and meet rows; the
+    Term form is derived only when ``equations`` is read.
+    """
     sub = frozenset(sub)
     if not check_sublattice(lattice, sub):
         raise NotASublatticeHere(f"{sorted(sub)!r} is not a sublattice")
     if sub == frozenset(lattice.elements):
         raise NotProper("the sublattice must be proper")
 
-    terms = [Term("param" if e in sub else "unknown", e) for e in lattice.elements]
-    new = tuple(t.element for t in terms if t.kind == "unknown")
-    equations = []
-    for ta, joins, meets in zip(terms, lattice._join, lattice._meet):
-        old = ta.kind == "param"
-        for b, tb in enumerate(terms):
-            if old and tb.kind == "param":
-                continue
-            equations.append(Equation("join", ta, tb, terms[joins[b]]))
-            equations.append(Equation("meet", ta, tb, terms[meets[b]]))
-    system = EquationSystem(lattice, sub, new, tuple(equations))
+    n = len(lattice)
+    join, meet = lattice._join, lattice._meet
+    slot = [i if e in sub else n + i for i, e in enumerate(lattice.elements)]
+    new = tuple(e for e in lattice.elements if e not in sub)
+    codes = []
+    for a, joins, meets in zip(slot, join, meet):
+        for b, jk, mk in zip(slot, joins, meets):
+            if a >= n or b >= n:
+                codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
+    system = EquationSystem(lattice, sub, new, _codes=codes)
     identity = Assignment({x: x for x in new})
     if not _satisfies(system, identity, ambient=True):  # pragma: no cover
         raise LatticeError("identity substitution failed; system is malformed")
@@ -354,7 +390,7 @@ def _satisfies(system: EquationSystem, assignment: Assignment, ambient: bool = F
     val = list(range(n)) + [-1] * n
     for x, v in values.items():
         val[n + lat._index[x]] = lat._index[v]
-    for table, left, right, result in system._slots[0]:
+    for table, left, right, result in system._codes:
         if table[val[left]][val[right]] != val[result]:
             return False
     return True
@@ -374,7 +410,7 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     lat = system.ambient
     n = len(lat)
     index = lat._index
-    by_unknown = system._slots[1]
+    by_unknown = system._by_unknown
     degree = _cover_degrees(lat)
     unknowns = sorted(
         (n + index[x] for x in system.unknowns), key=lambda s: (-degree[s - n], s)

@@ -20,6 +20,7 @@ verified directly by congruence generation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import (
@@ -130,11 +131,7 @@ class OrientedLattice:
             ups = self.up[a]
             for b, c in zip(ups, ups[1:]):
                 d = lat.join(b, c)
-                if (
-                    lat.covered_by(b, d)
-                    and lat.covered_by(c, d)
-                    and lat.meet(b, c) == a
-                ):
+                if lat.covered_by(b, d) and lat.covered_by(c, d) and lat.meet(b, c) == a:
                     out.append(Cell(a, b, c, d))
         return tuple(out)
 
@@ -145,11 +142,7 @@ class OrientedLattice:
             lows = self.down[d]
             for b, c in zip(lows, lows[1:]):
                 a = lat.meet(b, c)
-                if (
-                    lat.covered_by(a, b)
-                    and lat.covered_by(a, c)
-                    and lat.join(b, c) == d
-                ):
+                if lat.covered_by(a, b) and lat.covered_by(a, c) and lat.join(b, c) == d:
                     out.append(Cell(a, b, c, d))
         return tuple(out)
 
@@ -203,45 +196,25 @@ def oriented_grid(m: int, n: int) -> OrientedLattice:
     return OrientedLattice(grid.lattice, up, down)
 
 
-def _left_walk(ol: OrientedLattice, cell: Cell) -> list[tuple[str, str]]:
-    """Edges of the maximal descending cell sequence to the lower left."""
+def _walk(ol: OrientedLattice, cell: Cell, side: int) -> list[tuple[str, str]]:
+    """Edges of the maximal descending cell sequence to the lower left (side -1) or right (+1)."""
+    lat = ol.lattice
     edges = []
     cur = cell
     while True:
-        edges.append((cur.bottom, cur.left))
-        lows = ol.down[cur.left]
-        pos = lows.index(cur.bottom)
-        if pos == 0:
+        upper = cur.left if side < 0 else cur.right
+        edges.append((cur.bottom, upper))
+        lows = ol.down[upper]
+        pos = lows.index(cur.bottom) + side
+        if not 0 <= pos < len(lows):
             return edges
-        neighbour = lows[pos - 1]
-        a2 = ol.lattice.meet(neighbour, cur.bottom)
-        nxt = Cell(a2, neighbour, cur.bottom, cur.left)
-        if not (
-            ol.lattice.covered_by(a2, neighbour)
-            and ol.lattice.covered_by(a2, cur.bottom)
-        ):
-            raise ValidationFailed("descending cell sequence broke on the left")
-        cur = nxt
-
-
-def _right_walk(ol: OrientedLattice, cell: Cell) -> list[tuple[str, str]]:
-    edges = []
-    cur = cell
-    while True:
-        edges.append((cur.bottom, cur.right))
-        lows = ol.down[cur.right]
-        pos = lows.index(cur.bottom)
-        if pos == len(lows) - 1:
-            return edges
-        neighbour = lows[pos + 1]
-        a2 = ol.lattice.meet(cur.bottom, neighbour)
-        nxt = Cell(a2, cur.bottom, neighbour, cur.right)
-        if not (
-            ol.lattice.covered_by(a2, neighbour)
-            and ol.lattice.covered_by(a2, cur.bottom)
-        ):
-            raise ValidationFailed("descending cell sequence broke on the right")
-        cur = nxt
+        neighbour = lows[pos]
+        a2 = lat.meet(neighbour, cur.bottom)
+        if not (lat.covered_by(a2, neighbour) and lat.covered_by(a2, cur.bottom)):
+            where = "left" if side < 0 else "right"
+            raise ValidationFailed(f"descending cell sequence broke on the {where}")
+        pair = (neighbour, cur.bottom) if side < 0 else (cur.bottom, neighbour)
+        cur = Cell(a2, *pair, upper)
 
 
 def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
@@ -262,8 +235,8 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
     if b not in lows or c not in lows or lows.index(c) != lows.index(b) + 1:
         raise ValidationFailed("cell sides are not adjacent below the top")
 
-    left_edges = _left_walk(ol, cell)
-    right_edges = _right_walk(ol, cell)
+    left_edges = _walk(ol, cell, -1)
+    right_edges = _walk(ol, cell, 1)
     all_edges = left_edges + right_edges
     if len(set(all_edges)) != len(all_edges):
         raise ValidationFailed("fork legs crossed the same edge")
@@ -409,16 +382,18 @@ def build_slim_rectangular(script: ForkScript) -> OrientedLattice:
 def find_rectangular_extension(
     lattice: FiniteLattice, max_size: int | None = None, max_forks: int = 3
 ) -> tuple[ForkScript, OrientedLattice, dict[str, str]]:
-    """Bounded search for a slim rectangular lattice containing the input.
+    """Best-first bounded search for a slim rectangular lattice containing the input.
 
-    Fork scripts are generated over all base grids within the size bound
-    and tested in order of increasing result size; the first candidate the
-    input embeds into wins.  Returns the script, the replayed lattice, and
-    the embedding.
+    Fork scripts over all base grids within the size bound are visited in
+    order of (result size, base grid, fork count, steps) from a heap, and a
+    candidate is built only when it is popped.  Its children are pushed
+    with sizes read off its descending cell walks, the count `add_fork`
+    checks; a fork only adds elements, so the pop order is the sorted order
+    of all candidates, and the first one the input embeds into wins.
+    Returns the script, the replayed lattice, and the embedding.
     """
     if max_size is None:
         max_size = max(14, len(lattice) + 8)
-    candidates: list[tuple[int, int, int, tuple, OrientedLattice]] = []
     bases = sorted(
         (
             (m, n)
@@ -428,34 +403,23 @@ def find_rectangular_extension(
         ),
         key=lambda mn: ((mn[0] + 1) * (mn[1] + 1), mn),
     )
-    for base_index, (m, n) in enumerate(bases):
-        # Depth-first, cells in order, on an explicit stack of cell iterators.
-        root = oriented_grid(m, n)
-        candidates.append((len(root.lattice), base_index, 0, (), root))
-        stack = [(root, (), iter(root.cells()))] if max_forks > 0 else []
-        while stack:
-            ol, steps, cells = stack[-1]
-            cell = next(cells, None)
-            if cell is None:
-                stack.pop()
-                continue
-            if len(ol.lattice) + 3 > max_size:
-                continue
-            extended = add_fork(ol, cell)
-            if len(extended.lattice) <= max_size:
-                grown = steps + ((cell.top, cell.left),)
-                candidates.append((len(extended.lattice), base_index, len(grown), grown, extended))
-                if len(grown) < max_forks:
-                    stack.append((extended, grown, iter(extended.cells())))
-
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
-    for size, base_index, _, steps, ol in candidates:
-        if size < len(lattice):
-            continue
-        embedding = find_embedding(lattice, ol.lattice)
-        if embedding is not None:
-            m, n = bases[base_index]
-            return ForkScript((m + 1, n + 1), tuple(steps)), ol, embedding
+    # (size, base index, fork count, steps) is unique, so entries never
+    # compare their parent lattice or cell; the sorted list is a heap.
+    heap = [((m + 1) * (n + 1), i, 0, (), None, None) for i, (m, n) in enumerate(bases)]
+    while heap:
+        size, base_index, forks, steps, parent, cell = heapq.heappop(heap)
+        m, n = bases[base_index]
+        ol = oriented_grid(m, n) if parent is None else add_fork(parent, cell)
+        if size >= len(lattice):
+            embedding = find_embedding(lattice, ol.lattice)
+            if embedding is not None:
+                return ForkScript((m + 1, n + 1), steps), ol, embedding
+        if forks < max_forks and size + 3 <= max_size:
+            for c in ol.cells():
+                grown = size + 1 + len(_walk(ol, c, -1)) + len(_walk(ol, c, 1))
+                if grown <= max_size:
+                    key = (grown, base_index, forks + 1, steps + ((c.top, c.left),))
+                    heapq.heappush(heap, (*key, ol, c))
     raise NoRectangularExtensionFound(
         f"no slim rectangular extension within {max_size} elements and {max_forks} forks"
     )

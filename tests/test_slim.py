@@ -1,3 +1,6 @@
+import functools
+import sys
+
 import pytest
 
 from finlat import (
@@ -21,6 +24,7 @@ from finlat import (
     make_grid,
     oriented_grid,
     s7_family,
+    slim,
 )
 
 
@@ -131,10 +135,8 @@ def test_find_rectangular_extension_bound():
         find_rectangular_extension(big, max_size=6)
 
 
-def _reference_rectangular_extension(lattice, max_size=None, max_forks=3):
-    """The former `find_rectangular_extension`, growing fork scripts recursively."""
-    if max_size is None:
-        max_size = max(14, len(lattice) + 8)
+def _reference_candidates(max_size, max_forks):
+    """The former search's base grids and its sorted list of every fork-script candidate."""
     bases = sorted(
         ((m, n) for m in range(1, max_size) for n in range(1, max_size) if (m + 1) * (n + 1) <= max_size),
         key=lambda mn: ((mn[0] + 1) * (mn[1] + 1), mn),
@@ -154,11 +156,19 @@ def _reference_rectangular_extension(lattice, max_size=None, max_forks=3):
     for base_index, (m, n) in enumerate(bases):
         grow(oriented_grid(m, n), base_index, ())
     candidates.sort(key=lambda c: c[:4])
-    for size, base_index, _, steps, ol in candidates:
+    return bases, candidates
+
+
+def _reference_rectangular_extension(lattice, max_size=None, max_forks=3, candidates=_reference_candidates):
+    """The former `find_rectangular_extension`: build every candidate, sort, then test in order."""
+    if max_size is None:
+        max_size = max(14, len(lattice) + 8)
+    bases, ordered = candidates(max_size, max_forks)
+    for size, base_index, _, steps, ol in ordered:
         embedding = find_embedding(lattice, ol.lattice) if size >= len(lattice) else None
         if embedding is not None:
             m, n = bases[base_index]
-            return ForkScript((m + 1, n + 1), steps), embedding
+            return ForkScript((m + 1, n + 1), steps), ol, embedding
     raise NoRectangularExtensionFound(
         f"no slim rectangular extension within {max_size} elements and {max_forks} forks"
     )
@@ -166,13 +176,14 @@ def _reference_rectangular_extension(lattice, max_size=None, max_forks=3):
 
 def _extension_outcome(find, lattice, **bounds):
     try:
-        found = find(lattice, **bounds)
+        script, ol, embedding = find(lattice, **bounds)
     except LatticeError as exc:
         return type(exc), str(exc)
-    return found[0], list(found[-1].items())
+    planar = (ol.lattice.elements, ol.lattice.covers, ol.up, ol.down, ol.last_fork)
+    return script, planar, list(embedding.items())
 
 
-def test_find_rectangular_extension_matches_reference():
+def test_find_rectangular_extension_matches_reference(monkeypatch):
     bounds = ({}, {"max_forks": 0}, {"max_forks": 1}, {"max_forks": 2}, {"max_size": 9})
     cases = [
         (lattice, bound)
@@ -182,13 +193,76 @@ def test_find_rectangular_extension_matches_reference():
     ]
     # the smallest extension of this one takes two forks
     cases += [(s7_family(2).lattice, bound) for bound in bounds[:4]]
+
+    # Both searches build through these wrappers, which record the script
+    # of every lattice they return, so each find_embedding call is logged
+    # as (script, candidate size).
+    scripts = {}  # id(lattice) -> (lattice, script); holding the lattice keeps ids unique
+    calls = []
+    real_grid, real_fork, real_embed = oriented_grid, add_fork, find_embedding
+
+    def grid(m, n):
+        ol = real_grid(m, n)
+        scripts[id(ol.lattice)] = (ol.lattice, ((m + 1, n + 1), ()))
+        return ol
+
+    def fork(ol, cell):
+        grown = real_fork(ol, cell)
+        base, steps = scripts[id(ol.lattice)][1]
+        scripts[id(grown.lattice)] = (grown.lattice, (base, steps + ((cell.top, cell.left),)))
+        return grown
+
+    def embed(small, big):
+        calls.append((scripts[id(big)][1], len(big)))
+        return real_embed(small, big)
+
+    for module in (slim, sys.modules[__name__]):
+        monkeypatch.setattr(module, "oriented_grid", grid)
+        monkeypatch.setattr(module, "add_fork", fork)
+        monkeypatch.setattr(module, "find_embedding", embed)
+    # The reference's candidate list does not depend on the input lattice.
+    memo = functools.cache(_reference_candidates)
+
     outcomes = set()
     for lattice, bound in cases:
         got = _extension_outcome(find_rectangular_extension, lattice, **bound)
-        expected = _extension_outcome(_reference_rectangular_extension, lattice, **bound)
+        got_calls = calls[:]
+        calls.clear()
+        expected = _extension_outcome(_reference_rectangular_extension, lattice, candidates=memo, **bound)
         assert got == expected, (lattice.elements, bound)
+        assert got_calls == calls, (lattice.elements, bound)
+        calls.clear()
         outcomes.add(len(got[0].steps) if isinstance(got[0], ForkScript) else "none")
     assert {0, 1, 2, "none"} <= outcomes
+
+
+def test_find_rectangular_extension_builds_candidates_lazily(monkeypatch, c2):
+    two_forks = s7_family(2).lattice
+    forked, tested = [], set()
+    real_fork, real_embed = add_fork, find_embedding
+
+    def counting(ol, cell):
+        forked.append(real_fork(ol, cell))
+        return forked[-1]
+
+    def embed(small, big):
+        tested.add(id(big))
+        return real_embed(small, big)
+
+    monkeypatch.setattr(slim, "add_fork", counting)
+    monkeypatch.setattr(slim, "find_embedding", embed)
+    # C2 embeds in the first base grid, so nothing is forked.
+    find_rectangular_extension(c2)
+    assert forked == []
+    find_rectangular_extension(two_forks)
+    # A fork is built only when it is next in line: each one at least as
+    # large as the input is tested at once, smaller ones only grow children.
+    assert all(id(ol.lattice) in tested for ol in forked if len(ol.lattice) >= len(two_forks))
+    lazy = len(forked)
+    forked.clear()
+    monkeypatch.setattr(sys.modules[__name__], "add_fork", counting)
+    _reference_rectangular_extension(two_forks)
+    assert 0 < lazy < len(forked)
 
 
 def test_witness_c2_exact(c2):
