@@ -111,11 +111,13 @@ def _load(path: str) -> LatticeFile:
 def _load_sub(args, main: LatticeFile) -> tuple[str, ...]:
     if getattr(args, "sub", None):
         obj = _read_json(args.sub)
-        if isinstance(obj, list):
-            return tuple(str(x) for x in obj)
         if isinstance(obj, dict) and isinstance(obj.get("sub"), list):
-            return tuple(str(x) for x in obj["sub"])
-        raise ParseError("sub file must be a JSON list or an object with a sub field")
+            obj = obj["sub"]
+        if not isinstance(obj, list):
+            raise ParseError("sub file must be a JSON list or an object with a sub field")
+        if not all(isinstance(x, str) for x in obj):
+            raise ParseError("sub must be a list of strings")
+        return tuple(obj)
     if main.sub is not None:
         return main.sub
     raise ParseError("no sublattice given: pass --sub or embed a sub field")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, LatticeError, check_sublattice
 
 __all__ = [
     "NotAHomomorphism",
@@ -100,11 +100,13 @@ class Homomorphism:
         return all(self.mapping[x] == x for x in subset)
 
     def is_retraction(self) -> bool:
-        """True iff the target is a sublattice of the source fixed pointwise."""
-        return (
-            all(t in self.source for t in self.target.elements)
-            and self.fixes(self.target.elements)
-        )
+        """True iff the target is a sublattice of the source fixed pointwise.
+
+        With the target fixed, closure under the source's operations forces
+        the target's order to be the induced one.
+        """
+        elements = self.target.elements
+        return check_sublattice(self.source, elements) and self.fixes(elements)
 
     def kernel(self) -> "Congruence":
         fibers: dict[str, set[str]] = {}

@@ -328,18 +328,20 @@ class EquationSystem:
 
     @cached_property
     def _by_unknown(self) -> dict[int, list[tuple]]:
-        """For each unknown slot, the codes that mention it, in system order."""
+        """For each unknown slot, the codes with it as an operand, in system order.
+
+        The solver forces or checks a code once its last operand is
+        assigned, so a code need not be filed under its result.
+        """
         n = len(self.ambient)
         index = self.ambient._index
         by_unknown: dict[int, list[tuple]] = {n + index[x]: [] for x in self.unknowns}
         for code in self._codes:
-            _, i, j, k = code
+            _, i, j, _ = code
             if i >= n:
                 by_unknown[i].append(code)
             if j >= n and j != i:
                 by_unknown[j].append(code)
-            if k >= n and k != i and k != j:
-                by_unknown[k].append(code)
         return by_unknown
 
 

@@ -1,30 +1,33 @@
 """Retraction constructions and the absolute-retract classifier.
 
-Three explicit constructions are provided, each by a closed form.  A chain
-retracts onto a subchain by sending x to the least member at or above it,
-or else to the largest member.  A grid retracts onto a grid sublattice of
-the same dimension by doing this on every coordinate, against the
-recovered subchain of its axis; the kernel is the intersection of the
-kernels of the chain-wise projections.  A distributive lattice retracts
-onto a boolean sublattice by sending x to the member whose
-join-irreducibles agree with those of x on one chosen prime per atom; the
-kernel is the intersection of the two-block congruences of those prime
-ideals.  The tests check both kernel identities against the congruence
-constructions.  A classifier decides whether a lattice is an absolute
-retract for the class of finite distributive lattices of bounded
-dimension, and in the negative case builds a proper cover-preserving
-{0,1}-extension of equal length as a refutation witness, optionally
-confirmed by exhaustive search.
+Two closed forms build every retraction, both inside the ambient lattice.
+The upper map sends x to the least member of the sublattice at or above
+x ∧ t, where t is the sublattice's top.  On a chain this is the least
+member at or above x, or else the largest member; on a grid sublattice of
+full dimension it is that rule on every coordinate, so its kernel is the
+intersection of the kernels of the chain-wise projections; it also gives
+the identity and the constant map onto one element.  The prime map
+retracts a distributive lattice onto a boolean sublattice by sending x to
+the member whose join-irreducibles agree with those of x on one chosen
+prime per atom; the kernel is the intersection of the two-block
+congruences of those prime ideals.  The tests check both kernel
+identities against the congruence constructions.  A classifier decides
+whether a lattice is an absolute retract for the class of finite
+distributive lattices of bounded dimension, and in the negative case
+builds a proper cover-preserving {0,1}-extension of equal length as a
+refutation witness, optionally confirmed by exhaustive search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import (
     FiniteLattice,
     LatticeError,
     NotASublattice,
+    _bits,
     _jmask,
     check_sublattice,
     grid_factor_sizes,
@@ -123,12 +126,27 @@ def _is_chain(lattice: FiniteLattice) -> bool:
     return lattice_length(lattice) == len(lattice) - 1
 
 
-def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
-    """Retract a finite chain onto a subchain block by block.
+def _upper_map(lattice: FiniteLattice, subset) -> dict[str, str]:
+    """x ↦ the least member of the sublattice S at or above x ∧ t, t = top of S.
 
-    With e_1 < ... < e_k the subchain, the blocks are the ideal below e_1,
-    the successive differences of ideals, and everything above e_{k-1};
-    block i maps to e_i.
+    The image of x is the meet of the members in the up-set of x ∧ t, which
+    lies in S because S is closed under meets.
+    """
+    ids, join, meet, up = lattice.elements, lattice._join, lattice._meet, lattice._up
+    members = [lattice._index[d] for d in subset]
+    mask = sum(1 << i for i in members)
+    t = reduce(lambda a, b: join[a][b], members)
+    return {
+        x: ids[reduce(lambda a, b: meet[a][b], _bits(up[meet[i][t]] & mask))]
+        for i, x in enumerate(ids)
+    }
+
+
+def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
+    """Retract a finite chain onto a subchain.
+
+    With e_1 < ... < e_k the subchain, x maps to the least e_i at or above
+    it, or else to e_k: the upper map, since x ∧ e_k is x or e_k.
     """
     if not _is_chain(chain):
         raise NotAChain("chain retraction needs a chain")
@@ -138,39 +156,41 @@ def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
     for e in subset:
         if e not in chain:
             raise LatticeError(f"{e!r} is not an element of the chain")
-    members = sorted(subset, key=lambda e: chain._down[chain.index(e)].bit_count())
-    mapping = {}
-    for x in chain.elements:
-        img = members[-1]
-        for e in members:
-            if chain.leq(x, e):
-                img = e
-                break
-        mapping[x] = img
-    return Homomorphism(chain, induced_lattice(chain, subset), mapping)
+    return Homomorphism(chain, induced_lattice(chain, subset), _upper_map(chain, subset))
 
 
 def grid_retraction(grid: Grid, subset) -> Homomorphism:
     """Retract a grid onto a grid sublattice of the same dimension.
 
-    The subset is the product of its recovered subchains, and x maps to the
-    point whose j-th coordinate is the least recovered value on axis j at
-    or above x_j, or else the largest one.  This is the chain retraction
-    applied along every axis, so the kernel is the intersection of the
-    kernels of the axis projections composed with those retractions
-    (checked in the tests).
+    The subset must be the product of its recovered subchains, and x maps
+    to the point whose j-th coordinate is the least recovered value on
+    axis j at or above x_j, or else the largest one.  That point is the
+    least member at or above x ∧ t, so this is the upper map.  It is the
+    chain retraction applied along every axis, so the kernel is the
+    intersection of the kernels of the axis projections composed with
+    those retractions (checked in the tests).
     """
     subset = set(subset)
-    chains = recover_subgrid_chains(grid, subset)
-    nearest = []
-    for axis, (chain, size) in enumerate(zip(chains, grid.factor_sizes)):
-        values = [grid.coords(c)[axis] for c in chain]
-        nearest.append([next((w for w in values if w >= v), values[-1]) for v in range(size)])
-    mapping = {
-        x: grid.id_of([r[v] for r, v in zip(nearest, grid.coords(x))])
-        for x in grid.lattice.elements
-    }
-    return Homomorphism(grid.lattice, induced_lattice(grid.lattice, subset), mapping)
+    recover_subgrid_chains(grid, subset)
+    return Homomorphism(
+        grid.lattice, induced_lattice(grid.lattice, subset), _upper_map(grid.lattice, subset)
+    )
+
+
+def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
+    """The map of `boolean_retraction` onto the boolean sublattice ``sub``."""
+    chain = [sub.bottom]
+    for a in sorted(sub.upper_covers(sub.bottom)):
+        chain.append(sub.join(chain[-1], a))
+
+    # Index order is sorted-id order, so the lowest bit is the least p.
+    down, jmask = lattice._down, _jmask(lattice)
+    primes = 0
+    for lower, upper in zip(chain, chain[1:]):
+        candidates = down[lattice.index(upper)] & ~down[lattice.index(lower)] & jmask
+        primes |= candidates & -candidates
+    rep = {down[lattice.index(d)] & primes: d for d in sub.elements}
+    return {x: rep[dx & primes] for x, dx in zip(lattice.elements, down)}
 
 
 def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
@@ -193,20 +213,7 @@ def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
     sub = induced_lattice(lattice, subset)
     if not is_boolean(sub):
         raise NotBooleanSublattice("subset is not a boolean sublattice")
-
-    chain = [sub.bottom]
-    for a in sorted(sub.upper_covers(sub.bottom)):
-        chain.append(sub.join(chain[-1], a))
-
-    # Index order is sorted-id order, so the lowest bit is the least p.
-    down, jmask = lattice._down, _jmask(lattice)
-    primes = 0
-    for lower, upper in zip(chain, chain[1:]):
-        candidates = down[lattice.index(upper)] & ~down[lattice.index(lower)] & jmask
-        primes |= candidates & -candidates
-    rep = {down[lattice.index(d)] & primes: d for d in subset}
-    mapping = {x: rep[dx & primes] for x, dx in zip(lattice.elements, down)}
-    return Homomorphism(lattice, sub, mapping)
+    return Homomorphism(lattice, sub, _prime_map(lattice, sub))
 
 
 @dataclass(frozen=True)
@@ -293,41 +300,27 @@ def _qualifies(lattice: FiniteLattice, cls: ClassId) -> bool:
 def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     """Build a retraction of a class member onto an eligible sublattice.
 
-    Embeds the ambient lattice into a grid, applies the grid or boolean
-    construction there, and pulls the result back.  The target must be
-    boolean or a grid of the class dimension.
+    The whole lattice is always eligible.  Otherwise the slim semimodular
+    class admits only one-element targets, and the distributive classes
+    boolean targets and grids of the class dimension.  A proper boolean
+    target gets the prime map of `boolean_retraction`, every other target
+    the upper map x ↦ least member at or above x ∧ t, both computed in the
+    ambient lattice.
     """
     _check_membership(lattice, cls)
     subset = set(subset)
     if not check_sublattice(lattice, subset):
         raise NotASublattice(f"{sorted(subset)!r} is not a sublattice")
-    if subset == set(lattice.elements):
-        return Homomorphism(lattice, lattice, {x: x for x in lattice.elements})
-    if cls.kind == "sps":
-        if len(subset) != 1:
-            raise NotEligible("only one-element sublattices are eligible in this class")
-        d = next(iter(subset))
-        return Homomorphism(
-            lattice,
-            induced_lattice(lattice, subset),
-            {x: d for x in lattice.elements},
-        )
-
     sub = induced_lattice(lattice, subset)
-    if not _qualifies(sub, cls):
-        raise NotEligible(
-            "target is neither boolean nor a grid of the class dimension"
-        )
-
-    emb = grid_embed(lattice)
-    image = {emb.mapping[d] for d in subset}
-    if is_boolean(sub):
-        inner = boolean_retraction(emb.target.lattice, image)
-    else:
-        inner = grid_retraction(emb.target, image)
-    back = {v: k for k, v in emb.mapping.items()}
-    mapping = {x: back[inner.mapping[emb.mapping[x]]] for x in lattice.elements}
-    result = Homomorphism(lattice, sub, mapping)
+    mapping = None
+    if len(subset) < len(lattice):
+        if cls.kind == "sps" and len(subset) != 1:
+            raise NotEligible("only one-element sublattices are eligible in this class")
+        if cls.kind != "sps" and not _qualifies(sub, cls):
+            raise NotEligible("target is neither boolean nor a grid of the class dimension")
+        if cls.kind != "sps" and is_boolean(sub):
+            mapping = _prime_map(lattice, sub)
+    result = Homomorphism(lattice, sub, mapping or _upper_map(lattice, subset))
     if not result.is_retraction():  # pragma: no cover - verified construction
         raise LatticeError("constructed map is not a retraction")
     return result

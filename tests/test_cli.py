@@ -122,6 +122,15 @@ def test_retract_command_sub_flag(tmp_path):
     assert code == 0 and report["retraction_exists"]
 
 
+@pytest.mark.parametrize("sub", [[0, None], {"sub": ["0", 1]}])
+def test_retract_command_rejects_non_string_sub_file(tmp_path, sub):
+    path = write(tmp_path, "c3.json", C3_FILE)
+    sub_path = write(tmp_path, "sub.json", sub)
+    report, code = run(["retract", path, "--sub", sub_path])
+    assert code == 1
+    assert report["error"] == "ParseError: sub must be a list of strings"
+
+
 def test_retract_report_reverifies(tmp_path):
     from finlat import Homomorphism, induced_lattice
 

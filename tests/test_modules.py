@@ -1,6 +1,6 @@
 """The package's internal import graph is acyclic, no module imports a
-sibling from inside a function, every exported name is bound, and every
-definition is used somewhere."""
+sibling from inside a function, every exported name is bound, every
+imported name is used, and every definition is used somewhere."""
 
 import ast
 import importlib
@@ -94,3 +94,27 @@ def test_every_definition_is_used():
                 and not (node.name.startswith("__") and node.name.endswith("__"))
             )
     assert sorted(definitions - used) == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for name in sorted(MODULES - {"__init__"}):
+        tree = _parse(name)
+        exports = set()
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports = set(ast.literal_eval(node.value))
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{name}.py:{line} {alias}"
+            for alias, line in imported.items()
+            if alias not in used and alias not in exports
+        ]
+    assert unused == []

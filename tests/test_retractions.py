@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -18,12 +18,16 @@ from finlat import (
     check_sublattice,
     classify_absolute_retract,
     enumerate_distributive_lattices,
+    enumerate_small_lattices,
     exists_retraction,
+    grid_embed,
     grid_retraction,
     induced_lattice,
     is_boolean,
     is_distributive,
     is_isomorphic,
+    is_semimodular,
+    is_slim,
     join_irreducibles,
     make_grid,
     recover_subgrid_chains,
@@ -31,13 +35,34 @@ from finlat import (
 )
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
-from finlat.retractions import EmptySubset, NotAChain, NotBooleanSublattice, NotSemimodular
+from finlat.core import NotASublattice
+from finlat.retractions import (
+    EmptySubset,
+    NotAChain,
+    NotBooleanSublattice,
+    NotSemimodular,
+    _check_membership,
+    _qualifies,
+)
 from tests.conftest import REFERENCE_GRID_SIZES
 
 
 def test_homomorphism_verifies_pairs(c3, b2):
     with pytest.raises(retractions.NotAHomomorphism):
         Homomorphism(b2, b2, {x: b2.bottom if x != b2.top else b2.top for x in b2.elements})
+
+
+def test_is_retraction_needs_a_sublattice_target(b2):
+    # The atoms of B2 fixed by the first projection: a homomorphism onto a
+    # chain whose order the source does not induce, since the atoms' join
+    # and meet fall outside it.
+    atoms = build_lattice(["0,1", "1,0"], [("0,1", "1,0")])
+    mapping = {"0,0": "0,1", "0,1": "0,1", "1,0": "1,0", "1,1": "1,0"}
+    hom = Homomorphism(b2, atoms, mapping)
+    assert hom.fixes(atoms.elements)
+    assert not hom.is_retraction()
+    edge = induced_lattice(b2, {"0,0", "1,0"})
+    assert Homomorphism(b2, edge, {x: "0,0" if x[0] == "0" else "1,0" for x in b2}).is_retraction()
 
 
 def test_congruence_rejects_incompatible(b2):
@@ -273,7 +298,30 @@ def test_congruence_intersection_block_bound(grid33):
     assert meet.block_count() <= a.block_count() * b.block_count()
 
 
-# -- the closed forms against the congruence pipelines they replaced
+# -- the closed forms against the congruence pipelines and loops they replaced
+
+
+def _reference_chain_retraction(chain, subset):
+    """The former `chain_retraction`: x maps to the least member at or above
+    it, found by a loop over the members, or else to the largest member."""
+    if not retractions._is_chain(chain):
+        raise NotAChain("chain retraction needs a chain")
+    subset = set(subset)
+    if not subset:
+        raise EmptySubset("cannot retract onto the empty set")
+    for e in subset:
+        if e not in chain:
+            raise LatticeError(f"{e!r} is not an element of the chain")
+    members = sorted(subset, key=lambda e: chain._down[chain.index(e)].bit_count())
+    mapping = {}
+    for x in chain.elements:
+        img = members[-1]
+        for e in members:
+            if chain.leq(x, e):
+                img = e
+                break
+        mapping[x] = img
+    return Homomorphism(chain, induced_lattice(chain, subset), mapping)
 
 
 def _reference_retraction_from_congruence(lattice, subset, theta):
@@ -299,7 +347,7 @@ def _reference_grid_retraction(grid, subset):
     theta = None
     for axis, target_chain in enumerate(chains):
         axis_lat = induced_lattice(grid.lattice, grid.canonical_chains[axis])
-        g = chain_retraction(axis_lat, target_chain)
+        g = _reference_chain_retraction(axis_lat, target_chain)
         top = grid.canonical_chains[axis][-1]
         pi = {x: grid.lattice.meet(x, top) for x in grid.lattice.elements}
         # each projection is a homomorphism onto its axis chain
@@ -377,4 +425,95 @@ def test_grid_and_boolean_retractions_match_congruence_references():
         ("grid_retraction", False): 3825,
         ("boolean_retraction", True): 2712,
         ("boolean_retraction", False): 13044,
+    }
+
+
+def _chain(n):
+    ids = [f"c{i}" for i in range(n)]
+    return build_lattice(ids, list(zip(ids, ids[1:])))
+
+
+def test_chain_retraction_matches_member_loop_reference():
+    total = 0
+    for n in range(2, 11):
+        chain = _chain(n)
+        for k in range(1, n + 1):
+            for subset in combinations(chain.elements, k):
+                expected = _outcome(_reference_chain_retraction, chain, subset)
+                assert _outcome(chain_retraction, chain, subset) == expected, subset
+                total += 1
+    assert total == 2035
+    for args in ((make_grid((2, 2)).lattice, {"0,0"}), (_chain(3), set()), (_chain(3), {"x"})):
+        assert _outcome(chain_retraction, *args) == _outcome(_reference_chain_retraction, *args)
+
+
+def _reference_retract_onto(lattice, subset, cls):
+    """The former `retract_onto`: embed the ambient lattice into a grid,
+    retract there by the grid or boolean construction, and pull the map
+    back.  The grid step uses the congruence reference."""
+    _check_membership(lattice, cls)
+    subset = set(subset)
+    if not check_sublattice(lattice, subset):
+        raise NotASublattice(f"{sorted(subset)!r} is not a sublattice")
+    if subset == set(lattice.elements):
+        return Homomorphism(lattice, lattice, {x: x for x in lattice.elements})
+    if cls.kind == "sps":
+        if len(subset) != 1:
+            raise NotEligible("only one-element sublattices are eligible in this class")
+        d = next(iter(subset))
+        return Homomorphism(
+            lattice, induced_lattice(lattice, subset), {x: d for x in lattice.elements}
+        )
+    sub = induced_lattice(lattice, subset)
+    if not _qualifies(sub, cls):
+        raise NotEligible("target is neither boolean nor a grid of the class dimension")
+    emb = grid_embed(lattice)
+    image = {emb.mapping[d] for d in subset}
+    if is_boolean(sub):
+        inner = boolean_retraction(emb.target.lattice, image)
+    else:
+        inner = _reference_grid_retraction(emb.target, image)
+    back = {v: k for k, v in emb.mapping.items()}
+    mapping = {x: back[inner.mapping[emb.mapping[x]]] for x in lattice.elements}
+    result = Homomorphism(lattice, sub, mapping)
+    assert result.is_retraction()
+    return result
+
+
+def test_retract_onto_matches_grid_embedding_reference():
+    cases = [
+        (lattice, subset, ClassId.parse(text))
+        for lattice in enumerate_distributive_lattices(8)
+        for subset in all_sublattices(lattice)
+        for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2")
+    ]
+    sps = ClassId.sps()
+    for lattice in enumerate_small_lattices(7):
+        if is_slim(lattice) and is_semimodular(lattice):
+            cases += [(lattice, {x}, sps) for x in lattice.elements]
+            cases.append((lattice, set(lattice.elements), sps))
+    counts = Counter()
+    for lattice, subset, cls in cases:
+        expected = _outcome(_reference_retract_onto, lattice, subset, cls)
+        got = _outcome(retract_onto, lattice, subset, cls)
+        where = (lattice.elements, sorted(lattice.covers), sorted(subset), str(cls))
+        if not isinstance(expected[0], list):
+            assert got == expected, where
+            counts["error"] += 1
+        elif cls.kind != "sps" and 1 < len(subset) < len(lattice) and is_boolean(expected[1]):
+            hom = retract_onto(lattice, subset, cls)
+            assert hom.mapping == boolean_retraction(lattice, subset).mapping, where
+            assert hom.target == expected[1] and hom.is_retraction(), where
+            counts["boolean", got == expected] += 1
+        else:
+            assert got == expected, where
+            counts["sps" if cls.kind == "sps" else "other"] += 1
+    # ("boolean", same map as the reference): proper boolean targets with at
+    # least two elements may get a different prime, hence a different map.
+    assert counts == {
+        "error": 14057,
+        "other": 1503,
+        "sps": 144,
+        ("boolean", True): 2075,
+        ("boolean", False): 780,
     }
