@@ -116,7 +116,8 @@ def cover01(ambients) -> list[Result]:
     bad: list[str] = []
     for big in ambients:
         for sub in oracle.all_sublattices(big):
-            sub_lat = core.induced_lattice(big, sub)
+            # all_sublattices yields closed sets only
+            sub_lat = core._induced(big, sum(1 << big.index(x) for x in sub))
             if not core.is_semimodular(sub_lat):
                 continue
             report = retractions.check_cover01(Homomorphism(sub_lat, big, {x: x for x in sub}))
@@ -199,7 +200,8 @@ def subgrid(grid_sizes) -> list[Result]:
                 continue
             # every subchain with two or more elements is a 1-dimensional grid
             if grid.dimension > 1:
-                factors = core.grid_factor_sizes(core.induced_lattice(grid.lattice, sub))
+                mask = sum(1 << grid.lattice.index(x) for x in sub)
+                factors = core.grid_factor_sizes(core._induced(grid.lattice, mask))
                 if factors is None or len(factors) != grid.dimension:
                     continue
             tested += 1

@@ -176,8 +176,6 @@ def _cmd_embed_grid(args) -> tuple[dict, int]:
 def _cmd_retract(args) -> tuple[dict, int]:
     lf = _load(args.file)
     sub = _load_sub(args, lf)
-    if not core.check_sublattice(lf.lattice, sub):
-        raise core.NotASublattice(f"{sorted(sub)!r} is not a sublattice")
     hom, nodes = oracle.search_retraction(lf.lattice, sub)
     if hom is None:
         return (
@@ -344,7 +342,7 @@ def _build_parser() -> _Parser:
     p = commands.add_parser("classify", help="absolute-retract classification")
     p.add_argument("file")
     p.add_argument("--class", dest="klass", required=True,
-                   help="dfin:<n>, dfin:omega, or dcov:<n>")
+                   help="dfin:<n>, dfin:omega, dcov:<n>, or sps")
     p.set_defaults(func=_cmd_classify)
 
     p = commands.add_parser("witness-sps", help="non-retract witness for a slim semimodular lattice")

@@ -8,10 +8,13 @@ reproducible across runs.  Lattice values are immutable after construction
 and safe for concurrent reads.  The order comes from Kahn's topological
 sort and the join/meet tables from one up-/down-mask lookup per pair; the
 tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
-elements.
+elements.  Covers are kept as index masks; `upper_covers` and
+`lower_covers` read the ids off them on demand.  Whether a subset is a
+sublattice is decided here alone, by `_closed_mask`, and `_induced` builds
+the sublattice from that mask, so a caller checks a subset once.
 
-Derived invariants (distributivity, booleanness, slimness, the
-join-irreducibles, the length, the grid factor sizes, and in `chains` the
+Derived invariants (distributivity, semimodularity, booleanness, slimness,
+the join-irreducibles, the length, the grid factor sizes, and in `chains` the
 order dimension and the grid embedding) are memoised per lattice in its
 private ``_memo`` dict.  An entry is computed from the immutable tables,
 so a second writer stores an equal value: the writes are idempotent and
@@ -127,8 +130,6 @@ class FiniteLattice:
         "_meet",
         "_ucov",
         "_lcov",
-        "_ucov_ids",
-        "_lcov_ids",
         "_memo",
     )
 
@@ -218,13 +219,6 @@ class FiniteLattice:
                 meet[i][j] = meet[j][i] = m
         self._join = tuple(tuple(row) for row in join)
         self._meet = tuple(tuple(row) for row in meet)
-
-        self._ucov_ids = tuple(
-            tuple(self.elements[j] for j in _bits(ucov[i])) for i in range(n)
-        )
-        self._lcov_ids = tuple(
-            tuple(self.elements[j] for j in _bits(lcov[i])) for i in range(n)
-        )
         self._memo = {}
 
     # -- structural accessors -------------------------------------------------
@@ -270,10 +264,10 @@ class FiniteLattice:
         return self.elements[out]
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
-        return self._ucov_ids[self._index[x]]
+        return tuple(self.elements[j] for j in _bits(self._ucov[self._index[x]]))
 
     def lower_covers(self, x: str) -> tuple[str, ...]:
-        return self._lcov_ids[self._index[x]]
+        return tuple(self.elements[j] for j in _bits(self._lcov[self._index[x]]))
 
     def up_set(self, x: str) -> frozenset[str]:
         return frozenset(self.elements[j] for j in _bits(self._up[self._index[x]]))
@@ -379,6 +373,7 @@ def is_distributive(lattice: FiniteLattice) -> bool:
     return True
 
 
+@_memoised
 def is_semimodular(lattice: FiniteLattice) -> bool:
     """Check that x ≺ y implies x ∨ z ⪯ y ∨ z, over all covers and z."""
     n = len(lattice)
@@ -511,28 +506,42 @@ def four_cells(lattice: FiniteLattice) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def check_sublattice(lattice: FiniteLattice, subset) -> bool:
-    """True iff the subset is nonempty and closed under join and meet."""
+def _closed_mask(lattice: FiniteLattice, subset) -> int:
+    """Index mask of the subset if it is nonempty and closed under join and meet, else 0."""
     mask = 0
     for x in subset:
         if x not in lattice:
-            return False
+            return 0
         mask |= 1 << lattice._index[x]
     members = list(_bits(mask))
     for k, i in enumerate(members):
         join_i, meet_i = lattice._join[i], lattice._meet[i]
         for j in members[k:]:
             if not (mask >> join_i[j] & 1 and mask >> meet_i[j] & 1):
-                return False
-    return bool(mask)
+                return 0
+    return mask
+
+
+def _sublattice_mask(lattice: FiniteLattice, subset) -> int:
+    """`_closed_mask`, raising `NotASublattice` where it gives 0."""
+    mask = _closed_mask(lattice, subset)
+    if not mask:
+        raise NotASublattice(f"{sorted(subset)!r} is not a sublattice")
+    return mask
+
+
+def _induced(lattice: FiniteLattice, mask: int) -> FiniteLattice:
+    """The sublattice on the indices of a mask already known to be closed."""
+    ids = lattice.elements
+    covers = [(ids[i], ids[j]) for i, j in _covers_within(lattice._up, mask)]
+    return FiniteLattice([ids[i] for i in _bits(mask)], covers)
+
+
+def check_sublattice(lattice: FiniteLattice, subset) -> bool:
+    """True iff the subset is nonempty and closed under join and meet."""
+    return bool(_closed_mask(lattice, subset))
 
 
 def induced_lattice(lattice: FiniteLattice, subset) -> FiniteLattice:
     """The sublattice on a closed subset, with its own cover relation."""
-    if not check_sublattice(lattice, subset):
-        raise NotASublattice(f"{sorted(subset)!r} is not closed under join and meet")
-    elems = sorted(subset, key=lattice.index)
-    mask = sum(1 << lattice.index(x) for x in set(elems))
-    ids = lattice.elements
-    covers = [(ids[i], ids[j]) for i, j in _covers_within(lattice._up, mask)]
-    return FiniteLattice(elems, covers)
+    return _induced(lattice, _sublattice_mask(lattice, subset))

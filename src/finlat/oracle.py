@@ -7,12 +7,14 @@ retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
 solver on integer equation slots built straight from those rows, with
-element ids only in the values they return.  One driver, `_backtrack`, runs the
-retraction search, the solver and `find_embedding` on an explicit stack,
-and one join/meet forcing propagator, `_forcing`, serves the retraction
-search and `find_embedding`.  Every search here keeps its choices on a
-stack, so its depth is not bounded by the interpreter's recursion limit
-and a call leaves no reference cycles.
+element ids only in the values they return.  Each public entry checks
+its subset once, through `core`, and builds its target from that mask.
+One driver, `_backtrack`, runs the retraction search, the solver and
+`find_embedding` on an explicit stack, and one join/meet forcing
+propagator, `_forcing`, serves the retraction search and `find_embedding`.
+Every search here keeps its choices on a stack, so its depth is not
+bounded by the interpreter's recursion limit and a call leaves no
+reference cycles.
 Isomorphism is decided by individualisation–refinement on the two cover
 digraphs, and every positive answer is checked as an explicit bijection.
 Small lattices are enumerated up to isomorphism over canonical posets from
@@ -34,8 +36,9 @@ from .core import (
     NotALattice,
     _bits,
     _covers_within,
+    _induced,
+    _sublattice_mask,
     build_lattice,
-    check_sublattice,
     induced_lattice,
     is_distributive,
     is_semimodular,
@@ -44,7 +47,6 @@ from .core import (
 from .morphisms import Homomorphism, congruence_generated_by
 
 __all__ = [
-    "NotASublatticeHere",
     "NotProper",
     "CeilingExceeded",
     "exists_retraction",
@@ -65,10 +67,6 @@ __all__ = [
     "enumerate_distributive_lattices",
     "bruteforce_lattices",
 ]
-
-
-class NotASublatticeHere(LatticeError):
-    """Raised when a search is asked to fix a set that is not a sublattice."""
 
 
 class NotProper(LatticeError):
@@ -172,15 +170,17 @@ def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injectiv
     return propagate
 
 
-def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
+def _search(lattice: FiniteLattice, sub, count_all: bool):
     """Backtracking over maps from the new elements into the sublattice.
 
-    Assignments are propagated by `_forcing` within the lattice.  Variables
-    are taken in decreasing cover-degree order, values in canonical element
-    order.  Returns (first mapping or None, count, nodes).
+    Raises `NotASublattice` unless ``sub`` is a sublattice.  Assignments are
+    propagated by `_forcing` within the lattice.  Variables are taken in
+    decreasing cover-degree order, values in canonical element order.
+    Returns (sublattice mask, first mapping or None, count, nodes).
     """
+    mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
-    sub_idx = sorted(lattice.index(x) for x in sub)
+    sub_idx = list(_bits(mask))
     f = [-1] * n
     for i in sub_idx:
         f[i] = i
@@ -208,19 +208,15 @@ def _search(lattice: FiniteLattice, sub: set[str], count_all: bool):
         mapping = {
             lattice.elements[i]: lattice.elements[first[i]] for i in range(n)
         }
-    return mapping, count, nodes
+    return mask, mapping, count, nodes
 
 
 def search_retraction(lattice: FiniteLattice, sub) -> tuple[Homomorphism | None, int]:
     """First retraction onto a sublattice (verified) plus nodes explored."""
-    sub = set(sub)
-    if not check_sublattice(lattice, sub):
-        raise NotASublatticeHere(f"{sorted(sub)!r} is not a sublattice")
-    mapping, _, nodes = _search(lattice, sub, count_all=False)
+    mask, mapping, _, nodes = _search(lattice, sub, count_all=False)
     if mapping is None:
         return None, nodes
-    hom = Homomorphism(lattice, induced_lattice(lattice, sub), mapping)
-    return hom, nodes
+    return Homomorphism(lattice, _induced(lattice, mask), mapping), nodes
 
 
 def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
@@ -233,10 +229,7 @@ def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
         return search_retraction(lattice, sub)[0]
     if mode != "count":
         raise ValueError(f"unknown mode {mode!r}")
-    sub = set(sub)
-    if not check_sublattice(lattice, sub):
-        raise NotASublatticeHere(f"{sorted(sub)!r} is not a sublattice")
-    return _search(lattice, sub, count_all=True)[1]
+    return _search(lattice, sub, count_all=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +351,20 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     They go straight onto integer slots from the join and meet rows; the
     Term form is derived only when ``equations`` is read.
     """
-    sub = frozenset(sub)
-    if not check_sublattice(lattice, sub):
-        raise NotASublatticeHere(f"{sorted(sub)!r} is not a sublattice")
-    if sub == frozenset(lattice.elements):
+    mask = _sublattice_mask(lattice, sub)
+    n = len(lattice)
+    if mask == (1 << n) - 1:
         raise NotProper("the sublattice must be proper")
 
-    n = len(lattice)
     join, meet = lattice._join, lattice._meet
-    slot = [i if e in sub else n + i for i, e in enumerate(lattice.elements)]
-    new = tuple(e for e in lattice.elements if e not in sub)
+    slot = [i if mask >> i & 1 else n + i for i in range(n)]
+    new = tuple(lattice.elements[i] for i in range(n) if slot[i] >= n)
     codes = []
     for a, joins, meets in zip(slot, join, meet):
         for b, jk, mk in zip(slot, joins, meets):
             if a >= n or b >= n:
                 codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
-    system = EquationSystem(lattice, sub, new, _codes=codes)
+    system = EquationSystem(lattice, _mask_to_set(lattice, mask), new, _codes=codes)
     identity = Assignment({x: x for x in new})
     if not _satisfies(system, identity, ambient=True):  # pragma: no cover
         raise LatticeError("identity substitution failed; system is malformed")

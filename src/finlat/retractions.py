@@ -26,12 +26,12 @@ from functools import reduce
 from .core import (
     FiniteLattice,
     LatticeError,
-    NotASublattice,
     _bits,
+    _closed_mask,
+    _induced,
     _jmask,
-    check_sublattice,
+    _sublattice_mask,
     grid_factor_sizes,
-    induced_lattice,
     is_boolean,
     is_distributive,
     is_semimodular,
@@ -66,6 +66,10 @@ __all__ = [
     "WitnessCertificate",
     "classify_absolute_retract",
 ]
+
+
+# The largest witness that `classify_absolute_retract` confirms by search.
+_ORACLE_BOUND = 60
 
 
 class NotSemimodular(LatticeError):
@@ -126,16 +130,14 @@ def _is_chain(lattice: FiniteLattice) -> bool:
     return lattice_length(lattice) == len(lattice) - 1
 
 
-def _upper_map(lattice: FiniteLattice, subset) -> dict[str, str]:
+def _upper_map(lattice: FiniteLattice, mask: int) -> dict[str, str]:
     """x ↦ the least member of the sublattice S at or above x ∧ t, t = top of S.
 
-    The image of x is the meet of the members in the up-set of x ∧ t, which
-    lies in S because S is closed under meets.
+    S is given by its index mask.  The image of x is the meet of the members
+    in the up-set of x ∧ t, which lies in S because S is closed under meets.
     """
     ids, join, meet, up = lattice.elements, lattice._join, lattice._meet, lattice._up
-    members = [lattice._index[d] for d in subset]
-    mask = sum(1 << i for i in members)
-    t = reduce(lambda a, b: join[a][b], members)
+    t = reduce(lambda a, b: join[a][b], _bits(mask))
     return {
         x: ids[reduce(lambda a, b: meet[a][b], _bits(up[meet[i][t]] & mask))]
         for i, x in enumerate(ids)
@@ -153,10 +155,13 @@ def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
     subset = set(subset)
     if not subset:
         raise EmptySubset("cannot retract onto the empty set")
+    mask = 0
     for e in subset:
         if e not in chain:
             raise LatticeError(f"{e!r} is not an element of the chain")
-    return Homomorphism(chain, induced_lattice(chain, subset), _upper_map(chain, subset))
+        mask |= 1 << chain.index(e)
+    # Every nonempty subset of a chain is a sublattice.
+    return Homomorphism(chain, _induced(chain, mask), _upper_map(chain, mask))
 
 
 def grid_retraction(grid: Grid, subset) -> Homomorphism:
@@ -170,11 +175,11 @@ def grid_retraction(grid: Grid, subset) -> Homomorphism:
     intersection of the kernels of the axis projections composed with
     those retractions (checked in the tests).
     """
+    lattice = grid.lattice
     subset = set(subset)
     recover_subgrid_chains(grid, subset)
-    return Homomorphism(
-        grid.lattice, induced_lattice(grid.lattice, subset), _upper_map(grid.lattice, subset)
-    )
+    mask = sum(1 << lattice.index(x) for x in subset)
+    return Homomorphism(lattice, _induced(lattice, mask), _upper_map(lattice, mask))
 
 
 def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
@@ -207,10 +212,10 @@ def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
     """
     if not is_distributive(lattice):
         raise NotDistributive("boolean retraction needs a distributive ambient lattice")
-    subset = set(subset)
-    if not check_sublattice(lattice, subset):
+    mask = _closed_mask(lattice, subset)
+    if not mask:
         raise NotBooleanSublattice("subset is not a sublattice")
-    sub = induced_lattice(lattice, subset)
+    sub = _induced(lattice, mask)
     if not is_boolean(sub):
         raise NotBooleanSublattice("subset is not a boolean sublattice")
     return Homomorphism(lattice, sub, _prime_map(lattice, sub))
@@ -222,18 +227,17 @@ class ClassId:
 
     ``kind`` is one of ``dfin`` (finite distributive lattices of dimension
     at most n, all homomorphisms), ``dcov`` (same objects, cover-{0,1}
-    morphisms), ``dall`` (all distributive lattices, finite witnesses only),
-    or ``sps`` (slim semimodular lattices).  ``n`` is the dimension bound;
-    None marks the unbounded case.
+    morphisms), or ``sps`` (slim semimodular lattices).  ``n`` is the
+    dimension bound; None marks the unbounded case.
     """
 
     kind: str
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("dfin", "dcov", "dall", "sps"):
+        if self.kind not in ("dfin", "dcov", "sps"):
             raise LatticeError(f"unknown class kind {self.kind!r}")
-        if self.kind in ("dall", "sps") and self.n is not None:
+        if self.kind == "sps" and self.n is not None:
             raise LatticeError(f"class {self.kind!r} takes no dimension bound")
         if self.n is not None and self.n < 1:
             raise LatticeError("dimension bound must be at least 1")
@@ -247,17 +251,13 @@ class ClassId:
         return cls("dcov", n)
 
     @classmethod
-    def dall(cls) -> "ClassId":
-        return cls("dall")
-
-    @classmethod
     def sps(cls) -> "ClassId":
         return cls("sps")
 
     @classmethod
     def parse(cls, text: str) -> "ClassId":
         kind, _, arg = text.partition(":")
-        if kind in ("dall", "sps"):
+        if kind == "sps":
             if arg:
                 raise LatticeError(f"class {kind!r} takes no argument")
             return cls(kind)
@@ -271,7 +271,7 @@ class ClassId:
         raise LatticeError(f"unknown class {text!r}")
 
     def __str__(self) -> str:
-        if self.kind in ("dall", "sps"):
+        if self.kind == "sps":
             return self.kind
         return f"{self.kind}:{'omega' if self.n is None else self.n}"
 
@@ -308,19 +308,17 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     ambient lattice.
     """
     _check_membership(lattice, cls)
-    subset = set(subset)
-    if not check_sublattice(lattice, subset):
-        raise NotASublattice(f"{sorted(subset)!r} is not a sublattice")
-    sub = induced_lattice(lattice, subset)
+    mask = _sublattice_mask(lattice, subset)
+    sub = _induced(lattice, mask)
     mapping = None
-    if len(subset) < len(lattice):
-        if cls.kind == "sps" and len(subset) != 1:
+    if len(sub) < len(lattice):
+        if cls.kind == "sps" and len(sub) != 1:
             raise NotEligible("only one-element sublattices are eligible in this class")
         if cls.kind != "sps" and not _qualifies(sub, cls):
             raise NotEligible("target is neither boolean nor a grid of the class dimension")
         if cls.kind != "sps" and is_boolean(sub):
             mapping = _prime_map(lattice, sub)
-    result = Homomorphism(lattice, sub, mapping or _upper_map(lattice, subset))
+    result = Homomorphism(lattice, sub, mapping or _upper_map(lattice, mask))
     if not result.is_retraction():  # pragma: no cover - verified construction
         raise LatticeError("constructed map is not a retraction")
     return result
@@ -355,9 +353,7 @@ class Verdict:
     search_nodes: int | None = None
 
 
-def classify_absolute_retract(
-    lattice: FiniteLattice, cls: ClassId, oracle_bound: int = 60
-) -> Verdict:
+def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     """Decide absolute-retract status in a class, with a constructive refutation.
 
     Positive exactly for boolean lattices and, when the class carries a
@@ -366,7 +362,7 @@ def classify_absolute_retract(
     already agree, a dimension bump of that target when the dimension is
     still below the bound, or the boolean target directly.  A certificate
     shows the inclusion is a proper cover-{0,1} embedding of equal length;
-    for witnesses up to ``oracle_bound`` elements an exhaustive search is
+    for witnesses of at most `_ORACLE_BOUND` elements an exhaustive search is
     run as confirmation.
     """
     _check_membership(lattice, cls)
@@ -416,7 +412,7 @@ def classify_absolute_retract(
         raise LatticeError("witness construction failed to be a proper cover-{0,1} extension")
     confirmed: bool | None = None
     nodes: int | None = None
-    if len(witness_lattice) <= oracle_bound:
+    if len(witness_lattice) <= _ORACLE_BOUND:
         image = {mapping[x] for x in lattice.elements}
         found, nodes = search_retraction(witness_lattice, image)
         confirmed = found is None

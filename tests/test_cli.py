@@ -131,6 +131,22 @@ def test_retract_command_rejects_non_string_sub_file(tmp_path, sub):
     assert report["error"] == "ParseError: sub must be a list of strings"
 
 
+@pytest.mark.parametrize("sub", [["a", "b"], ["a", "a", "b"], ["0", "z"]])
+def test_retract_command_names_a_non_sublattice_as_given(tmp_path, sub):
+    b2 = {
+        "name": "B2",
+        "elements": ["0", "a", "b", "1"],
+        "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+    }
+    path = write(tmp_path, "b2.json", b2)
+    sub_path = write(tmp_path, "sub.json", sub)
+    report, code = run(["retract", path, "--sub", sub_path])
+    assert (report, code) == (
+        {"command": "retract", "error": f"NotASublattice: {sub!r} is not a sublattice"},
+        1,
+    )
+
+
 def test_retract_report_reverifies(tmp_path):
     from finlat import Homomorphism, induced_lattice
 

@@ -1,9 +1,11 @@
 """The package's internal import graph is acyclic, no module imports a
 sibling from inside a function, every exported name is bound, every
-imported name is used, and every definition is used somewhere."""
+imported name is used, every definition is used somewhere, and every
+finlat name the benchmark tracer wraps still resolves."""
 
 import ast
 import importlib
+import importlib.util
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -64,6 +66,22 @@ def test_every_exported_name_is_bound():
         module = importlib.import_module("finlat" if name == "__init__" else f"finlat.{name}")
         exports = getattr(module, "__all__", ())
         unbound += [f"{name}.{export}" for export in exports if not hasattr(module, export)]
+    assert unbound == []
+
+
+def test_traced_entry_points_resolve():
+    spec = importlib.util.spec_from_file_location("tracer", TESTS.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = []
+    for _, module_name, attribute in tracer.ENTRY_POINTS:
+        if module_name.partition(".")[0] != "finlat":
+            continue
+        target = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            unbound.append(f"{module_name}.{attribute}")
     assert unbound == []
 
 

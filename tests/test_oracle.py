@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finlat import (
     Assignment,
     CeilingExceeded,
+    NotASublattice,
     NotProper,
     all_sublattices,
     build_equation_system,
@@ -32,7 +33,6 @@ from finlat.core import _bits
 from finlat.oracle import (
     Equation,
     EquationSystem,
-    NotASublatticeHere,
     Term,
     _canonical_posets_upto,
     _digraph_canonical_key,
@@ -89,8 +89,18 @@ def test_exists_retraction_matches_brute_force_everywhere():
 
 
 def test_exists_retraction_rejects_non_sublattice(b2):
-    with pytest.raises(NotASublatticeHere):
-        exists_retraction(b2, {"0,0", "1,0", "0,1"})
+    subset = ["0,1", "1,0", "0,0"]
+    message = "['0,0', '0,1', '1,0'] is not a sublattice"
+    for call in (
+        exists_retraction,
+        lambda lat, sub: exists_retraction(lat, sub, mode="count"),
+        search_retraction,
+        build_equation_system,
+        induced_lattice,
+    ):
+        with pytest.raises(NotASublattice) as info:
+            call(b2, subset)
+        assert type(info.value) is NotASublattice and str(info.value) == message
 
 
 def test_search_retraction_returns_verified(c4):

@@ -213,12 +213,13 @@ def test_classid_parse_roundtrip():
         ClassId.parse("dfin:0")
     with pytest.raises(LatticeError):
         ClassId.parse("nonsense:1")
+    with pytest.raises(LatticeError):
+        ClassId.parse("dall")
 
 
 def test_classify_positive_cases(c3, b3):
     assert classify_absolute_retract(b3, ClassId.dfin(None)).is_absolute_retract
     assert classify_absolute_retract(c3, ClassId.dfin(1)).is_absolute_retract
-    assert classify_absolute_retract(b3, ClassId.dall()).is_absolute_retract
     singleton = build_lattice(["x"], [])
     assert classify_absolute_retract(singleton, ClassId.dfin(2)).is_absolute_retract
 
