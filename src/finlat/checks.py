@@ -115,11 +115,11 @@ def cover01(ambients) -> list[Result]:
     searched = 0
     bad: list[str] = []
     for big in ambients:
-        for sub in oracle.all_sublattices(big):
-            # all_sublattices yields closed sets only
-            sub_lat = core._induced(big, sum(1 << big.index(x) for x in sub))
+        for mask in oracle._sublattice_masks(big):
+            sub_lat = core._induced(big, mask)
             if not core.is_semimodular(sub_lat):
                 continue
+            sub = oracle._mask_to_set(big, mask)
             report = retractions.check_cover01(Homomorphism(sub_lat, big, {x: x for x in sub}))
             if report.is_cover01 != (report.is_embedding and report.lengths_equal):
                 bad.append(_pair(big, sub))
@@ -195,15 +195,15 @@ def subgrid(grid_sizes) -> list[Result]:
     bad: list[str] = []
     for sizes in grid_sizes:
         grid = grids.make_grid(sizes)
-        for sub in oracle.all_sublattices(grid.lattice):
-            if len(sub) < 2:
+        for mask in oracle._sublattice_masks(grid.lattice):
+            if mask.bit_count() < 2:
                 continue
             # every subchain with two or more elements is a 1-dimensional grid
             if grid.dimension > 1:
-                mask = sum(1 << grid.lattice.index(x) for x in sub)
                 factors = core.grid_factor_sizes(core._induced(grid.lattice, mask))
                 if factors is None or len(factors) != grid.dimension:
                     continue
+            sub = oracle._mask_to_set(grid.lattice, mask)
             tested += 1
             try:
                 recovered = [set(c) for c in grids.recover_subgrid_chains(grid, sub)]

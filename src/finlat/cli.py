@@ -34,6 +34,26 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _decode_json(data: bytes, path: str | None = None):
+    """Decode one JSON document; every way it can fail is a `ParseError`.
+
+    With a path, the message is the path and the decoder's own text;
+    without one, a lattice file's message names the fault and its position.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            detail = "JSON nested too deeply"
+        elif path is not None:
+            detail = str(exc)
+        elif isinstance(exc, UnicodeDecodeError):
+            detail = f"not UTF-8: {exc}"
+        else:
+            detail = f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise ParseError(detail if path is None else f"{path}: {detail}") from exc
+
+
 @dataclass
 class LatticeFile:
     """A named lattice presentation, optionally with a marked subset."""
@@ -44,12 +64,7 @@ class LatticeFile:
 
     @classmethod
     def parse(cls, data: bytes) -> "LatticeFile":
-        try:
-            obj = json.loads(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        obj = _decode_json(data)
         if not isinstance(obj, dict):
             raise ParseError("top level must be an object")
         name = obj.get("name", "")
@@ -98,10 +113,7 @@ def _read_file(path: str) -> bytes:
 
 
 def _read_json(path: str):
-    try:
-        return json.loads(_read_file(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _decode_json(_read_file(path), path)
 
 
 def _load(path: str) -> LatticeFile:

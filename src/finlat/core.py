@@ -14,13 +14,15 @@ sublattice is decided here alone, by `_closed_mask`, and `_induced` builds
 the sublattice from that mask, so a caller checks a subset once.
 
 Derived invariants (distributivity, semimodularity, booleanness, slimness,
-the join-irreducibles, the length, the grid factor sizes, and in `chains` the
-order dimension and the grid embedding) are memoised per lattice in its
-private ``_memo`` dict.  An entry is computed from the immutable tables,
-so a second writer stores an equal value: the writes are idempotent and
-reads stay safe.  Entries are immutable or copied at the API edge, and
-none references its lattice, so a lattice never sits in a reference
-cycle.
+the join-irreducibles, the length, the grid factor sizes, in `chains` the
+order dimension and the grid embedding, and in `grids` the dimension bump)
+are memoised per lattice in its private ``_memo`` dict.  An entry is
+computed from the immutable tables, so a second writer stores an equal
+value: the writes are idempotent and reads stay safe.  Entries are
+immutable or copied at the API edge, and none references its lattice, so
+a lattice sits in no reference cycle, with one exception: grids are
+interned by shape, so the grid embedding of a grid's own lattice may
+target that very grid, a cycle that the cyclic collector frees.
 """
 
 from __future__ import annotations

@@ -5,10 +5,19 @@ below the maximal join-irreducible of each axis).  The module provides the
 canonical-joinand decomposition, recovery of the defining subchains of a
 full-dimensional grid sublattice, and the length-preserving embedding of
 a non-boolean grid into a grid of one dimension higher.
+
+`make_grid` interns grids by factor sizes in a weak table: while some
+caller holds a grid, every request for its shape returns that one grid, so
+lattices of one grid shape share one witness lattice and its memoised
+invariants.  A grid leaves the table when its last holder drops it, so
+the table never outgrows what callers keep alive.  The dimension bump is
+memoised per grid in its lattice's ``_memo``, as `chains` memoises the
+grid embedding, so a bumped grid lives at least as long as its source.
 """
 
 from __future__ import annotations
 
+import weakref
 from math import prod
 
 from .core import (
@@ -54,7 +63,7 @@ class Grid:
     comma-joined identifier strings, e.g. ``"2,0"`` in a 2-dimensional grid.
     """
 
-    __slots__ = ("factor_sizes", "lattice", "canonical_chains", "_coords")
+    __slots__ = ("factor_sizes", "lattice", "canonical_chains", "_coords", "__weakref__")
 
     def __init__(self, factor_sizes: tuple[int, ...]):
         if not factor_sizes:
@@ -69,23 +78,20 @@ class Grid:
         elements = [_coord_id(c) for c in coords_list]
         self._coords = dict(zip(elements, coords_list))
 
-        covers = []
-        for c in coords_list:
-            for axis, s in enumerate(self.factor_sizes):
-                if c[axis] + 1 < s:
-                    upper = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
-                    covers.append((_coord_id(c), _coord_id(upper)))
+        # coords_list is in row-major order, so stepping one up along an
+        # axis moves the index by that axis's stride.
+        strides = [prod(self.factor_sizes[axis + 1 :]) for axis in range(len(self.factor_sizes))]
+        covers = [
+            (x, elements[i + stride])
+            for i, (c, x) in enumerate(zip(coords_list, elements))
+            for k, s, stride in zip(c, self.factor_sizes, strides)
+            if k + 1 < s
+        ]
         self.lattice = build_lattice(elements, covers)
-
-        n = len(self.factor_sizes)
-        chains = []
-        for axis, s in enumerate(self.factor_sizes):
-            chain = tuple(
-                _coord_id(tuple(k if i == axis else 0 for i in range(n)))
-                for k in range(s)
-            )
-            chains.append(chain)
-        self.canonical_chains = tuple(chains)
+        self.canonical_chains = tuple(
+            tuple(elements[k * stride] for k in range(s))
+            for s, stride in zip(self.factor_sizes, strides)
+        )
 
     @property
     def dimension(self) -> int:
@@ -104,9 +110,19 @@ class Grid:
         return f"<Grid {'x'.join(str(s) for s in self.factor_sizes)}>"
 
 
+# Live grids by factor sizes; an entry goes when its grid is collected.
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def make_grid(sizes) -> Grid:
-    """Build the grid with the given factor sizes (each at least 2)."""
-    return Grid(tuple(sizes))
+    """The grid with the given factor sizes (each at least 2), built once per
+    shape while some caller holds it."""
+    key = tuple(sizes)
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = Grid(key)
+        grid = _GRIDS.setdefault(grid.factor_sizes, grid)
+    return grid
 
 
 def canonical_joinands(grid: Grid, x: str) -> tuple[str, ...]:
@@ -150,8 +166,19 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     sends elements with small split-coordinate via (x, ...) ↦ (q, x, ...) and
     the rest via (x, ...) ↦ (x, q, ...), and the two parts agree on the
     overlap.  The image is the union of the ideal below (q, q, 1, ..., 1)
-    and the filter above (q, q, 0, ..., 0) inside the larger grid.
+    and the filter above (q, q, 0, ..., 0) inside the larger grid.  The
+    bump is built and validated once per grid; each call gets its own
+    mapping.
     """
+    memo = grid.lattice._memo
+    if _bump_parts not in memo:
+        memo[_bump_parts] = _bump_parts(grid)
+    bumped, mapping = memo[_bump_parts]
+    return bumped, dict(mapping)
+
+
+def _bump_parts(grid: Grid) -> tuple[Grid, dict[str, str]]:
+    """(bumped grid, mapping), validated; never the source grid or its lattice."""
     sizes = grid.factor_sizes
     split = next((j for j, s in enumerate(sizes) if s >= 3), None)
     if split is None:
@@ -159,7 +186,7 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     s = sizes[split]
     q = s - 2  # index of the coatom of the split factor
     new_sizes = sizes[:split] + (2, s - 1) + sizes[split + 1 :]
-    bumped = Grid(new_sizes)
+    bumped = make_grid(new_sizes)
 
     mapping: dict[str, str] = {}
     for x in grid.lattice.elements:

@@ -471,6 +471,12 @@ def all_sublattices(lattice: FiniteLattice):
 
     Yields frozensets of identifiers in lectic order over canonical indices.
     """
+    for mask in _sublattice_masks(lattice):
+        yield _mask_to_set(lattice, mask)
+
+
+def _sublattice_masks(lattice: FiniteLattice):
+    """The index masks of `all_sublattices`, in the same order."""
     n = len(lattice)
     join = lattice._join
     meet = lattice._meet
@@ -490,7 +496,7 @@ def all_sublattices(lattice: FiniteLattice):
     full = (1 << n) - 1
     current = closure(0)
     if current:
-        yield _mask_to_set(lattice, current)
+        yield current
     while current != full:
         for i in range(n - 1, -1, -1):
             if current >> i & 1:
@@ -501,7 +507,7 @@ def all_sublattices(lattice: FiniteLattice):
                 break
         else:  # pragma: no cover - next-closure always terminates at full
             return
-        yield _mask_to_set(lattice, current)
+        yield current
 
 
 def _mask_to_set(lattice: FiniteLattice, mask: int) -> frozenset[str]:

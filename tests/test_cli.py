@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finlat
 from finlat import build_lattice, is_isomorphic, oracle, s7_family
@@ -19,6 +20,11 @@ def write(tmp_path, name, payload):
 
 
 C3_FILE = {"name": "C3", "elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}
+B2_FILE = {
+    "name": "B2",
+    "elements": ["0", "a", "b", "1"],
+    "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+}
 
 
 def test_parse_lattice_file_roundtrip():
@@ -133,12 +139,7 @@ def test_retract_command_rejects_non_string_sub_file(tmp_path, sub):
 
 @pytest.mark.parametrize("sub", [["a", "b"], ["a", "a", "b"], ["0", "z"]])
 def test_retract_command_names_a_non_sublattice_as_given(tmp_path, sub):
-    b2 = {
-        "name": "B2",
-        "elements": ["0", "a", "b", "1"],
-        "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
-    }
-    path = write(tmp_path, "b2.json", b2)
+    path = write(tmp_path, "b2.json", B2_FILE)
     sub_path = write(tmp_path, "sub.json", sub)
     report, code = run(["retract", path, "--sub", sub_path])
     assert (report, code) == (
@@ -297,6 +298,35 @@ def test_malformed_inputs_give_json_error(tmp_path, argv, script):
     report, code = run([files.get(arg, arg) for arg in argv])
     assert code == 1
     assert "error" in json.loads(json.dumps(report))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "DEEP"], ["retract", "C3", "--sub", "DEEP"], ["witness-sps", "C3", "--forks", "DEEP"]],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_json_is_a_parse_error(tmp_path, argv):
+    files = {"C3": write(tmp_path, "c3.json", C3_FILE), "DEEP": str(tmp_path / "deep.json")}
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    report, code = run([files.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert json.loads(json.dumps(report)) == report
+    assert report["error"].startswith("ParseError:")
+
+
+@pytest.fixture(scope="module")
+def b2_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("classes") / "b2.json"
+    path.write_text(json.dumps(B2_FILE))
+    return str(path)
+
+
+@given(st.one_of(st.text(), st.from_regex(r"(dfin|dcov|sps):?.{0,6}", fullmatch=True)))
+@settings(max_examples=200, deadline=None)
+def test_any_class_string_gives_a_json_report(b2_path, text):
+    report, code = run(["classify", b2_path, "--class", text])
+    assert code in (0, 1, 2)
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_analyze_rejects_a_chain_over_the_element_cap(tmp_path):

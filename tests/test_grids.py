@@ -1,25 +1,32 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
 from finlat import (
     BooleanInput,
+    ClassId,
     Homomorphism,
     NotASubgrid,
+    NotInClass,
     TrivialFactor,
     all_sublattices,
     canonical_joinands,
     check_cover01,
     check_sublattice,
+    classify_absolute_retract,
     classify_properties,
     dimension_bump,
+    enumerate_distributive_lattices,
     four_cells,
     join_irreducibles,
     lattice_length,
     make_grid,
     recover_subgrid_chains,
 )
+from finlat.grids import Grid, _validate_bump
 from tests.conftest import REFERENCE_GRID_SIZES
 
 
@@ -220,3 +227,75 @@ def test_dimension_bump_image_is_ideal_filter_gluing():
     filter_part = lat.up_set("0,1")
     image = set(mapping.values())
     assert image == ideal_part | filter_part
+
+
+def test_make_grid_interns_while_held():
+    first = make_grid((6, 5, 2))
+    assert make_grid([6, 5, 2]) is first
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
+    assert make_grid((6, 5, 2)).factor_sizes == (6, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((1, 3), "factor sizes (1, 3) include a trivial chain"),
+        ([3, 0], "factor sizes (3, 0) include a trivial chain"),
+        ((), "a grid needs at least one factor"),
+    ],
+)
+def test_make_grid_keeps_invalid_size_errors(sizes, message):
+    for _ in range(2):
+        with pytest.raises(TrivialFactor) as info:
+            make_grid(sizes)
+        assert str(info.value) == message
+
+
+def test_dimension_bump_is_memoised_with_fresh_mappings(monkeypatch):
+    validated = []
+
+    def validate(*args):
+        validated.append(args)
+        _validate_bump(*args)
+
+    monkeypatch.setattr("finlat.grids._validate_bump", validate)
+    grid = Grid((4, 3))
+    bumped, first = dimension_bump(grid)
+    first["0,0"] = "mutated"
+    again, second = dimension_bump(grid)
+    assert again is bumped
+    assert second is not first and second["0,0"] == "0,0,0"
+    assert second == dimension_bump(grid)[1]
+    assert len(validated) == 1
+    assert bumped.lattice == Grid((2, 3, 3)).lattice
+    for _ in range(2):
+        with pytest.raises(BooleanInput, match="every factor is a two-element chain"):
+            dimension_bump(make_grid((2, 2)))
+
+
+def _grid_sizes_of(lattice):
+    """Factor sizes read back from a grid lattice's coordinate ids."""
+    coords = [tuple(map(int, x.split(","))) for x in lattice.elements]
+    return tuple(max(axis) + 1 for axis in zip(*coords))
+
+
+def test_classify_witnesses_are_the_shared_grids():
+    # the classes of the retract-sweep benchmark workload
+    classes = [ClassId.dfin(1), ClassId.dfin(2), ClassId.dfin(3), ClassId.dfin(None)]
+    witnesses = 0
+    for lattice in enumerate_distributive_lattices(8):
+        for cls in classes:
+            try:
+                verdict = classify_absolute_retract(lattice, cls)
+            except NotInClass:
+                continue
+            if verdict.is_absolute_retract:
+                continue
+            sizes = _grid_sizes_of(verdict.witness)
+            assert verdict.witness == Grid(sizes).lattice
+            assert verdict.witness is make_grid(sizes).lattice
+            witnesses += 1
+    assert witnesses == 94

@@ -1,7 +1,8 @@
 """The package's internal import graph is acyclic, no module imports a
 sibling from inside a function, every exported name is bound, every
-imported name is used, every definition is used somewhere, and every
-finlat name the benchmark tracer wraps still resolves."""
+imported name is used, every definition is used somewhere, every
+finlat name the benchmark tracer wraps still resolves, and every grid the
+package builds goes through the intern table of `make_grid`."""
 
 import ast
 import importlib
@@ -83,6 +84,26 @@ def test_traced_entry_points_resolve():
         if target is None:
             unbound.append(f"{module_name}.{attribute}")
     assert unbound == []
+
+
+def test_grids_are_built_only_by_make_grid():
+    def grid_calls(tree):
+        return {
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Grid" or getattr(node.func, "attr", None) == "Grid")
+        }
+
+    bypasses = []
+    for name in sorted(MODULES):
+        tree = _parse(name)
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and name == "grids" and func.name == "make_grid":
+                allowed |= grid_calls(func)
+        bypasses += [f"{name}.py:{node.lineno}" for node in grid_calls(tree) - allowed]
+    assert bypasses == []
 
 
 def _used_names(tree):
