@@ -7,7 +7,9 @@ For a finite distributive lattice the order dimension is the width of its
 join-irreducibles, and the canonical chains of that width produce a
 cover-preserving {0,1}-embedding into a grid of equal length.  Both are
 memoised on the lattice (see `core`); the embedding is validated once, on
-the first call, and each call returns a fresh `GridEmbedding`.
+the first call, and each call returns a fresh `GridEmbedding`.  For a
+grid's own lattice the memo keeps the factor sizes, not the grid, so no
+grid sits in a reference cycle through its lattice's memo.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
     target, mapping, e_plus = _grid_embedding_parts(lattice)
     return GridEmbedding(
         source=lattice,
-        target=target,
+        target=make_grid(target) if isinstance(target, tuple) else target,
         mapping=dict(mapping),
         coordinate_chains=e_plus,
     )
@@ -243,7 +245,11 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
 
 @_memoised
 def _grid_embedding_parts(lattice: FiniteLattice):
-    """(target grid, mapping, coordinate chains), validated; never the lattice."""
+    """(target grid, mapping, coordinate chains), validated; never the lattice.
+
+    When the target grid's lattice is the input itself, the grid would
+    reference its own lattice's memo, so its factor sizes stand in for it.
+    """
     ji = join_irreducibles(lattice)
     cover = min_chain_cover(lattice, ji)
     disjoint = disjointify_chains(cover)
@@ -258,6 +264,8 @@ def _grid_embedding_parts(lattice: FiniteLattice):
         for x, down in zip(lattice.elements, lattice._down)
     }
     _validate_embedding(lattice, target, mapping, e_plus)
+    if target.lattice is lattice:
+        return target.factor_sizes, mapping, e_plus
     return target, mapping, e_plus
 
 

@@ -14,15 +14,16 @@ sublattice is decided here alone, by `_closed_mask`, and `_induced` builds
 the sublattice from that mask, so a caller checks a subset once.
 
 Derived invariants (distributivity, semimodularity, booleanness, slimness,
-the join-irreducibles, the length, the grid factor sizes, in `chains` the
-order dimension and the grid embedding, and in `grids` the dimension bump)
-are memoised per lattice in its private ``_memo`` dict.  An entry is
-computed from the immutable tables, so a second writer stores an equal
-value: the writes are idempotent and reads stay safe.  Entries are
-immutable or copied at the API edge, and none references its lattice, so
-a lattice sits in no reference cycle, with one exception: grids are
-interned by shape, so the grid embedding of a grid's own lattice may
-target that very grid, a cycle that the cyclic collector frees.
+the join- and meet-irreducibles, the length, the grid factor sizes, in
+`chains` the order dimension and the grid embedding, in `grids` the
+dimension bump, and in `oracle` the cover degrees) are memoised per
+lattice in its private ``_memo`` dict.  An entry is computed from the
+immutable tables, so a second writer stores an equal value: the writes
+are idempotent and reads stay safe.  Entries are immutable or copied at
+the API edge, and none references its lattice, so a lattice sits in no
+reference cycle.  The grid embedding of a grid's own lattice would target
+that very grid, so for it `chains` keeps the factor sizes and looks the
+grid up again on each call.
 """
 
 from __future__ import annotations
@@ -325,6 +326,16 @@ def _jmask(lattice: FiniteLattice) -> int:
     mask = 0
     for i, lc in enumerate(lattice._lcov):
         if lc and not lc & (lc - 1):
+            mask |= 1 << i
+    return mask
+
+
+@_memoised
+def _mmask(lattice: FiniteLattice) -> int:
+    """Index mask of the elements with exactly one upper cover."""
+    mask = 0
+    for i, uc in enumerate(lattice._ucov):
+        if uc and not uc & (uc - 1):
             mask |= 1 << i
     return mask
 

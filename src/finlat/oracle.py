@@ -12,6 +12,9 @@ its subset once, through `core`, and builds its target from that mask.
 One driver, `_backtrack`, runs the retraction search, the solver and
 `find_embedding` on an explicit stack, and one join/meet forcing
 propagator, `_forcing`, serves the retraction search and `find_embedding`.
+`find_embedding` first compares lengths and skips the search when the
+source is longer than the target, which no embedding allows.  The cover
+degrees that order both searches' variables are memoised per lattice.
 Every search here keeps its choices on a stack, so its depth is not
 bounded by the interpreter's recursion limit and a call leaves no
 reference cycles.
@@ -37,12 +40,14 @@ from .core import (
     _bits,
     _covers_within,
     _induced,
+    _memoised,
     _sublattice_mask,
     build_lattice,
     induced_lattice,
     is_distributive,
     is_semimodular,
     is_slim,
+    lattice_length,
 )
 from .morphisms import Homomorphism, congruence_generated_by
 
@@ -125,9 +130,12 @@ def _backtrack(order, values, val, assigned, propagate, leaf) -> int:
             return nodes
 
 
-def _cover_degrees(lattice: FiniteLattice) -> list[int]:
+@_memoised
+def _cover_degrees(lattice: FiniteLattice) -> tuple[int, ...]:
     """Number of upper plus lower covers of each element index."""
-    return [up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)]
+    return tuple(
+        up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)
+    )
 
 
 def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injective: bool):
@@ -523,7 +531,12 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
     has a forced image, so branching happens only where nothing is forced.
     Forcing never removes an embedding, so the first one found is the
     lexicographically first in that order; its keys follow the same order.
+    An embedding is an order embedding, so it maps a longest chain of small
+    onto a chain of big of the same length: when small is longer than big,
+    None is returned without a search.
     """
+    if lattice_length(small) > lattice_length(big):
+        return None
     n = len(small)
     order = sorted(range(n), key=lambda i: (small._down[i].bit_count(), small.elements[i]))
     f = [-1] * n

@@ -16,6 +16,10 @@ confirms that no retraction onto the embedded copy exists.  The kernel
 argument behind the search result (collapsing any two inner coatoms
 collapses them all into the top's block, by Grätzer's Swing Lemma) is also
 verified directly by congruence generation.
+
+Oriented lattices are read-only: each keeps the oriented 4-cells found
+when it was validated.  S7 family members are built once per process,
+each by one fork of the member before it, and shared by every witness.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class OrientedLattice:
     ``up[x]`` and ``down[x]`` list the covers of x from left to right.  Each
     pair of neighbouring upper covers spans a 4-cell, and those cells are
     exactly the cover-preserving boolean quadruples of the lattice; this is
-    revalidated whenever an instance is built.
+    revalidated whenever an instance is built, and the oriented cells found
+    then are what `cells` returns.  Instances are read-only.
     """
 
     def __init__(self, lattice, up, down, fresh: int = 0, last_fork: ForkRecord | None = None):
@@ -96,9 +101,9 @@ class OrientedLattice:
         self.down = {x: tuple(v) for x, v in down.items()}
         self._fresh = fresh
         self.last_fork = last_fork
-        self._validate()
+        self._cells = self._validate()
 
-    def _validate(self):
+    def _validate(self) -> tuple[Cell, ...]:
         lat = self.lattice
         if set(self.up) != set(lat.elements) or set(self.down) != set(lat.elements):
             raise ValidationFailed("cover orders do not match the element set")
@@ -115,16 +120,21 @@ class OrientedLattice:
             raise ValidationFailed("lattice is not slim")
         if not is_semimodular(lat):
             raise ValidationFailed("lattice is not semimodular")
-        from_up = set(self.cells())
+        cells = self._cells_from_up()
+        from_up = set(cells)
         from_down = set(self._cells_from_down())
         plain = {(c.bottom, frozenset((c.left, c.right)), c.top) for c in four_cells(lat)}
         for cell_set in (from_up, from_down):
             keyed = {(c.bottom, frozenset((c.left, c.right)), c.top) for c in cell_set}
             if keyed != plain:
                 raise ValidationFailed("planar cells disagree with the 4-cells")
+        return cells
 
     def cells(self) -> tuple[Cell, ...]:
         """All 4-cells, oriented: neighbouring upper covers span left and right."""
+        return self._cells
+
+    def _cells_from_up(self) -> tuple[Cell, ...]:
         lat = self.lattice
         out = []
         for a in lat.elements:
@@ -308,25 +318,35 @@ def inner_coatoms(ol: OrientedLattice) -> tuple[str, ...]:
     return tuple(c for c in ol.down[ol.lattice.top] if c not in boundary)
 
 
+# Members of the S7 family by index, each built once per process.
+_S7: dict[int, OrientedLattice] = {}
+
+
 def s7_family(i: int) -> OrientedLattice:
     """The i-th member of the S7 family.
 
-    Starts by adding a fork to the only 4-cell of the four-element boolean
-    lattice and then repeatedly forks the rightmost 4-cell containing the
-    top.  The result is slim rectangular, has exactly i inner coatoms, and
-    has length i + 2.
+    Member 1 adds a fork to the only 4-cell of the four-element boolean
+    lattice, and member j + 1 forks the rightmost 4-cell of member j that
+    contains the top.  Member i is slim rectangular, has exactly i inner
+    coatoms, and has length i + 2; both counts are checked on every member
+    as it is built.  Each member is built once, by one fork of the member
+    before it, and is retained for the life of the process and shared by
+    every caller, so it is read-only.
     """
     if i < 1:
         raise LatticeError("the family is indexed from 1")
-    ol = oriented_grid(1, 1)
-    for _ in range(i):
+    built = i
+    while built and built not in _S7:
+        built -= 1
+    ol = _S7[built] if built else oriented_grid(1, 1)
+    for j in range(built + 1, i + 1):
         top = ol.lattice.top
-        top_cells = [cell for cell in ol.cells() if cell.top == top]
-        ol = add_fork(ol, top_cells[-1])
-    if len(inner_coatoms(ol)) != i:  # pragma: no cover - construction invariant
-        raise ValidationFailed("inner coatom count is off")
-    if lattice_length(ol.lattice) != i + 2:  # pragma: no cover
-        raise ValidationFailed("length is off")
+        ol = add_fork(ol, [cell for cell in ol.cells() if cell.top == top][-1])
+        if len(inner_coatoms(ol)) != j:  # pragma: no cover - construction invariant
+            raise ValidationFailed("inner coatom count is off")
+        if lattice_length(ol.lattice) != j + 2:  # pragma: no cover
+            raise ValidationFailed("length is off")
+        ol = _S7.setdefault(j, ol)
     return ol
 
 

@@ -21,6 +21,7 @@ from finlat import (
     dimension_bump,
     enumerate_distributive_lattices,
     four_cells,
+    grid_embed,
     join_irreducibles,
     lattice_length,
     make_grid,
@@ -237,6 +238,21 @@ def test_make_grid_interns_while_held():
     gc.collect()
     assert ref() is None
     assert make_grid((6, 5, 2)).factor_sizes == (6, 5, 2)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (4,), (2, 2, 2)])
+def test_grid_embed_of_a_grid_leaves_no_cycle(sizes):
+    grid = make_grid(sizes)
+    for _ in range(2):
+        assert grid_embed(grid.lattice).target is grid
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert grid_embed(make_grid(sizes).lattice).target.factor_sizes == sizes
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from finlat import (
     Homomorphism,
     all_sublattices,
     congruence_generated_by,
+    enumerate_distributive_lattices,
     enumerate_small_lattices,
+    s7_family,
     search_retraction,
 )
 from finlat.morphisms import NotACongruence, NotAHomomorphism
@@ -214,6 +216,21 @@ def test_congruence_generated_by_matches_reference():
             assert [list(b) for b in got] == [list(b) for b in expected]
             calls += 1
     assert calls == 15 * len(LATTICES)
+
+
+def test_principal_congruences_match_reference():
+    """Every principal congruence of lattices with many irreducibles and few."""
+    lattices = [s7_family(i).lattice for i in range(1, 5)]
+    lattices += list(enumerate_distributive_lattices(8))
+    calls = 0
+    for lattice in lattices:
+        elements = lattice.elements
+        for i, a in enumerate(elements):
+            for b in elements[i + 1 :]:
+                got = congruence_generated_by(lattice, [(a, b)]).blocks
+                assert got == _reference_congruence_generated_by(lattice, [(a, b)]), (a, b)
+                calls += 1
+    assert calls == 1136
 
 
 @pytest.mark.parametrize("pairs", [[("0", "nowhere")], [("nowhere", "0")]])

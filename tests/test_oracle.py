@@ -35,6 +35,7 @@ from finlat.oracle import (
     EquationSystem,
     Term,
     _canonical_posets_upto,
+    _cover_degrees,
     _digraph_canonical_key,
     _downsets,
     canonical_key,
@@ -234,6 +235,20 @@ def test_find_embedding_chain_into_grid(c3):
 
 def test_find_embedding_rejects_impossible(b3, b2):
     assert find_embedding(b3, b2) is None
+
+
+def test_find_embedding_refuses_a_longer_lattice_without_search(b3, monkeypatch):
+    def search(*args):
+        raise AssertionError("searched for an embedding of a longer lattice")
+
+    monkeypatch.setattr("finlat.oracle._backtrack", search)
+    assert find_embedding(_chain(5), b3) is None
+
+
+def test_cover_degrees_are_memoised_per_lattice(b3):
+    degrees = _cover_degrees(b3)
+    assert degrees is _cover_degrees(b3)
+    assert degrees == tuple(len(b3.upper_covers(x)) + len(b3.lower_covers(x)) for x in b3.elements)
 
 
 def brute_force_embedding_exists(small, big):

@@ -80,6 +80,44 @@ def test_s7_family_counts():
         assert report.slim and report.semimodular
 
 
+def _reference_s7_family(i):
+    """A fresh fork loop from the boolean square."""
+    ol = oriented_grid(1, 1)
+    for _ in range(i):
+        top = ol.lattice.top
+        ol = add_fork(ol, [cell for cell in ol.cells() if cell.top == top][-1])
+    return ol
+
+
+def test_s7_family_builds_each_member_once_by_one_fork(monkeypatch):
+    forks = []
+
+    def counting_fork(ol, cell):
+        forks.append(cell)
+        return add_fork(ol, cell)
+
+    monkeypatch.setattr(slim, "_S7", {})
+    monkeypatch.setattr(slim, "add_fork", counting_fork)
+    for i in (5, 2, 8, 1):
+        member = s7_family(i)
+        expected = _reference_s7_family(i)
+        assert member.lattice.elements == expected.lattice.elements
+        assert member.lattice.covers == expected.lattice.covers
+        assert member.up == expected.up and member.down == expected.down
+        assert member._fresh == expected._fresh
+        assert member.last_fork == expected.last_fork
+        assert member.cells() == expected.cells()
+        assert s7_family(i) is member
+    assert len(forks) == 8
+    assert sorted(slim._S7) == list(range(1, 9))
+
+
+def test_oriented_cells_are_kept_from_validation():
+    for ol in (oriented_grid(2, 1), s7_family(3), build_slim_rectangular(ForkScript((3, 2), (("2,1", "2,0"),)))):
+        assert ol.cells() is ol.cells()
+        assert ol.cells() == ol._cells_from_up()
+
+
 def test_s7_family_coatom_meet_below_all():
     member = s7_family(3)
     coats = inner_coatoms(member)
