@@ -195,6 +195,7 @@ def subgrid(grid_sizes) -> list[Result]:
     bad: list[str] = []
     for sizes in grid_sizes:
         grid = grids.make_grid(sizes)
+        joinands = {x: grids.canonical_joinands(grid, x) for x in grid.lattice.elements}
         for mask in oracle._sublattice_masks(grid.lattice):
             if mask.bit_count() < 2:
                 continue
@@ -209,8 +210,8 @@ def subgrid(grid_sizes) -> list[Result]:
                 recovered = [set(c) for c in grids.recover_subgrid_chains(grid, sub)]
                 members = {
                     x
-                    for x in grid.lattice.elements
-                    if all(j in c for j, c in zip(grids.canonical_joinands(grid, x), recovered))
+                    for x, js in joinands.items()
+                    if all(j in c for j, c in zip(js, recovered))
                 }
             except grids.NotASubgrid:
                 members = None

@@ -138,8 +138,7 @@ class FiniteLattice:
 
     def __init__(self, elements, covers):
         ids = list(elements)
-        if len(ids) > MAX_ELEMENTS:
-            raise LatticeError(f"{len(ids)} elements exceed the limit of {MAX_ELEMENTS}")
+        _check_cap(len(ids))
         if not ids:
             raise LatticeError("a lattice needs at least one element")
         if len(set(ids)) != len(ids):
@@ -517,6 +516,12 @@ def four_cells(lattice: FiniteLattice) -> tuple[Cell, ...]:
             ):
                 cells.append(Cell(a, b, c, d))
     return tuple(cells)
+
+
+def _check_cap(n: int) -> None:
+    """Refuse a lattice of n elements when n exceeds `MAX_ELEMENTS`."""
+    if n > MAX_ELEMENTS:
+        raise LatticeError(f"{n} elements exceed the limit of {MAX_ELEMENTS}")
 
 
 def _closed_mask(lattice: FiniteLattice, subset) -> int:

@@ -22,6 +22,7 @@ from math import prod
 
 from .core import (
     LatticeError,
+    _check_cap,
     build_lattice,
     check_sublattice,
     lattice_length,
@@ -71,6 +72,7 @@ class Grid:
         if any(s < 2 for s in factor_sizes):
             raise TrivialFactor(f"factor sizes {factor_sizes!r} include a trivial chain")
         self.factor_sizes = tuple(int(s) for s in factor_sizes)
+        _check_cap(prod(self.factor_sizes))  # before any element id is built
 
         coords_list: list[tuple[int, ...]] = [()]
         for s in self.factor_sizes:

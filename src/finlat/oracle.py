@@ -8,7 +8,8 @@ generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
 solver on integer equation slots built straight from those rows, with
 element ids only in the values they return.  Each public entry checks
-its subset once, through `core`, and builds its target from that mask.
+its subset once, through `core`, and builds its target from that mask
+(an equation system keeps it for the retraction a solution induces).
 One driver, `_backtrack`, runs the retraction search, the solver and
 `find_embedding` on an explicit stack, and one join/meet forcing
 propagator, `_forcing`, serves the retraction search and `find_embedding`.
@@ -43,7 +44,6 @@ from .core import (
     _memoised,
     _sublattice_mask,
     build_lattice,
-    induced_lattice,
     is_distributive,
     is_semimodular,
     is_slim,
@@ -272,30 +272,19 @@ class EquationSystem:
     unknowns.  Substituting each new element for its own unknown always
     satisfies the system inside the ambient lattice.
 
-    The solver reads only the integer slot codes (see `_codes`).  A system
-    is built from its ``equations`` or, by `build_equation_system`, from its
-    codes, and derives the other form on first access; two systems are
-    equal when ambient, sub, unknowns and equations agree.
+    The system is its slot codes, in system order: parameter e is slot
+    index(e) and unknown x is slot n + index(x), so a value array starting
+    as ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
+    ``(table, left, right, result)`` with the ambient's join or meet table.
+    Only `build_equation_system` builds one, from the sublattice mask it
+    has checked.  ``sub`` and ``unknowns`` are read off that mask in index
+    order; ``equations``, the Term form, is derived on first access.
     """
 
-    def __init__(self, ambient, sub, unknowns, equations=None, *, _codes=None):
-        if (equations is None) == (_codes is None):
-            raise TypeError("give either the equations or their slot codes")
-        self.ambient, self.sub, self.unknowns = ambient, sub, unknowns
-        # Whichever form is given shadows the cached property deriving it.
-        if equations is None:
-            self._codes = _codes
-        else:
-            self.equations = equations
-
-    def __eq__(self, other):
-        if not isinstance(other, EquationSystem):
-            return NotImplemented
-        mine = (self.ambient, self.sub, self.unknowns, self.equations)
-        return mine == (other.ambient, other.sub, other.unknowns, other.equations)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.sub, self.unknowns))
+    def __init__(self, ambient: FiniteLattice, mask: int, codes: list[tuple]):
+        self.ambient, self._mask, self._codes = ambient, mask, codes
+        self.sub = _mask_to_set(ambient, mask)
+        self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
 
     @cached_property
     def equations(self) -> tuple[Equation, ...]:
@@ -306,26 +295,6 @@ class EquationSystem:
             Equation("join" if table is lat._join else "meet", terms[i], terms[j], terms[k])
             for table, i, j, k in self._codes
         )
-
-    @cached_property
-    def _codes(self) -> list[tuple]:
-        """The equations on integer slots, in system order.
-
-        Parameter e is slot index(e) and unknown x is slot n + index(x), so
-        a value array starting as ``list(range(n)) + [-1] * n`` evaluates
-        every term; each code is ``(table, left, right, result)`` with the
-        ambient's join or meet table.
-        """
-        lat = self.ambient
-        n, index = len(lat), lat._index
-
-        def slot(term: Term) -> int:
-            return index[term.element] + (n if term.kind == "unknown" else 0)
-
-        return [
-            (lat._join if eq.op == "join" else lat._meet, slot(eq.left), slot(eq.right), slot(eq.result))
-            for eq in self.equations
-        ]
 
     @cached_property
     def _by_unknown(self) -> dict[int, list[tuple]]:
@@ -356,8 +325,8 @@ class Assignment:
 def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     """Emit the equations for all ordered pairs touching a new element.
 
-    They go straight onto integer slots from the join and meet rows; the
-    Term form is derived only when ``equations`` is read.
+    They go straight onto integer slots from the join and meet rows, and
+    must all hold with every slot holding its own element.
     """
     mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
@@ -366,35 +335,34 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
 
     join, meet = lattice._join, lattice._meet
     slot = [i if mask >> i & 1 else n + i for i in range(n)]
-    new = tuple(lattice.elements[i] for i in range(n) if slot[i] >= n)
     codes = []
     for a, joins, meets in zip(slot, join, meet):
         for b, jk, mk in zip(slot, joins, meets):
             if a >= n or b >= n:
                 codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
-    system = EquationSystem(lattice, _mask_to_set(lattice, mask), new, _codes=codes)
-    identity = Assignment({x: x for x in new})
-    if not _satisfies(system, identity, ambient=True):  # pragma: no cover
+    if not _holds(codes, list(range(n)) * 2):  # pragma: no cover
         raise LatticeError("identity substitution failed; system is malformed")
-    return system
+    return EquationSystem(lattice, mask, codes)
 
 
-def _satisfies(system: EquationSystem, assignment: Assignment, ambient: bool = False) -> bool:
-    """Check an assignment; values may range over the ambient when asked."""
+def _holds(codes: list[tuple], val: list[int]) -> bool:
+    """Whether every code holds when slot s takes the element index ``val[s]``."""
+    return all(table[val[left]][val[right]] == val[result] for table, left, right, result in codes)
+
+
+def _satisfies(system: EquationSystem, assignment: Assignment) -> bool:
+    """Whether an assignment of sublattice elements to the unknowns solves the system."""
     lat = system.ambient
     values = assignment.values
     if set(values) != set(system.unknowns):
         return False
-    if not ambient and not all(v in system.sub for v in values.values()):
+    if not all(v in system.sub for v in values.values()):
         return False
     n = len(lat)
     val = list(range(n)) + [-1] * n
     for x, v in values.items():
         val[n + lat._index[x]] = lat._index[v]
-    for table, left, right, result in system._codes:
-        if table[val[left]][val[right]] != val[result]:
-            return False
-    return True
+    return _holds(system._codes, val)
 
 
 def solve_equation_system(system: EquationSystem, mode: str = "first"):
@@ -416,7 +384,7 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     unknowns = sorted(
         (n + index[x] for x in system.unknowns), key=lambda s: (-degree[s - n], s)
     )
-    values = sorted(index[v] for v in system.sub)
+    values = list(_bits(system._mask))
     val = list(range(n)) + [-1] * n
     assigned: list[int] = []
     count = 0
@@ -459,14 +427,15 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
 
 
 def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homomorphism:
-    """The retraction determined by a solution: identity on old, values on new."""
+    """The retraction determined by a solution: identity on old, values on new.
+
+    Its target is built on the system's mask, checked when the system was.
+    """
     if not _satisfies(system, assignment):
         raise LatticeError("assignment does not satisfy the system")
     lat = system.ambient
-    mapping = {
-        x: (x if x in system.sub else assignment.values[x]) for x in lat.elements
-    }
-    return Homomorphism(lat, induced_lattice(lat, system.sub), mapping)
+    mapping = {x: assignment.values.get(x, x) for x in lat.elements}
+    return Homomorphism(lat, _induced(lat, system._mask), mapping)
 
 
 # ---------------------------------------------------------------------------

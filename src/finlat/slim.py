@@ -28,6 +28,7 @@ import heapq
 from dataclasses import dataclass
 
 from .core import (
+    MAX_ELEMENTS,
     Cell,
     FiniteLattice,
     LatticeError,
@@ -409,18 +410,16 @@ def find_rectangular_extension(
     candidate is built only when it is popped.  Its children are pushed
     with sizes read off its descending cell walks, the count `add_fork`
     checks; a fork only adds elements, so the pop order is the sorted order
-    of all candidates, and the first one the input embeds into wins.
+    of all candidates, and the first one the input embeds into wins.  No
+    candidate has more than `MAX_ELEMENTS` elements, since none larger can
+    be built, so a larger `max_size` costs no more than that cap.
     Returns the script, the replayed lattice, and the embedding.
     """
     if max_size is None:
         max_size = max(14, len(lattice) + 8)
+    bound = min(max_size, MAX_ELEMENTS)
     bases = sorted(
-        (
-            (m, n)
-            for m in range(1, max_size)
-            for n in range(1, max_size)
-            if (m + 1) * (n + 1) <= max_size
-        ),
+        ((m, n) for m in range(1, bound // 2) for n in range(1, bound // (m + 1))),
         key=lambda mn: ((mn[0] + 1) * (mn[1] + 1), mn),
     )
     # (size, base index, fork count, steps) is unique, so entries never
@@ -434,10 +433,10 @@ def find_rectangular_extension(
             embedding = find_embedding(lattice, ol.lattice)
             if embedding is not None:
                 return ForkScript((m + 1, n + 1), steps), ol, embedding
-        if forks < max_forks and size + 3 <= max_size:
+        if forks < max_forks and size + 3 <= bound:
             for c in ol.cells():
                 grown = size + 1 + len(_walk(ol, c, -1)) + len(_walk(ol, c, 1))
-                if grown <= max_size:
+                if grown <= bound:
                     key = (grown, base_index, forks + 1, steps + ((c.top, c.left),))
                     heapq.heappush(heap, (*key, ol, c))
     raise NoRectangularExtensionFound(
@@ -542,7 +541,6 @@ def build_witness(
     lattice: FiniteLattice,
     script: ForkScript | None = None,
     max_size: int | None = None,
-    max_forks: int = 3,
 ) -> WitnessReport:
     """Construct an extension of a slim semimodular lattice with no retraction.
 
@@ -559,9 +557,7 @@ def build_witness(
         raise TooSmall("the one-element lattice is an absolute retract")
 
     if script is None:
-        script, rect, embedding = find_rectangular_extension(
-            lattice, max_size=max_size, max_forks=max_forks
-        )
+        script, rect, embedding = find_rectangular_extension(lattice, max_size=max_size)
     else:
         rect = build_slim_rectangular(script)
         embedding = find_embedding(lattice, rect.lattice)
@@ -593,7 +589,7 @@ def build_witness(
         raise ValidationFailed("no grid interval found below the anchor coatom")
     lo = psi[base.lattice.bottom]
 
-    current_rect = oriented_grid(m, n)
+    current_rect = base
     extension = ambient
     for top, left in script.steps:
         cell = current_rect.cell_at(top, left)

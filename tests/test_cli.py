@@ -197,6 +197,26 @@ def test_witness_sps_command(tmp_path):
     assert is_isomorphic(extension.lattice, s7_family(4).lattice)
 
 
+def test_witness_sps_max_size_is_bounded_by_the_element_cap(tmp_path):
+    """A --max-size far above the cap gives the default report.  Listing
+    bases up to that size would take time and memory without end, so the
+    fresh process runs under a timeout and a 1 GiB address-space limit."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    c2 = {"name": "C2", "elements": ["0", "1"], "covers": [["0", "1"]]}
+    path = write(tmp_path, "c2.json", c2)
+    env = {**os.environ, "PYTHONPATH": str(Path(finlat.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "finlat", "witness-sps", path, "--max-size", "1000000000"],
+        capture_output=True, env=env, check=False, timeout=60, preexec_fn=limit_memory,
+    )
+    report, code = run(["witness-sps", path])
+    assert (json.loads(done.stdout), done.returncode) == (json.loads(json.dumps(report)), code)
+
+
 def test_gen_slim_command(tmp_path):
     report, code = run(["gen-slim", "--grid", "1x1"])
     assert code == 0

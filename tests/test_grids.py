@@ -9,6 +9,7 @@ from finlat import (
     BooleanInput,
     ClassId,
     Homomorphism,
+    LatticeError,
     NotASubgrid,
     NotInClass,
     TrivialFactor,
@@ -27,6 +28,7 @@ from finlat import (
     make_grid,
     recover_subgrid_chains,
 )
+import finlat.grids as grids
 from finlat.grids import Grid, _validate_bump
 from tests.conftest import REFERENCE_GRID_SIZES
 
@@ -268,6 +270,16 @@ def test_make_grid_keeps_invalid_size_errors(sizes, message):
         with pytest.raises(TrivialFactor) as info:
             make_grid(sizes)
         assert str(info.value) == message
+
+
+def test_make_grid_refuses_an_oversized_shape_before_building_ids(monkeypatch):
+    built = []
+    real = grids._coord_id
+    monkeypatch.setattr(grids, "_coord_id", lambda coords: built.append(coords) or real(coords))
+    with pytest.raises(LatticeError) as info:
+        make_grid((400, 400))
+    assert str(info.value) == "160000 elements exceed the limit of 1024"
+    assert built == []
 
 
 def test_dimension_bump_is_memoised_with_fresh_mappings(monkeypatch):

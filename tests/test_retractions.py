@@ -217,6 +217,36 @@ def test_classid_parse_roundtrip():
         ClassId.parse("dall")
 
 
+def test_cover01_check_names_the_pair_that_breaks_the_lemma(monkeypatch):
+    """With sizes standing in for lengths, a proper inclusion is cover-{0,1}
+    yet never of equal length: the check fails and names the pair."""
+    from finlat import checks
+
+    monkeypatch.setattr(retractions, "lattice_length", len)
+    [result] = checks.cover01(enumerate_small_lattices(5, filters=("semimodular",)))
+    assert not result.passed
+    assert "first failure: sublattice ['0', '2', '3'] of the 4-element lattice" in result.detail
+
+
+def test_negative_verdicts_bump_or_keep_the_dimension():
+    """The grid target of a distributive lattice is boolean only when the
+    lattice is, and boolean lattices are positive, so every refutation is a
+    dimension bump or a same-dimension grid."""
+    classes = [ClassId.parse(c) for c in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2")]
+    cases = set()
+    for lattice in enumerate_distributive_lattices(12):
+        if len(lattice) >= 2:
+            assert is_boolean(grid_embed(lattice).target.lattice) == is_boolean(lattice)
+        for cls in classes:
+            try:
+                verdict = classify_absolute_retract(lattice, cls)
+            except NotInClass:
+                continue
+            if not verdict.is_absolute_retract:
+                cases.add(verdict.case)
+    assert cases == {"dimension-bump", "same-dimension"}
+
+
 def test_classify_positive_cases(c3, b3):
     assert classify_absolute_retract(b3, ClassId.dfin(None)).is_absolute_retract
     assert classify_absolute_retract(c3, ClassId.dfin(1)).is_absolute_retract
