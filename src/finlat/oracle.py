@@ -21,18 +21,18 @@ bounded by the interpreter's recursion limit and a call leaves no
 reference cycles.
 Isomorphism is decided by individualisation–refinement on the two cover
 digraphs, and every positive answer is checked as an explicit bijection.
-Small lattices are enumerated up to isomorphism over canonical posets from
-one generator, which the Birkhoff-dual enumerator of distributive lattices
-prunes by down-set count; both enumerators are ordered by `canonical_key`,
-an exact but exponential key that colours with the same `_refine` as the
-isomorphism test and serves as their sort order, not as that test.
+Small lattices are enumerated over canonical posets from one generator,
+which carries each poset's down-sets for the Birkhoff-dual enumerator of
+distributive lattices to prune by and build from.  Both are ordered by
+`canonical_key`, an exact key found by branch and bound over the classes of
+the `_refine` the isomorphism test uses; it is their order, not that test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import chain, product
 
 from .core import (
     FiniteLattice,
@@ -529,29 +529,78 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     (out-degree, in-degree) pair, so classes are numbered by colours alone
     and never by vertex labels.  Every concatenation of one permutation per
     class, in class order, is encoded as rows of out-neighbour positions,
-    and the least encoding wins.
+    and the least encoding wins.  It is found by branch and bound on an
+    explicit stack (McKay & Piperno, arXiv:1301.1493): a vertex alone in its
+    class has a fixed position; the others are filled in order, least
+    partial row first.  A row with m unplaced out-neighbours, all due at or
+    after the next open position q, is at least
+    ``partial + ((1 << m) - 1 << q)``; a branch whose rows before q bound a
+    tuple above the best so far is cut.  Leading rows exact and equal to the
+    best are not compared again.
     """
     up = [list(_bits(adj[v])) for v in range(n)]
     down: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for w in up[v]:
             down[w].append(v)
-    degrees = [(len(up[v]), len(down[v])) for v in range(n)]
+    degrees = [(len(ups), len(downs)) for ups, downs in zip(up, down)]
     rank = {d: r for r, d in enumerate(sorted(set(degrees)))}
     colour = _refine(up, down, [rank[d] for d in degrees])
     classes: list[list[int]] = [[] for _ in range(len(set(colour)))]
     for v in range(n):
         classes[colour[v]].append(v)
 
-    best: tuple | None = None
-    position = [0] * n
-    for choice in product(*(permutations(members) for members in classes)):
-        placement = list(chain.from_iterable(choice))
-        for i, v in enumerate(placement):
-            position[v] = 1 << i
-        key = tuple([sum([position[w] for w in up[v]]) for v in placement])
-        if best is None or key < best:
-            best = key
+    order = [cls for cls in classes for _ in cls]  # the class that fills each position
+    at = [cls[0] if len(cls) == 1 else -1 for cls in order]  # the vertex at each position
+    row = [0] * n  # by vertex: bits of the positions of its placed out-neighbours
+    for p, v in enumerate(at):
+        if v >= 0:
+            for u in down[v]:
+                row[u] |= 1 << p
+    slots = [p for p, v in enumerate(at) if v < 0]  # the open positions, filled in order
+    if not slots:
+        return (n, tuple([row[v] for v in at]))
+
+    degree = [len(up[cls[0]]) for cls in order]  # by position: a class shares its out-degree
+    best = (1 << n,) * n  # above every encoding
+    limit = slots[1:] + [n]  # the next open position after each
+    exact = [0] * (len(slots) + 1)  # leading rows known exact and equal to best
+    free = [True] * n
+    rank_of = row.__getitem__  # candidates are tried smallest partial row first
+    untried = [sorted(order[slots[0]], key=rank_of, reverse=True)]
+    untried += [[] for _ in slots[1:]]
+    t = 0
+    while t >= 0:
+        p = slots[t]
+        v = at[p]
+        if v >= 0:
+            for u in down[v]:
+                row[u] ^= 1 << p
+            at[p], free[v] = -1, True
+        if not untried[t]:
+            t -= 1
+            continue
+        v = at[p] = untried[t].pop()
+        free[v] = False
+        for u in down[v]:
+            row[u] |= 1 << p
+        q, i = limit[t], exact[t]
+        while i < q and row[at[i]] == best[i] and row[at[i]].bit_count() == degree[i]:
+            i += 1
+        exact[t + 1] = i
+        while i < q:
+            r = row[at[i]]
+            r += (1 << degree[i] - r.bit_count()) - 1 << q
+            if r != best[i]:
+                break
+            i += 1
+        if i < q and r > best[i]:
+            continue
+        if t + 1 < len(slots):
+            t += 1
+            untried[t] = sorted(filter(free.__getitem__, order[slots[t]]), key=rank_of, reverse=True)
+        elif i < q:
+            best = tuple([row[v] for v in at])
     return (n, best)
 
 
@@ -559,14 +608,13 @@ def canonical_key(lattice: FiniteLattice) -> tuple:
     """Exact isomorphism-invariant key of the cover digraph.
 
     The minimum adjacency encoding over all orderings that respect the
-    refined vertex colours.  It is exponential in the size of the colour
-    classes (4!·6!·4! orderings for B4), and it fixes the output order of
-    both enumerators, so its values must never change.  Isomorphism tests
-    go through `is_isomorphic` instead.
+    refined vertex colours, found by `_digraph_canonical_key`'s branch and
+    bound.  Orderings that differ by an automorphism tie and are not cut, so
+    M_k still visits k! of them.  It fixes the output order of both
+    enumerators, so its values must never change.  Isomorphism tests go
+    through `is_isomorphic` instead.
     """
-    n = len(lattice)
-    adj = tuple(lattice._ucov)
-    return _digraph_canonical_key(n, adj)
+    return _digraph_canonical_key(len(lattice), tuple(lattice._ucov))
 
 
 def _refine(up: list[list[int]], down: list[list[int]], colour: list[int]) -> list[int]:
@@ -575,23 +623,23 @@ def _refine(up: list[list[int]], down: list[list[int]], colour: list[int]) -> li
     Each round a vertex's new colour is (its colour, the sorted colours of
     its upper covers, the sorted colours of its lower covers), numbered in
     sorted order, so the numbering depends only on colours and never on
-    vertex labels.  Stops when the number of classes stops growing.
+    vertex labels.  Stops, returning the colouring as it stands, once it is
+    discrete or a round adds no class (its renumbering is then the identity).
     """
     classes = len(set(colour))
-    while True:
+    while classes < len(colour):
+        of = colour.__getitem__
         signature = [
-            (
-                colour[v],
-                tuple(sorted([colour[w] for w in up[v]])),
-                tuple(sorted([colour[w] for w in down[v]])),
-            )
-            for v in range(len(colour))
+            (c, tuple(sorted(map(of, ups))), tuple(sorted(map(of, downs))))
+            for c, ups, downs in zip(colour, up, down)
         ]
-        number = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        distinct = sorted(set(signature))
+        if len(distinct) == classes:
+            break
+        number = {sig: i for i, sig in enumerate(distinct)}
         colour = [number[sig] for sig in signature]
-        if len(number) == classes:
-            return colour
-        classes = len(number)
+        classes = len(distinct)
+    return colour
 
 
 def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
@@ -654,55 +702,31 @@ def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _downsets(leq: tuple[int, ...], limit: int | None = None) -> list[int]:
-    """Masks of all down-sets of an up-set encoded poset, in ascending order.
+def _canonical_posets_upto(max_size: int, max_downsets: int | None = None):
+    """Pairwise non-isomorphic posets by size, each with its down-sets.
 
-    Index order is a linear extension (elements are only ever added as
-    maximal), so the down-sets containing i are exactly those of elements
-    0..i-1 that contain everything strictly below i, plus i.  Stops early,
-    with more than `limit` masks, once the count exceeds `limit`: a poset
-    has at least as many down-sets as any of its prefixes.
+    Yields, for each size up to max_size, the (poset, down-sets) pairs: up-set
+    masks in linear-extension order, and ascending down-set masks.  The new
+    maximal element k over an ideal D adds d | 1 << k for each parent down-set
+    d ⊇ D, so only the level being extended is held.  With `max_downsets`,
+    posets with more are dropped: an element only adds down-sets.
     """
-    masks = [0]
-    for i in range(len(leq)):
-        below = sum(1 << j for j in range(i) if leq[j] >> i & 1)
-        masks += [m | 1 << i for m in masks if below & ~m == 0]
-        if limit is not None and len(masks) > limit:
-            break
-    return masks
-
-
-def _poset_extensions(leq: tuple[int, ...]):
-    """All posets obtained by adding one new maximal element over an ideal."""
-    k = len(leq)
-    for ideal in _downsets(leq):
-        new = list(leq)
-        for i in _bits(ideal):
-            new[i] |= 1 << k
-        new.append(1 << k)
-        yield tuple(new)
-
-
-def _canonical_posets_upto(
-    max_size: int, max_downsets: int | None = None
-) -> list[list[tuple[int, ...]]]:
-    """Pairwise non-isomorphic posets by size, as tuples of up-set masks.
-
-    With `max_downsets`, only posets with at most that many down-sets are
-    kept; adding an element only adds down-sets, so the pruning is exact.
-    """
-    by_size: list[list[tuple[int, ...]]] = [[()]]
+    level: list[tuple[tuple[int, ...], list[int]]] = [((), [0])]
     for size in range(max_size):
-        seen: dict[tuple, tuple[int, ...]] = {}
-        for poset in by_size[size]:
-            for ext in _poset_extensions(poset):
-                if max_downsets is not None and len(_downsets(ext, max_downsets)) > max_downsets:
+        yield level
+        bit = 1 << size
+        seen: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+        for poset, downsets in level:
+            for ideal in downsets:
+                above = [d | bit for d in downsets if d & ideal == ideal]
+                if max_downsets is not None and len(downsets) + len(above) > max_downsets:
                     continue
+                ext = tuple([leq | bit if ideal >> i & 1 else leq for i, leq in enumerate(poset)] + [bit])
                 key = _digraph_canonical_key(size + 1, ext)
                 if key not in seen:
-                    seen[key] = ext
-        by_size.append([seen[k] for k in sorted(seen)])
-    return by_size
+                    seen[key] = (ext, downsets + above)
+        level = [seen[k] for k in sorted(seen)]
+    yield level
 
 
 def _poset_bounded_lattice(leq: tuple[int, ...]) -> FiniteLattice | None:
@@ -752,12 +776,10 @@ def enumerate_small_lattices(max_size: int, filters=(), ceiling: int = 8):
             yield singleton
     if max_size < 2:
         return
-    posets = _canonical_posets_upto(max_size - 2)
-    for size in range(0, max_size - 1):
-        for poset in posets[size]:
-            lattice = _poset_bounded_lattice(poset)
-            if lattice is not None and emit(lattice):
-                yield lattice
+    for poset, _ in chain.from_iterable(_canonical_posets_upto(max_size - 2)):
+        lattice = _poset_bounded_lattice(poset)
+        if lattice is not None and emit(lattice):
+            yield lattice
 
 
 def bruteforce_lattices(max_size: int):
@@ -804,16 +826,13 @@ def enumerate_distributive_lattices(max_size: int):
     if max_size < 1:
         return
     produced = []
-    for poset in chain.from_iterable(_canonical_posets_upto(max_size - 1, max_downsets=max_size)):
-        masks = sorted(_downsets(poset), key=lambda m: (bin(m).count("1"), m))
+    posets = chain.from_iterable(_canonical_posets_upto(max_size - 1, max_downsets=max_size))
+    for poset, downsets in posets:
+        masks = sorted(downsets, key=lambda m: (m.bit_count(), m))
         width = len(str(len(masks)))
         ids = {m: f"{i:0{width}d}" for i, m in enumerate(masks)}
-        covers = []
-        for m in masks:
-            for m2 in masks:
-                diff = m2 & ~m
-                if m | m2 == m2 and diff and bin(diff).count("1") == 1:
-                    covers.append((ids[m], ids[m2]))
+        singletons = [1 << i for i in range(len(poset))]
+        covers = [(ids[m], ids[m | b]) for m in masks for b in singletons if not m & b and m | b in ids]
         produced.append(build_lattice(list(ids.values()), covers))
     produced.sort(key=lambda lat: (len(lat), canonical_key(lat)))
     yield from produced

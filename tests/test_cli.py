@@ -349,6 +349,48 @@ def test_any_class_string_gives_a_json_report(b2_path, text):
     assert json.loads(json.dumps(report)) == report
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+_IDS = st.sampled_from(["0", "a", "b", "c", "1", ""])
+_FIELDS = {
+    "name": st.text(max_size=4),
+    "elements": st.lists(_IDS, max_size=6),
+    "covers": st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=8),
+    "sub": st.lists(_IDS, max_size=5),
+}
+# Well-formed fields over few ids, so that many files reach `build_lattice`
+# and some reach the analysis, and then any field replaced by any JSON value.
+_LATTICE_LIKE = st.fixed_dictionaries(
+    {key: _FIELDS[key] for key in ("elements", "covers")},
+    optional={key: _FIELDS[key] for key in ("name", "sub")},
+)
+_ODD_FIELDS = st.fixed_dictionaries({}, optional={key: field | _JSON_VALUES for key, field in _FIELDS.items()})
+_LATTICE_FILES = st.one_of(
+    _LATTICE_LIKE.map(json.dumps),
+    _ODD_FIELDS.map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.text(max_size=40),
+    st.binary(max_size=40),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "lattice.json"
+
+
+@given(_LATTICE_FILES)
+@settings(max_examples=200, deadline=None)
+def test_any_lattice_file_gives_a_json_report(fuzz_path, content):
+    fuzz_path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    report, code = run(["analyze", str(fuzz_path)])
+    assert code in (0, 1, 2)
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
+
+
 def test_analyze_rejects_a_chain_over_the_element_cap(tmp_path):
     ids = [f"{i:04d}" for i in range(1200)]
     path = write(tmp_path, "c1200.json", {

@@ -37,7 +37,6 @@ from finlat.oracle import (
     _canonical_posets_upto,
     _cover_degrees,
     _digraph_canonical_key,
-    _downsets,
     canonical_key,
 )
 from tests.conftest import S7_COVERS, S7_ELEMENTS
@@ -629,7 +628,7 @@ def _reference_digraph_canonical_key(n, adj):
 
 
 def test_digraph_canonical_key_matches_reference():
-    inputs = [(len(leq), leq) for posets in _canonical_posets_upto(7) for leq in posets]
+    inputs = [(len(leq), leq) for level in _canonical_posets_upto(7) for leq, _ in level]
     inputs += [
         (len(lattice), tuple(lattice._ucov))
         for lattice in [*enumerate_small_lattices(8), *enumerate_distributive_lattices(12)]
@@ -637,6 +636,59 @@ def test_digraph_canonical_key_matches_reference():
     assert len(inputs) == 3093
     for n, adj in inputs:
         assert _digraph_canonical_key(n, adj) == _reference_digraph_canonical_key(n, adj), adj
+
+
+def test_digraph_canonical_key_matches_reference_on_larger_classes():
+    """The named witnesses; 2x3x3 and M7 are larger than any enumerated lattice here."""
+    named = [make_grid((2, 2, 3)).lattice, make_grid((2, 3, 3)).lattice, m_lattice(6), m_lattice(7)]
+    for lattice in [*named, build_lattice(S7_ELEMENTS, S7_COVERS)]:
+        n, adj = len(lattice), tuple(lattice._ucov)
+        assert _digraph_canonical_key(n, adj) == _reference_digraph_canonical_key(n, adj), lattice
+
+
+# canonical_key(B4), computed once by the former search over all 4!·6!·4!
+# orderings of its colour classes; the reference is too slow to run on it in a test.
+B4_KEY = (16, (0, 1, 1, 1, 1, 6, 10, 12, 18, 20, 24, 224, 800, 1344, 1664, 30720))
+
+
+def test_canonical_key_of_b4_is_pinned_and_b5_is_reached():
+    assert canonical_key(make_grid((2,) * 4).lattice) == B4_KEY
+    b5 = make_grid((2,) * 5).lattice
+    key = canonical_key(b5)
+    assert key[0] == 32 and len(key[1]) == 32
+    assert canonical_key(relabelled(b5, random.Random(5))) == key
+
+
+@st.composite
+def relabelled_posets(draw):
+    """An up-set encoded poset on at most 8 points and a relabelling of it."""
+    n = draw(st.integers(0, 8))
+    down = []  # each point's down-set: itself and the down-sets of random earlier points
+    for j in range(n):
+        below = draw(st.integers(0, (1 << j) - 1))
+        down.append(1 << j | _union(down[i] for i in _bits(below)))
+    leq = tuple(_union(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n))
+    perm = draw(st.permutations(range(n)))
+    moved = [0] * n
+    for i in range(n):
+        moved[perm[i]] = _union(1 << perm[j] for j in _bits(leq[i]))
+    return n, leq, tuple(moved)
+
+
+def _union(masks):
+    total = 0
+    for mask in masks:
+        total |= mask
+    return total
+
+
+@given(relabelled_posets())
+@settings(max_examples=100, deadline=None)
+def test_digraph_canonical_key_is_invariant_and_matches_reference(case):
+    n, leq, moved = case
+    key = _digraph_canonical_key(n, leq)
+    assert _digraph_canonical_key(n, moved) == key
+    assert _reference_digraph_canonical_key(n, leq) == key
 
 
 def test_is_isomorphic_deep_search_has_no_recursion_limit():
@@ -664,20 +716,18 @@ def _downsets_by_scan(leq):
 
 
 def test_downsets_match_subset_scan():
-    for posets in _canonical_posets_upto(6):
-        for leq in posets:
-            assert _downsets(leq) == _downsets_by_scan(leq)
+    """The down-sets each poset carries from its parent are all of its down-sets, in order."""
+    for level in _canonical_posets_upto(7):
+        for leq, downsets in level:
+            assert downsets == _downsets_by_scan(leq)
 
 
 def test_downsets_limit_cuts_off_exactly_when_count_exceeds():
-    for posets in _canonical_posets_upto(5):
-        for leq in posets:
-            full = _downsets(leq)
-            for limit in range(len(full) + 2):
-                cut = _downsets(leq, limit)
-                assert (len(cut) > limit) == (len(full) > limit)
-                if len(full) <= limit:
-                    assert cut == full
+    """With `max_downsets`, exactly the posets with at most that many down-sets are kept."""
+    levels = list(_canonical_posets_upto(5))
+    for limit in range(1, 2 ** 5 + 2):
+        for full, cut in zip(levels, _canonical_posets_upto(5, max_downsets=limit)):
+            assert cut == [(leq, downsets) for leq, downsets in full if len(downsets) <= limit]
 
 
 # ---------------------------------------------------------------------------
