@@ -16,11 +16,9 @@ from .core import (
     NotALattice,
     NotASublattice,
     PropertyReport,
-    atoms,
     build_lattice,
     check_sublattice,
     classify_properties,
-    coatoms,
     four_cells,
     grid_factor_sizes,
     induced_lattice,
@@ -60,20 +58,15 @@ from .retractions import (
     NotInClass,
     Verdict,
     WitnessCertificate,
-    boolean_retraction,
-    chain_retraction,
     check_cover01,
     classify_absolute_retract,
-    grid_retraction,
     retract_onto,
 )
 from .oracle import (
     Assignment,
     CeilingExceeded,
-    Equation,
     EquationSystem,
     NotProper,
-    Term,
     all_sublattices,
     build_equation_system,
     enumerate_distributive_lattices,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import chains, checks, core, oracle, retractions, slim
 
-__all__ = ["ParseError", "LatticeFile", "parse_lattice_file", "run", "main"]
+__all__ = ["ParseError", "LatticeFile", "run", "main"]
 
 
 class ParseError(core.LatticeError):
@@ -86,11 +86,6 @@ class LatticeFile:
             sub = tuple(sub)
         lattice = core.build_lattice(elements, [tuple(c) for c in covers])
         return cls(name=name, lattice=lattice, sub=sub)
-
-
-def parse_lattice_file(data: bytes) -> core.FiniteLattice:
-    """Parse a lattice file, preserving identifiers."""
-    return LatticeFile.parse(data).lattice
 
 
 def lattice_to_jsonable(name: str, lattice: core.FiniteLattice, sub=None) -> dict:

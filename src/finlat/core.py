@@ -42,8 +42,6 @@ __all__ = [
     "FiniteLattice",
     "build_lattice",
     "join_irreducibles",
-    "atoms",
-    "coatoms",
     "lattice_length",
     "is_distributive",
     "is_semimodular",
@@ -343,14 +341,6 @@ def _mmask(lattice: FiniteLattice) -> int:
 def join_irreducibles(lattice: FiniteLattice) -> tuple[str, ...]:
     """All non-bottom elements with exactly one lower cover, sorted."""
     return tuple(lattice.elements[i] for i in _bits(_jmask(lattice)))
-
-
-def atoms(lattice: FiniteLattice) -> tuple[str, ...]:
-    return lattice.upper_covers(lattice.bottom)
-
-
-def coatoms(lattice: FiniteLattice) -> tuple[str, ...]:
-    return lattice.lower_covers(lattice.top)
 
 
 @_memoised

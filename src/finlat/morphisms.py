@@ -38,8 +38,8 @@ class Homomorphism:
     """A verified lattice homomorphism between two finite lattices.
 
     Join and meet preservation is checked over all pairs at construction.
-    The derived flags (bound preservation, cover preservation, injectivity,
-    surjectivity) are computed on demand and cached.
+    The derived flags (bound preservation, cover preservation, injectivity)
+    are computed on demand and cached.
     """
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, mapping: dict[str, str]):
@@ -92,10 +92,6 @@ class Homomorphism:
     @cached_property
     def injective(self) -> bool:
         return len(set(self.mapping.values())) == len(self.source)
-
-    @cached_property
-    def surjective(self) -> bool:
-        return set(self.mapping.values()) == set(self.target.elements)
 
     def fixes(self, subset) -> bool:
         return all(self.mapping[x] == x for x in subset)
@@ -181,10 +177,6 @@ class Congruence:
 
     def block_of(self, x: str) -> frozenset[str]:
         return self.blocks[self._of[self.lattice._index[x]]]
-
-    def related(self, x: str, y: str) -> bool:
-        index = self.lattice._index
-        return self._of[index[x]] == self._of[index[y]]
 
     def block_count(self) -> int:
         return len(self.blocks)

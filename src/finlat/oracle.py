@@ -56,8 +56,6 @@ __all__ = [
     "CeilingExceeded",
     "exists_retraction",
     "search_retraction",
-    "Term",
-    "Equation",
     "EquationSystem",
     "Assignment",
     "build_equation_system",
@@ -245,24 +243,6 @@ def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    """One side of an equation: a parameter from the sublattice or an unknown."""
-
-    kind: str  # "param" | "unknown"
-    element: str
-
-
-@dataclass(frozen=True)
-class Equation:
-    """op(left, right) ≈ result, with each slot a parameter or an unknown."""
-
-    op: str  # "join" | "meet"
-    left: Term
-    right: Term
-    result: Term
-
-
 class EquationSystem:
     """The join/meet equation system of a sublattice inside an ambient lattice.
 
@@ -278,23 +258,13 @@ class EquationSystem:
     ``(table, left, right, result)`` with the ambient's join or meet table.
     Only `build_equation_system` builds one, from the sublattice mask it
     has checked.  ``sub`` and ``unknowns`` are read off that mask in index
-    order; ``equations``, the Term form, is derived on first access.
+    order.
     """
 
     def __init__(self, ambient: FiniteLattice, mask: int, codes: list[tuple]):
         self.ambient, self._mask, self._codes = ambient, mask, codes
         self.sub = _mask_to_set(ambient, mask)
         self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
-
-    @cached_property
-    def equations(self) -> tuple[Equation, ...]:
-        """The equations as Terms, read off the slot codes."""
-        lat = self.ambient
-        terms = [Term(kind, e) for kind in ("param", "unknown") for e in lat.elements]
-        return tuple(
-            Equation("join" if table is lat._join else "meet", terms[i], terms[j], terms[k])
-            for table, i, j, k in self._codes
-        )
 
     @cached_property
     def _by_unknown(self) -> dict[int, list[tuple]]:

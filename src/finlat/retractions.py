@@ -10,12 +10,13 @@ the identity and the constant map onto one element.  The prime map
 retracts a distributive lattice onto a boolean sublattice by sending x to
 the member whose join-irreducibles agree with those of x on one chosen
 prime per atom; the kernel is the intersection of the two-block
-congruences of those prime ideals.  The tests check both kernel
-identities against the congruence constructions.  A classifier decides
-whether a lattice is an absolute retract for the class of finite
-distributive lattices of bounded dimension, and in the negative case
-builds a proper cover-preserving {0,1}-extension of equal length as a
-refutation witness, optionally confirmed by exhaustive search.
+congruences of those prime ideals.  `retract_onto` is the one public
+entry to both; the tests compare each map with a reference built from
+those congruences.  A classifier decides whether a lattice is an
+absolute retract for the class of finite distributive lattices of
+bounded dimension, and in the negative case builds a proper
+cover-preserving {0,1}-extension of equal length as a refutation
+witness, optionally confirmed by exhaustive search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     FiniteLattice,
     LatticeError,
     _bits,
-    _closed_mask,
     _induced,
     _jmask,
     _sublattice_mask,
@@ -38,8 +38,8 @@ from .core import (
     is_slim,
     lattice_length,
 )
-from .chains import NotDistributive, grid_embed, order_dimension
-from .grids import Grid, dimension_bump, recover_subgrid_chains
+from .chains import grid_embed, order_dimension
+from .grids import dimension_bump
 from .morphisms import Congruence, Homomorphism, NotACongruence, NotAHomomorphism
 from .oracle import search_retraction
 from .slim import build_witness
@@ -48,18 +48,12 @@ __all__ = [
     "NotAHomomorphism",
     "NotACongruence",
     "NotSemimodular",
-    "NotAChain",
-    "EmptySubset",
-    "NotBooleanSublattice",
     "NotEligible",
     "NotInClass",
     "Homomorphism",
     "Congruence",
     "Cover01Report",
     "check_cover01",
-    "chain_retraction",
-    "grid_retraction",
-    "boolean_retraction",
     "retract_onto",
     "ClassId",
     "Verdict",
@@ -73,18 +67,6 @@ _ORACLE_BOUND = 60
 
 
 class NotSemimodular(LatticeError):
-    pass
-
-
-class NotAChain(LatticeError):
-    pass
-
-
-class EmptySubset(LatticeError):
-    pass
-
-
-class NotBooleanSublattice(LatticeError):
     pass
 
 
@@ -122,10 +104,6 @@ def check_cover01(f: Homomorphism) -> Cover01Report:
     )
 
 
-def _is_chain(lattice: FiniteLattice) -> bool:
-    return lattice_length(lattice) == len(lattice) - 1
-
-
 def _upper_map(lattice: FiniteLattice, mask: int) -> dict[str, str]:
     """x ↦ the least member of the sublattice S at or above x ∧ t, t = top of S.
 
@@ -140,46 +118,17 @@ def _upper_map(lattice: FiniteLattice, mask: int) -> dict[str, str]:
     }
 
 
-def chain_retraction(chain: FiniteLattice, subset) -> Homomorphism:
-    """Retract a finite chain onto a subchain.
-
-    With e_1 < ... < e_k the subchain, x maps to the least e_i at or above
-    it, or else to e_k: the upper map, since x ∧ e_k is x or e_k.
-    """
-    if not _is_chain(chain):
-        raise NotAChain("chain retraction needs a chain")
-    subset = set(subset)
-    if not subset:
-        raise EmptySubset("cannot retract onto the empty set")
-    mask = 0
-    for e in subset:
-        if e not in chain:
-            raise LatticeError(f"{e!r} is not an element of the chain")
-        mask |= 1 << chain.index(e)
-    # Every nonempty subset of a chain is a sublattice.
-    return Homomorphism(chain, _induced(chain, mask), _upper_map(chain, mask))
-
-
-def grid_retraction(grid: Grid, subset) -> Homomorphism:
-    """Retract a grid onto a grid sublattice of the same dimension.
-
-    The subset must be the product of its recovered subchains, and x maps
-    to the point whose j-th coordinate is the least recovered value on
-    axis j at or above x_j, or else the largest one.  That point is the
-    least member at or above x ∧ t, so this is the upper map.  It is the
-    chain retraction applied along every axis, so the kernel is the
-    intersection of the kernels of the axis projections composed with
-    those retractions (checked in the tests).
-    """
-    lattice = grid.lattice
-    subset = set(subset)
-    recover_subgrid_chains(grid, subset)
-    mask = sum(1 << lattice.index(x) for x in subset)
-    return Homomorphism(lattice, _induced(lattice, mask), _upper_map(lattice, mask))
-
-
 def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
-    """The map of `boolean_retraction` onto the boolean sublattice ``sub``."""
+    """Schmid's prime-ideal map of a distributive lattice onto a boolean sublattice.
+
+    Walks a maximal chain of ``sub`` built greedily through its atoms in
+    canonical order; for each step picks the least join-irreducible p with
+    p below the upper endpoint but not the lower one.  With P the set of
+    these primes, x maps to the member d with J(d) ∩ P = J(x) ∩ P, where
+    J(x) is the set of join-irreducibles below x.  The kernel is the
+    intersection of the two-block congruences of the prime ideals
+    {x : p not below x}, which has exactly |sub| blocks.
+    """
     chain = [sub.bottom]
     for a in sorted(sub.upper_covers(sub.bottom)):
         chain.append(sub.join(chain[-1], a))
@@ -192,29 +141,6 @@ def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
         primes |= candidates & -candidates
     rep = {down[lattice.index(d)] & primes: d for d in sub.elements}
     return {x: rep[dx & primes] for x, dx in zip(lattice.elements, down)}
-
-
-def boolean_retraction(lattice: FiniteLattice, subset) -> Homomorphism:
-    """Retract a finite distributive lattice onto a boolean sublattice.
-
-    Walks a maximal chain of the sublattice built greedily through its atoms
-    in canonical order; for each step picks the least join-irreducible p
-    with p below the upper endpoint but not the lower one.  With P the set
-    of these primes, x maps to the member d with J(d) ∩ P = J(x) ∩ P, where
-    J(x) is the set of join-irreducibles below x.  The kernel is the
-    intersection of the two-block congruences of the prime ideals
-    {x : p not below x}, which has exactly |D| blocks (checked in the
-    tests).
-    """
-    if not is_distributive(lattice):
-        raise NotDistributive("boolean retraction needs a distributive ambient lattice")
-    mask = _closed_mask(lattice, subset)
-    if not mask:
-        raise NotBooleanSublattice("subset is not a sublattice")
-    sub = _induced(lattice, mask)
-    if not is_boolean(sub):
-        raise NotBooleanSublattice("subset is not a boolean sublattice")
-    return Homomorphism(lattice, sub, _prime_map(lattice, sub))
 
 
 @dataclass(frozen=True)
@@ -299,9 +225,9 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     The whole lattice is always eligible.  Otherwise the slim semimodular
     class admits only one-element targets, and the distributive classes
     boolean targets and grids of the class dimension.  A proper boolean
-    target gets the prime map of `boolean_retraction`, every other target
-    the upper map x ↦ least member at or above x ∧ t, both computed in the
-    ambient lattice.
+    target gets the prime map, every other target the upper map
+    x ↦ least member at or above x ∧ t, both computed in the ambient
+    lattice.
     """
     _check_membership(lattice, cls)
     mask = _sublattice_mask(lattice, subset)

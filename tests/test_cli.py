@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import finlat
 from finlat import build_lattice, is_isomorphic, oracle, s7_family
-from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, main, parse_lattice_file, run
+from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, main, run
 from tests.conftest import S7_COVERS, S7_ELEMENTS
 
 
@@ -28,7 +30,7 @@ B2_FILE = {
 
 
 def test_parse_lattice_file_roundtrip():
-    lattice = parse_lattice_file(json.dumps(C3_FILE).encode())
+    lattice = LatticeFile.parse(json.dumps(C3_FILE).encode()).lattice
     assert lattice.elements == ("0", "1", "a")
     assert lattice.bottom == "0"
 
@@ -39,14 +41,14 @@ def test_parse_canonical_s7():
         "elements": S7_ELEMENTS,
         "covers": [list(c) for c in S7_COVERS],
     }
-    lattice = parse_lattice_file(json.dumps(payload).encode())
+    lattice = LatticeFile.parse(json.dumps(payload).encode()).lattice
     assert lattice == build_lattice(S7_ELEMENTS, S7_COVERS)
 
 
 def test_parse_rejects_missing_endpoint():
     bad = {"name": "x", "elements": ["0"], "covers": [["0", "missing"]]}
     with pytest.raises(Exception):
-        parse_lattice_file(json.dumps(bad).encode())
+        LatticeFile.parse(json.dumps(bad).encode())
 
 
 def test_parse_rejects_malformed_json():
@@ -389,6 +391,73 @@ def test_any_lattice_file_gives_a_json_report(fuzz_path, content):
     report, code = run(["analyze", str(fuzz_path)])
     assert code in (0, 1, 2)
     assert json.loads(json.dumps(report, allow_nan=False)) == report
+
+
+# Base sizes: a valid 1x1 to 3x3 grid, or any pair of negative, too small,
+# valid and over-the-cap sizes, or any JSON value.  Valid grids stop at 3x3
+# to keep the property near a second: a witness over a 20x20 grid takes
+# over a minute.
+_VALID_SIZE = st.integers(2, 4)
+_BASE_SIZE = st.integers(-(10**18), 1) | _VALID_SIZE | st.integers(finlat.MAX_ELEMENTS + 1, 10**18)
+_BASE_SIZES = st.one_of(
+    st.lists(_VALID_SIZE, min_size=2, max_size=2),
+    st.lists(_BASE_SIZE, min_size=2, max_size=2) | _JSON_VALUES,
+)
+# A valid step over a base grid names a cell by its top (i, j) and its left
+# lower cover (i, j - 1); fork elements are named f0, f1, ...
+_GRID_STEP = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda t: [f"{t[0]},{t[1]}", f"{t[0]},{t[1] - 1}"])
+_CELL_IDS = st.sampled_from(["0,0", "1,0", "1,1", "2,1", "3,3", "f0", "f1", "f4", "x", ""])
+_STEP = _GRID_STEP | st.lists(_CELL_IDS, min_size=2, max_size=2) | _JSON_VALUES
+_SCRIPTS = st.fixed_dictionaries(
+    {"base_sizes": _BASE_SIZES},
+    optional={"steps": st.lists(_GRID_STEP, max_size=2) | st.lists(_STEP, max_size=3) | _JSON_VALUES},
+)
+
+
+@st.composite
+def _fork_commands(draw):
+    """An argv over `gen-slim --grid/--forks` or `witness-sps --forks`, and
+    the bytes of its fork script: mostly a script object, else any JSON,
+    text or bytes."""
+    script = draw(_SCRIPTS)
+    content = draw(st.one_of(
+        st.just(json.dumps(script)),
+        _JSON_VALUES.map(json.dumps) | st.text(max_size=20) | st.binary(max_size=20),
+    ))
+    if draw(st.booleans()):
+        return ["witness-sps", draw(st.sampled_from(["C3", "B2"])), "--forks", "SCRIPT"], content
+    base = script["base_sizes"]
+    if not (isinstance(base, list) and len(base) == 2 and all(type(s) is int for s in base)):
+        base = [2, 2]
+    grid = draw(st.one_of(
+        st.just(f"{base[0] - 1}x{base[1] - 1}"),
+        st.from_regex(r"-?\d{1,20}[xX]-?\d{1,20}", fullmatch=True) | st.text(max_size=8),
+    ))
+    return ["gen-slim", "--grid", grid] + draw(st.sampled_from([["--forks", "SCRIPT"], []])), content
+
+
+@pytest.fixture(scope="module")
+def fork_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forks")
+    for name, payload in (("C3", C3_FILE), ("B2", B2_FILE)):
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    return root
+
+
+@given(_fork_commands())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_any_fork_script_gives_a_json_report(fork_files, command):
+    argv, content = command
+    script = fork_files / "script.json"
+    script.write_bytes(content if isinstance(content, bytes) else content.encode())
+    files = {"C3": str(fork_files / "C3.json"), "B2": str(fork_files / "B2.json"), "SCRIPT": str(script)}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main([files.get(arg, arg) for arg in argv])
+    assert exit_info.value.code in (0, 1, 2)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_analyze_rejects_a_chain_over_the_element_cap(tmp_path):

@@ -252,6 +252,6 @@ def test_kernel_and_intersection_match_reference():
         assert kernel.blocks == _reference_congruence(lattice, fibers.values())
         for x in lattice.elements:
             assert kernel.block_of(x) == next(b for b in kernel.blocks if x in b)
-            assert kernel.related(x, mapping[x])
+            assert kernel.block_of(x) == kernel.block_of(mapping[x])
         full = Congruence(lattice, [set(lattice.elements)])
         assert kernel.intersect(full).blocks == kernel.blocks

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import types
+from collections import namedtuple
 from itertools import combinations, permutations, product
 
 import pytest
@@ -32,8 +33,6 @@ from finlat import (
 )
 from finlat.core import _bits
 from finlat.oracle import (
-    Equation,
-    Term,
     _canonical_posets_upto,
     _cover_degrees,
     _digraph_canonical_key,
@@ -113,27 +112,20 @@ def test_equation_system_counts(c3):
     system = build_equation_system(c3, {"0", "1"})
     assert system.unknowns == ("a",)
     # 5 ordered pairs touch the single new element, 2 operations each
-    assert len(system.equations) == 10
+    assert len(system._codes) == 10
     assert solve_equation_system(system, mode="count") == 2
 
 
 def test_equation_system_b2_over_chain(b2):
     system = build_equation_system(b2, {"0,0", "1,0", "1,1"})
     assert len(system.unknowns) == 1
-    # the system pins the unknown against the off-chain atom: x ∨ p ≈ 1, x ∧ p ≈ 0
-    join_eq = next(
-        eq for eq in system.equations
-        if eq.op == "join" and eq.left.element == "0,1" and eq.right.element == "1,0"
-    )
-    assert join_eq.left.kind == "unknown" and join_eq.right.kind == "param"
-    assert join_eq.result == ("param", "1,1") or (
-        join_eq.result.kind == "param" and join_eq.result.element == "1,1"
-    )
-    meet_eq = next(
-        eq for eq in system.equations
-        if eq.op == "meet" and eq.left.element == "0,1" and eq.right.element == "1,0"
-    )
-    assert meet_eq.result.kind == "param" and meet_eq.result.element == "0,0"
+    # the system pins the unknown against the off-chain atom: x ∨ p ≈ 1, x ∧ p ≈ 0;
+    # parameter e is slot index(e) and unknown x is slot n + index(x)
+    n = len(b2)
+    x, p = n + b2.index("0,1"), b2.index("1,0")
+    codes = {(table is b2._join, left, right): result for table, left, right, result in system._codes}
+    assert codes[True, x, p] == b2.index("1,1")
+    assert codes[False, x, p] == b2.index("0,0")
     assert solve_equation_system(system) is None
 
 
@@ -735,22 +727,38 @@ def test_downsets_limit_cuts_off_exactly_when_count_exceeds():
 # ---------------------------------------------------------------------------
 
 
+# The reference solver's string form: each slot a parameter or an unknown.
+_Term = namedtuple("_Term", "kind element")
+_Equation = namedtuple("_Equation", "op left right result")
+
+
 def _reference_build_equation_system(lattice, sub):
-    """The former string-keyed `build_equation_system`: three Terms per equation."""
+    """The former string-keyed `build_equation_system`, with each equation
+    in the reference solver's string form and as the slot code
+    (table, left, right, result) that the system stores: parameter e is
+    slot index(e), unknown x is slot n + index(x)."""
     sub = frozenset(sub)
+    n = len(lattice)
 
     def term(e):
-        return Term("param" if e in sub else "unknown", e)
+        return _Term("param" if e in sub else "unknown", e)
+
+    def slot(e):
+        return lattice.index(e) if e in sub else n + lattice.index(e)
 
     new = tuple(x for x in lattice.elements if x not in sub)
-    equations = []
+    equations, codes = [], []
     for a in lattice.elements:
         for b in lattice.elements:
             if a in sub and b in sub:
                 continue
-            equations.append(Equation("join", term(a), term(b), term(lattice.join(a, b))))
-            equations.append(Equation("meet", term(a), term(b), term(lattice.meet(a, b))))
-    return types.SimpleNamespace(ambient=lattice, sub=sub, unknowns=new, equations=tuple(equations))
+            for op, table, value in (
+                ("join", lattice._join, lattice.join(a, b)),
+                ("meet", lattice._meet, lattice.meet(a, b)),
+            ):
+                equations.append(_Equation(op, term(a), term(b), term(value)))
+                codes.append((table, slot(a), slot(b), slot(value)))
+    return types.SimpleNamespace(ambient=lattice, sub=sub, unknowns=new, equations=equations, codes=codes)
 
 
 def _reference_solve_equation_system(system, mode="first"):
@@ -819,7 +827,7 @@ def test_equation_systems_match_reference():
             system = build_equation_system(lattice, sub)
             reference = _reference_build_equation_system(lattice, sub)
             assert system.unknowns == reference.unknowns
-            assert system.equations == reference.equations
+            assert system._codes == reference.codes
             assert (system.ambient, system.sub) == (reference.ambient, reference.sub)
             solution = solve_equation_system(system)
             expected = _reference_solve_equation_system(reference)

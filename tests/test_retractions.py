@@ -11,9 +11,7 @@ from finlat import (
     NotEligible,
     NotInClass,
     all_sublattices,
-    boolean_retraction,
     build_lattice,
-    chain_retraction,
     check_cover01,
     check_sublattice,
     classify_absolute_retract,
@@ -21,7 +19,6 @@ from finlat import (
     enumerate_small_lattices,
     exists_retraction,
     grid_embed,
-    grid_retraction,
     induced_lattice,
     is_boolean,
     is_distributive,
@@ -29,20 +26,20 @@ from finlat import (
     is_semimodular,
     is_slim,
     join_irreducibles,
+    lattice_length,
     make_grid,
     recover_subgrid_chains,
     retract_onto,
 )
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
-from finlat.core import NotASublattice
+from finlat.core import NotASublattice, _induced, _sublattice_mask
 from finlat.retractions import (
-    EmptySubset,
-    NotAChain,
-    NotBooleanSublattice,
     NotSemimodular,
     _check_membership,
+    _prime_map,
     _qualifies,
+    _upper_map,
 )
 from tests.conftest import REFERENCE_GRID_SIZES
 
@@ -98,34 +95,45 @@ def test_check_cover01_rejects_nonsemimodular(c2):
         check_cover01(hom)
 
 
+# -- chain, grid and boolean targets of `retract_onto`, each in a class it qualifies for
+
+
 def test_chain_retraction_c4(c4):
-    hom = chain_retraction(c4, {"a", "1"})
-    assert hom.mapping == {"0": "a", "a": "a", "b": "1", "1": "1"}
-    # idempotent and fixing the subchain
-    for x in c4.elements:
-        assert hom.mapping[hom.mapping[x]] == hom.mapping[x]
+    mask = _sublattice_mask(c4, {"a", "1"})
+    upper = _upper_map(c4, mask)
+    assert upper == {"0": "a", "a": "a", "b": "1", "1": "1"}
+    # a two-element target is boolean, so `retract_onto` takes the prime map:
+    # the least prime below 1 and not below a is 1 itself, so b joins a
+    hom = retract_onto(c4, {"a", "1"}, ClassId.dfin(1))
+    assert hom.mapping == {"0": "a", "a": "a", "b": "a", "1": "1"}
+    assert hom.mapping == _prime_map(c4, hom.target)
+    # both are idempotent and fix the subchain
+    for mapping in (upper, hom.mapping):
+        for x in c4.elements:
+            assert mapping[mapping[x]] == mapping[x]
 
 
 def test_chain_retraction_identity(c4):
-    hom = chain_retraction(c4, c4.elements)
+    hom = retract_onto(c4, c4.elements, ClassId.dfin(1))
     assert all(hom.mapping[x] == x for x in c4.elements)
 
 
 def test_chain_retraction_singleton(c4):
-    hom = chain_retraction(c4, {"0"})
+    hom = retract_onto(c4, {"0"}, ClassId.dfin(1))
     assert set(hom.mapping.values()) == {"0"}
 
 
-def test_chain_retraction_errors(c4, b2):
-    with pytest.raises(NotAChain):
-        chain_retraction(b2, {"0,0"})
-    with pytest.raises(EmptySubset):
-        chain_retraction(c4, set())
+def test_chain_retraction_errors(c3, b2):
+    with pytest.raises(NotInClass):
+        retract_onto(b2, {"0,0"}, ClassId.dfin(1))  # dimension 2 > 1
+    for subset in (set(), {"x"}):
+        with pytest.raises(NotASublattice):
+            retract_onto(c3, subset, ClassId.dfin(1))
 
 
 def test_grid_retraction_c3xc3(grid33):
     target = {f"{i},{j}" for i in (0, 2) for j in (0, 1, 2)}
-    hom = grid_retraction(grid33, target)
+    hom = retract_onto(grid33.lattice, target, ClassId.dfin(2))
     for j in range(3):
         assert hom.mapping[f"1,{j}"] == f"2,{j}"
     for x in target:
@@ -135,46 +143,39 @@ def test_grid_retraction_c3xc3(grid33):
 
 
 def test_grid_retraction_identity(grid33):
-    hom = grid_retraction(grid33, grid33.lattice.elements)
+    hom = retract_onto(grid33.lattice, grid33.lattice.elements, ClassId.dfin(2))
     assert all(hom.mapping[x] == x for x in grid33.lattice.elements)
-
-
-def test_grid_retraction_rejects_chain(grid33):
-    from finlat import NotASubgrid
-
-    with pytest.raises(NotASubgrid):
-        grid_retraction(grid33, {"0,0", "1,1", "2,2"})
 
 
 def test_boolean_retraction_grid32(grid32):
     target = {"0,0", "1,0", "0,1", "1,1"}
-    hom = boolean_retraction(grid32.lattice, target)
+    hom = retract_onto(grid32.lattice, target, ClassId.dfin(2))
     assert hom.mapping["2,0"] == "1,0"
     assert hom.mapping["2,1"] == "1,1"
     assert all(hom.mapping[x] == x for x in target)
 
 
 def test_boolean_retraction_two_element(d5):
-    hom = boolean_retraction(d5, {"0", "t"})
+    hom = retract_onto(d5, {"0", "t"}, ClassId.dfin(2))
     blocks = hom.kernel().blocks
     assert len(blocks) == 2
 
 
 def test_boolean_retraction_singleton(grid32):
-    hom = boolean_retraction(grid32.lattice, {"1,0"})
+    hom = retract_onto(grid32.lattice, {"1,0"}, ClassId.dfin(2))
     assert set(hom.mapping.values()) == {"1,0"}
 
 
 def test_boolean_retraction_rejects_s7(s7):
-    with pytest.raises(NotDistributive):
-        boolean_retraction(s7, {"0", "1"})
+    for cls in (ClassId.dfin(2), ClassId.dfin(None)):
+        with pytest.raises(NotInClass):
+            retract_onto(s7, {"0", "1"}, cls)  # S7 is not distributive
 
 
 def test_boolean_retraction_rejects_non_boolean(grid32):
-    from finlat.retractions import NotBooleanSublattice
-
-    with pytest.raises(NotBooleanSublattice):
-        boolean_retraction(grid32.lattice, {"0,0", "1,0", "2,0"})
+    # a 3-chain is neither boolean nor a 2-dimensional grid
+    with pytest.raises(NotEligible):
+        retract_onto(grid32.lattice, {"0,0", "1,0", "2,0"}, ClassId.dfin(2))
 
 
 def test_retract_onto_d5_boolean_part(d5):
@@ -202,6 +203,13 @@ def test_retract_onto_rejects_ineligible(grid33):
     # a 3-chain is neither boolean nor a 2-dimensional grid
     with pytest.raises(NotEligible):
         retract_onto(grid33.lattice, {"0,0", "1,1", "2,2"}, ClassId.dfin(2))
+
+
+def test_grid_retraction_rejects_chain(grid33):
+    # the diagonal chain is no grid of any other class dimension either
+    for text in ("dfin:3", "dfin:omega", "dcov:2", "dcov:omega"):
+        with pytest.raises(NotEligible):
+            retract_onto(grid33.lattice, {"0,0", "1,1", "2,2"}, ClassId.parse(text))
 
 
 def test_classid_parse_roundtrip():
@@ -311,7 +319,7 @@ def test_classify_sps_negative(c2):
 
 def test_retraction_composition_is_idempotent(grid33):
     target = {f"{i},{j}" for i in (0, 2) for j in (0, 2)}
-    hom = grid_retraction(grid33, target)
+    hom = retract_onto(grid33.lattice, target, ClassId.dfin(2))
     composed = {x: hom.mapping[hom.mapping[x]] for x in grid33.lattice.elements}
     assert composed == hom.mapping
 
@@ -335,11 +343,11 @@ def test_congruence_intersection_block_bound(grid33):
 def _reference_chain_retraction(chain, subset):
     """The former `chain_retraction`: x maps to the least member at or above
     it, found by a loop over the members, or else to the largest member."""
-    if not retractions._is_chain(chain):
-        raise NotAChain("chain retraction needs a chain")
+    if lattice_length(chain) != len(chain) - 1:
+        raise LatticeError("chain retraction needs a chain")
     subset = set(subset)
     if not subset:
-        raise EmptySubset("cannot retract onto the empty set")
+        raise LatticeError("cannot retract onto the empty set")
     for e in subset:
         if e not in chain:
             raise LatticeError(f"{e!r} is not an element of the chain")
@@ -382,7 +390,8 @@ def _reference_grid_retraction(grid, subset):
         top = grid.canonical_chains[axis][-1]
         pi = {x: grid.lattice.meet(x, top) for x in grid.lattice.elements}
         # each projection is a homomorphism onto its axis chain
-        assert Homomorphism(grid.lattice, axis_lat, pi).surjective
+        projection = Homomorphism(grid.lattice, axis_lat, pi)
+        assert set(projection.mapping.values()) == set(axis_lat.elements)
         f_axis = Homomorphism(
             grid.lattice, g.target, {x: g.mapping[pi[x]] for x in grid.lattice.elements}
         )
@@ -398,10 +407,10 @@ def _reference_boolean_retraction(lattice, subset):
         raise NotDistributive("boolean retraction needs a distributive ambient lattice")
     subset = set(subset)
     if not check_sublattice(lattice, subset):
-        raise NotBooleanSublattice("subset is not a sublattice")
+        raise LatticeError("subset is not a sublattice")
     sub = induced_lattice(lattice, subset)
     if not is_boolean(sub):
-        raise NotBooleanSublattice("subset is not a boolean sublattice")
+        raise LatticeError("subset is not a boolean sublattice")
 
     sub_atoms = sorted(sub.upper_covers(sub.bottom))
     chain = [sub.bottom]
@@ -432,31 +441,34 @@ def _outcome(fn, *args):
 
 
 def test_grid_and_boolean_retractions_match_congruence_references():
+    """`_upper_map` on every sublattice the grid reference retracts onto, and
+    `_prime_map` on every one the boolean reference retracts onto."""
     counts = Counter()
+
+    def compare(name, reference, arg, lattice, subset):
+        try:
+            expected = reference(arg, subset)
+        except LatticeError:
+            return
+        mask = _sublattice_mask(lattice, subset)
+        if name == "upper":
+            got = _upper_map(lattice, mask)
+        else:
+            got = _prime_map(lattice, _induced(lattice, mask))
+        where = (name, lattice.elements, sorted(lattice.covers), subset)
+        assert list(got.items()) == list(expected.mapping.items()), where
+        counts[name] += 1
+
     for sizes in REFERENCE_GRID_SIZES:
         grid = make_grid(sizes)
         for subset in all_sublattices(grid.lattice):
-            for fn, reference, arg in (
-                (grid_retraction, _reference_grid_retraction, grid),
-                (boolean_retraction, _reference_boolean_retraction, grid.lattice),
-            ):
-                expected = _outcome(reference, arg, subset)
-                assert _outcome(fn, arg, subset) == expected, (fn.__name__, sizes, subset)
-                counts[fn.__name__, isinstance(expected[0], list)] += 1
+            compare("upper", _reference_grid_retraction, grid, grid.lattice, subset)
+            compare("prime", _reference_boolean_retraction, grid.lattice, grid.lattice, subset)
     for lattice in enumerate_distributive_lattices(9):
         for subset in all_sublattices(lattice):
-            expected = _outcome(_reference_boolean_retraction, lattice, subset)
-            assert _outcome(boolean_retraction, lattice, subset) == expected, (
-                lattice.elements, sorted(lattice.covers), subset
-            )
-            counts["boolean_retraction", isinstance(expected[0], list)] += 1
-    # (name, succeeded): both closed forms are compared on successes and errors
-    assert counts == {
-        ("grid_retraction", True): 203,
-        ("grid_retraction", False): 3825,
-        ("boolean_retraction", True): 2712,
-        ("boolean_retraction", False): 13044,
-    }
+            compare("prime", _reference_boolean_retraction, lattice, lattice, subset)
+    # successes only: where a reference raises there is no map to compare
+    assert counts == {"upper": 203, "prime": 2712}
 
 
 def _chain(n):
@@ -470,18 +482,17 @@ def test_chain_retraction_matches_member_loop_reference():
         chain = _chain(n)
         for k in range(1, n + 1):
             for subset in combinations(chain.elements, k):
-                expected = _outcome(_reference_chain_retraction, chain, subset)
-                assert _outcome(chain_retraction, chain, subset) == expected, subset
+                expected = _reference_chain_retraction(chain, subset).mapping
+                got = _upper_map(chain, _sublattice_mask(chain, subset))
+                assert list(got.items()) == list(expected.items()), subset
                 total += 1
     assert total == 2035
-    for args in ((make_grid((2, 2)).lattice, {"0,0"}), (_chain(3), set()), (_chain(3), {"x"})):
-        assert _outcome(chain_retraction, *args) == _outcome(_reference_chain_retraction, *args)
 
 
 def _reference_retract_onto(lattice, subset, cls):
     """The former `retract_onto`: embed the ambient lattice into a grid,
     retract there by the grid or boolean construction, and pull the map
-    back.  The grid step uses the congruence reference."""
+    back.  Both steps use the congruence references."""
     _check_membership(lattice, cls)
     subset = set(subset)
     if not check_sublattice(lattice, subset):
@@ -501,7 +512,7 @@ def _reference_retract_onto(lattice, subset, cls):
     emb = grid_embed(lattice)
     image = {emb.mapping[d] for d in subset}
     if is_boolean(sub):
-        inner = boolean_retraction(emb.target.lattice, image)
+        inner = _reference_boolean_retraction(emb.target.lattice, image)
     else:
         inner = _reference_grid_retraction(emb.target, image)
     back = {v: k for k, v in emb.mapping.items()}
@@ -533,7 +544,7 @@ def test_retract_onto_matches_grid_embedding_reference():
             counts["error"] += 1
         elif cls.kind != "sps" and 1 < len(subset) < len(lattice) and is_boolean(expected[1]):
             hom = retract_onto(lattice, subset, cls)
-            assert hom.mapping == boolean_retraction(lattice, subset).mapping, where
+            assert hom.mapping == _reference_boolean_retraction(lattice, subset).mapping, where
             assert hom.target == expected[1] and hom.is_retraction(), where
             counts["boolean", got == expected] += 1
         else:
