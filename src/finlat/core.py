@@ -377,16 +377,29 @@ def is_distributive(lattice: FiniteLattice) -> bool:
 
 @_memoised
 def is_semimodular(lattice: FiniteLattice) -> bool:
-    """Check that x ≺ y implies x ∨ z ⪯ y ∨ z, over all covers and z."""
-    n = len(lattice)
-    join = lattice._join
-    ucov = lattice._ucov
-    for lo, hi in lattice.covers:
-        i, j = lattice.index(lo), lattice.index(hi)
-        for z in range(n):
-            a, b = join[i][z], join[j][z]
-            if a != b and not ucov[a] >> b & 1:
-                return False
+    """True iff Birkhoff's covering condition holds: a ∧ b ≺ a, b implies a, b ≺ a ∨ b.
+
+    If a and b both cover x then a ∧ b = x, so the premises are exactly
+    the pairs of distinct upper covers of one element, and the check is
+    that their join covers both, read off the cover masks.  In a lattice
+    of finite length, and so in every finite one, the condition is
+    equivalent to semimodularity, x ≺ y implying x ∨ z ⪯ y ∨ z
+    (G. Grätzer, *Lattice Theory: Foundation*, Birkhäuser 2011, the
+    section on semimodular lattices; M. Stern, *Semimodular Lattices*,
+    CUP 1999).  Cost O(Σₓ deg⁺(x)²) integer operations, where deg⁺(x) is
+    the number of upper covers of x.
+    """
+    join, ucov = lattice._join, lattice._ucov
+    for uc in ucov:
+        if not uc & (uc - 1):
+            continue
+        covers = list(_bits(uc))
+        for k, a in enumerate(covers):
+            join_a, ucov_a = join[a], ucov[a]
+            for b in covers[k + 1 :]:
+                d = join_a[b]
+                if not (ucov_a >> d & 1 and ucov[b] >> d & 1):
+                    return False
     return True
 
 

@@ -31,7 +31,6 @@ the `_refine` the isomorphism test uses; it is their order, not that test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product
 
 from .core import (
@@ -258,31 +257,15 @@ class EquationSystem:
     ``(table, left, right, result)`` with the ambient's join or meet table.
     Only `build_equation_system` builds one, from the sublattice mask it
     has checked.  ``sub`` and ``unknowns`` are read off that mask in index
-    order.
+    order.  ``_by_unknown`` files each code with ``left <= right`` under
+    its unknown operands, in system order, for the solver.
     """
 
-    def __init__(self, ambient: FiniteLattice, mask: int, codes: list[tuple]):
+    def __init__(self, ambient: FiniteLattice, mask: int, codes: list[tuple], by_unknown: dict):
         self.ambient, self._mask, self._codes = ambient, mask, codes
+        self._by_unknown = by_unknown
         self.sub = _mask_to_set(ambient, mask)
         self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
-
-    @cached_property
-    def _by_unknown(self) -> dict[int, list[tuple]]:
-        """For each unknown slot, the codes with it as an operand, in system order.
-
-        The solver forces or checks a code once its last operand is
-        assigned, so a code need not be filed under its result.
-        """
-        n = len(self.ambient)
-        index = self.ambient._index
-        by_unknown: dict[int, list[tuple]] = {n + index[x]: [] for x in self.unknowns}
-        for code in self._codes:
-            _, i, j, _ = code
-            if i >= n:
-                by_unknown[i].append(code)
-            if j >= n and j != i:
-                by_unknown[j].append(code)
-        return by_unknown
 
 
 @dataclass(frozen=True)
@@ -296,7 +279,10 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     """Emit the equations for all ordered pairs touching a new element.
 
     They go straight onto integer slots from the join and meet rows, and
-    must all hold with every slot holding its own element.
+    must all hold with every slot holding its own element.  The solver
+    forces or checks a code once its last operand is assigned, so each
+    code is filed under its unknown operands as it is emitted; the tables
+    are symmetric, so only the codes with ``left <= right`` are filed.
     """
     mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
@@ -305,14 +291,21 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
 
     join, meet = lattice._join, lattice._meet
     slot = [i if mask >> i & 1 else n + i for i in range(n)]
+    by_unknown: dict[int, list[tuple]] = {s: [] for s in slot if s >= n}
     codes = []
     for a, joins, meets in zip(slot, join, meet):
         for b, jk, mk in zip(slot, joins, meets):
             if a >= n or b >= n:
-                codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
+                pair = (join, a, b, slot[jk]), (meet, a, b, slot[mk])
+                codes += pair
+                if a <= b:
+                    if a >= n:
+                        by_unknown[a] += pair
+                    if b != a:
+                        by_unknown[b] += pair
     if not _holds(codes, list(range(n)) * 2):  # pragma: no cover
         raise LatticeError("identity substitution failed; system is malformed")
-    return EquationSystem(lattice, mask, codes)
+    return EquationSystem(lattice, mask, codes, by_unknown)
 
 
 def _holds(codes: list[tuple], val: list[int]) -> bool:

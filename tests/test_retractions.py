@@ -292,7 +292,7 @@ def test_classify_dcov_matches_dfin(c3, d5):
                     classify_absolute_retract(lat, ClassId.dfin(n))
                 continue
             a = classify_absolute_retract(lat, ClassId.dfin(n)).is_absolute_retract
-            b = classify_absolute_retract(lat, ClassId.dcov(n)).is_absolute_retract
+            b = classify_absolute_retract(lat, ClassId("dcov", n)).is_absolute_retract
             assert a == b
 
 
@@ -305,12 +305,12 @@ def test_classify_rejects_wrong_class(s7, b3):
 
 def test_classify_sps_singleton():
     singleton = build_lattice(["x"], [])
-    verdict = classify_absolute_retract(singleton, ClassId.sps())
+    verdict = classify_absolute_retract(singleton, ClassId.parse("sps"))
     assert verdict.is_absolute_retract
 
 
 def test_classify_sps_negative(c2):
-    verdict = classify_absolute_retract(c2, ClassId.sps())
+    verdict = classify_absolute_retract(c2, ClassId.parse("sps"))
     assert not verdict.is_absolute_retract
     assert verdict.witness is not None
     image = set(verdict.embedding.values())
@@ -529,7 +529,7 @@ def test_retract_onto_matches_grid_embedding_reference():
         for subset in all_sublattices(lattice)
         for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2")
     ]
-    sps = ClassId.sps()
+    sps = ClassId.parse("sps")
     for lattice in enumerate_small_lattices(7):
         if is_slim(lattice) and is_semimodular(lattice):
             cases += [(lattice, {x}, sps) for x in lattice.elements]
