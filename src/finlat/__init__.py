@@ -31,11 +31,9 @@ from .core import (
 )
 from .chains import (
     ChainDecomposition,
-    EmptyChainProduced,
     GridEmbedding,
     NotDistributive,
     TrivialLattice,
-    disjointify_chains,
     grid_embed,
     min_chain_cover,
     order_dimension,

@@ -1,40 +1,43 @@
 """Chain covers, order dimension, and grid embeddings.
 
-Width and minimum chain covers are computed by Dilworth's route: a maximum
-bipartite matching on the strict order gives a minimum path cover, and the
-Koenig vertex cover turns into a maximum antichain certifying optimality.
-For a finite distributive lattice the order dimension is the width of its
-join-irreducibles, and the canonical chains of that width produce a
-cover-preserving {0,1}-embedding into a grid of equal length.  Both are
-memoised on the lattice (see `core`); the embedding is validated once, on
-the first call, and each call returns a fresh `GridEmbedding`.  For a
-grid's own lattice the memo keeps the factor sizes, not the grid, so no
-grid sits in a reference cycle through its lattice's memo.
+Width and minimum chain covers are computed by Dilworth's route on an
+order given by up-set masks and restricted to an index mask, so the same
+code serves a lattice and a bare poset: a maximum bipartite matching on
+the strict order gives a minimum path cover, and the Koenig vertex cover
+turns into a maximum antichain certifying optimality.  Ids appear only in
+`min_chain_cover`, the public wrapper.  For a finite distributive lattice
+the order dimension is the width of its join-irreducibles, and the chains
+of a minimum cover of them, each with the bottom prepended, give a
+cover-preserving {0,1}-embedding of equal length into a grid, read off
+the down-set masks.  Both are memoised on the lattice (see `core`); the
+embedding is validated once, on the first call, and each call returns a
+fresh `GridEmbedding`.  For a grid's own lattice the memo keeps the
+factor sizes, not the grid, so no grid sits in a reference cycle through
+its lattice's memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 from .core import (
     FiniteLattice,
     LatticeError,
     _bits,
+    _jmask,
     _memoised,
     is_distributive,
-    join_irreducibles,
-    lattice_length,
 )
 from .grids import Grid, make_grid
-from .morphisms import Homomorphism
+from .morphisms import Homomorphism, check_cover01
 
 __all__ = [
     "NotDistributive",
     "TrivialLattice",
-    "EmptyChainProduced",
     "ChainDecomposition",
     "min_chain_cover",
-    "disjointify_chains",
     "order_dimension",
     "GridEmbedding",
     "grid_embed",
@@ -49,51 +52,46 @@ class TrivialLattice(LatticeError):
     """The one-element lattice has no dimension here."""
 
 
-class EmptyChainProduced(LatticeError):
-    """Disjointification emptied a chain; the input cover was not minimum."""
-
-
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """A cover of a subposet of a lattice by chains.
+    """A minimum cover of a subposet of a lattice by chains.
 
     ``chains`` are strictly increasing element sequences whose union is the
-    covered subposet.  A maximum antichain of matching size may be attached
-    as an optimality certificate.
+    covered subposet; ``antichain`` is a maximum antichain of the same
+    size, the certificate of optimality.
     """
 
     lattice: FiniteLattice
     elements: frozenset[str]
     chains: tuple[tuple[str, ...], ...]
-    antichain: tuple[str, ...] | None = None
+    antichain: tuple[str, ...]
 
     def __post_init__(self):
+        up, index = self.lattice._up, self.lattice._index
         covered = set()
         for chain in self.chains:
             for a, b in zip(chain, chain[1:]):
-                if not self.lattice.lt(a, b):
+                if a == b or not up[index[a]] >> index[b] & 1:
                     raise LatticeError(f"chain {chain!r} is not strictly increasing")
             covered.update(chain)
         if covered != set(self.elements):
             raise LatticeError("chains do not cover the subposet exactly")
-        if self.antichain is not None:
-            for i, x in enumerate(self.antichain):
-                for y in self.antichain[i + 1 :]:
-                    if self.lattice.leq(x, y) or self.lattice.leq(y, x):
-                        raise LatticeError("certificate is not an antichain")
+        for x, y in combinations(self.antichain, 2):
+            if up[index[x]] >> index[y] & 1 or up[index[y]] >> index[x] & 1:
+                raise LatticeError("certificate is not an antichain")
 
 
-def _max_matching(elems: list[str], succs: dict[str, list[str]]) -> dict[str, str]:
+def _max_matching(elems: list[int], succs: dict[int, list[int]]) -> dict[int, int]:
     """Maximum matching u -> v over pairs with v in succs[u], by augmenting paths.
 
     Each augmenting path is a depth-first search on an explicit stack of
     [u, remaining successors of u, v tried from u] frames.
     """
-    match_left: dict[str, str] = {}
-    match_right: dict[str, str] = {}
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
 
     for root in elems:
-        seen: set[str] = set()
+        seen: set[int] = set()
         stack = [[root, iter(succs[root]), None]]
         while stack:
             frame = stack[-1]
@@ -116,6 +114,48 @@ def _max_matching(elems: list[str], succs: dict[str, list[str]]) -> dict[str, st
     return match_left
 
 
+def _chain_cover(up, mask: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """A minimum chain cover of the indices in mask, and a maximum antichain.
+
+    ``up[i]`` is the up-set mask of i, i included.  The chains partition
+    mask and are sorted by their least index; the antichain, in index
+    order, has one member per chain (Dilworth, via Koenig duality on the
+    matching).
+    """
+    elems = list(_bits(mask))
+    succs = {i: list(_bits(up[i] & mask & ~(1 << i))) for i in elems}
+    match_left = _max_matching(elems, succs)
+    match_right = {v: u for u, v in match_left.items()}
+
+    chains = []
+    for start in elems:
+        if start in match_right:
+            continue
+        chain = [start]
+        while chain[-1] in match_left:
+            chain.append(match_left[chain[-1]])
+        chains.append(tuple(chain))
+    chains.sort(key=min)
+
+    # Koenig: alternating reachability from unmatched left vertices.
+    reach_left = {u for u in elems if u not in match_left}
+    reach_right: set[int] = set()
+    frontier = list(reach_left)
+    while frontier:
+        u = frontier.pop()
+        for v in succs[u]:
+            if v not in reach_right:
+                reach_right.add(v)
+                w = match_right.get(v)
+                if w is not None and w not in reach_left:
+                    reach_left.add(w)
+                    frontier.append(w)
+    antichain = tuple(x for x in elems if x in reach_left and x not in reach_right)
+    if len(antichain) != len(chains):
+        raise LatticeError("matching duality failed")  # pragma: no cover
+    return chains, antichain
+
+
 def min_chain_cover(lattice: FiniteLattice, subset) -> ChainDecomposition:
     """A minimum chain cover of a subposet, with a maximum antichain certificate.
 
@@ -129,72 +169,14 @@ def min_chain_cover(lattice: FiniteLattice, subset) -> ChainDecomposition:
     for x in elems:
         if x not in lattice:
             raise LatticeError(f"{x!r} is not an element of the lattice")
-    # Index order is sorted-id order, so each list is sorted like elems.
-    ids, up = lattice.elements, lattice._up
-    indices = [lattice.index(x) for x in elems]
-    subset_mask = sum(1 << i for i in indices)
-    succs = {
-        u: [ids[j] for j in _bits(up[i] & subset_mask & ~(1 << i))]
-        for u, i in zip(elems, indices)
-    }
-    match_left = _max_matching(elems, succs)
-    match_right = {v: u for u, v in match_left.items()}
-
-    chains = []
-    for start in elems:
-        if start in match_right:
-            continue
-        chain = [start]
-        while chain[-1] in match_left:
-            chain.append(match_left[chain[-1]])
-        chains.append(tuple(chain))
-    chains.sort(key=lambda c: min(c))
-
-    # Koenig: alternating reachability from unmatched left vertices.
-    reach_left = {u for u in elems if u not in match_left}
-    reach_right: set[str] = set()
-    frontier = list(reach_left)
-    while frontier:
-        u = frontier.pop()
-        for v in succs[u]:
-            if v not in reach_right:
-                reach_right.add(v)
-                w = match_right.get(v)
-                if w is not None and w not in reach_left:
-                    reach_left.add(w)
-                    frontier.append(w)
-    antichain = tuple(
-        sorted(x for x in elems if x in reach_left and x not in reach_right)
-    )
-    if len(antichain) != len(chains):
-        raise LatticeError("matching duality failed")  # pragma: no cover
+    # Index order is sorted-id order, so index chains sort like id chains.
+    ids = lattice.elements
+    chains, antichain = _chain_cover(lattice._up, sum(1 << lattice.index(x) for x in elems))
     return ChainDecomposition(
         lattice=lattice,
         elements=frozenset(elems),
-        chains=tuple(chains),
-        antichain=antichain,
-    )
-
-
-def disjointify_chains(decomposition: ChainDecomposition) -> ChainDecomposition:
-    """Subtract each chain's predecessors: E_i = C_i minus (C_1 ∪ ... ∪ C_{i-1}).
-
-    Prefix unions are preserved and the results are pairwise disjoint.  An
-    empty E_i signals that the input was not a minimum cover.
-    """
-    seen: set[str] = set()
-    new_chains = []
-    for i, chain in enumerate(decomposition.chains):
-        trimmed = tuple(x for x in chain if x not in seen)
-        if not trimmed:
-            raise EmptyChainProduced(f"chain {i + 1} became empty")
-        seen.update(chain)
-        new_chains.append(trimmed)
-    return ChainDecomposition(
-        lattice=decomposition.lattice,
-        elements=decomposition.elements,
-        chains=tuple(new_chains),
-        antichain=decomposition.antichain,
+        chains=tuple(tuple(ids[i] for i in chain) for chain in chains),
+        antichain=tuple(ids[i] for i in antichain),
     )
 
 
@@ -205,16 +187,18 @@ def order_dimension(lattice: FiniteLattice) -> int:
         raise TrivialLattice("order dimension needs at least two elements")
     if not is_distributive(lattice):
         raise NotDistributive("order dimension is only computed for distributive lattices")
-    return len(min_chain_cover(lattice, join_irreducibles(lattice)).chains)
+    return len(_chain_cover(lattice._up, _jmask(lattice))[0])
 
 
 @dataclass(frozen=True)
 class GridEmbedding:
     """A cover-preserving {0,1}-embedding of a distributive lattice into a grid.
 
-    ``coordinate_chains`` hold the source-side chains E_i^+ (each one is the
-    disjointified chain E_i with the bottom prepended); the i-th coordinate
-    of φ(x) is the largest element of E_i^+ below x.
+    ``coordinate_chains`` hold the source-side chains E_i^+: the i-th chain
+    of a minimum cover of the join-irreducibles, with the bottom prepended.
+    The chains of a matching cover are pairwise disjoint, so they already
+    are the disjoint E_i of the construction.  The i-th coordinate of φ(x)
+    is the largest element of E_i^+ below x.
     """
 
     source: FiniteLattice
@@ -250,41 +234,29 @@ def _grid_embedding_parts(lattice: FiniteLattice):
     When the target grid's lattice is the input itself, the grid would
     reference its own lattice's memo, so its factor sizes stand in for it.
     """
-    ji = join_irreducibles(lattice)
-    cover = min_chain_cover(lattice, ji)
-    disjoint = disjointify_chains(cover)
-    e_plus = tuple((lattice.bottom,) + chain for chain in disjoint.chains)
+    ids, bottom = lattice.elements, lattice.index(lattice.bottom)
+    chains, _ = _chain_cover(lattice._up, _jmask(lattice))
+    e_plus = [(bottom, *chain) for chain in chains]
     target = make_grid(tuple(len(chain) for chain in e_plus))
 
     # E_i^+ ∩ ↓x is a prefix of the chain E_i^+, so its largest element
     # has index |E_i^+ ∩ ↓x| - 1.
-    chain_masks = [sum(1 << lattice.index(e) for e in chain) for chain in e_plus]
-    mapping = {
-        x: target.id_of([(down & m).bit_count() - 1 for m in chain_masks])
-        for x, down in zip(lattice.elements, lattice._down)
-    }
-    _validate_embedding(lattice, target, mapping, e_plus)
+    chain_masks = [sum(1 << i for i in chain) for chain in e_plus]
+    coords = [[(down & m).bit_count() - 1 for m in chain_masks] for down in lattice._down]
+    mapping = {x: target.id_of(c) for x, c in zip(ids, coords)}
+    _validate_embedding(lattice, target, mapping, e_plus, coords)
+    chain_ids = tuple(tuple(ids[i] for i in chain) for chain in e_plus)
     if target.lattice is lattice:
-        return target.factor_sizes, mapping, e_plus
-    return target, mapping, e_plus
+        return target.factor_sizes, mapping, chain_ids
+    return target, mapping, chain_ids
 
 
-def _validate_embedding(lattice, target, mapping, e_plus):
-    embedding = Homomorphism(lattice, target.lattice, mapping)  # checks joins and meets
-    if not embedding.injective:
-        raise LatticeError("grid embedding is not injective")
-    for x in lattice.elements:
+def _validate_embedding(lattice, target, mapping, e_plus, coords):
+    join = lattice._join
+    for x, c in enumerate(coords):
         # x is recovered as the join of its coordinates, taken in the source.
-        top_of = [
-            max(i for i, e in enumerate(chain) if lattice.leq(e, x))
-            for chain in e_plus
-        ]
-        recovered = lattice.join_all(chain[k] for chain, k in zip(e_plus, top_of))
-        if recovered != x:
+        if reduce(lambda a, b: join[a][b], [chain[k] for chain, k in zip(e_plus, c)]) != x:
             raise LatticeError("coordinate join law failed")
-    if not embedding.preserves_bounds:
-        raise LatticeError("grid embedding does not preserve bounds")
-    if not embedding.cover_preserving:
-        raise LatticeError("grid embedding does not preserve covers")
-    if lattice_length(lattice) != lattice_length(target.lattice):
-        raise LatticeError("grid embedding changed the length")
+    embedding = Homomorphism(lattice, target.lattice, mapping)  # checks joins and meets
+    if not check_cover01(embedding).all_hold:
+        raise LatticeError("grid embedding is not a cover-{0,1} embedding of equal length")

@@ -14,8 +14,8 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from . import chains, core, grids, oracle, retractions, slim
-from .morphisms import Homomorphism, congruence_generated_by
+from . import chains, core, grids, oracle, slim
+from .morphisms import Homomorphism, check_cover01, congruence_generated_by
 
 __all__ = [
     "Result", "SUITES", "congruence_bound", "cover01", "embedding", "forks", "generation",
@@ -101,8 +101,7 @@ def embedding(size: int) -> list[Result]:
             continue
         total += 1
         emb = chains.grid_embed(lat)
-        report = retractions.check_cover01(Homomorphism(lat, emb.target.lattice, emb.mapping))
-        if not (report.is_cover01 and report.is_embedding and report.lengths_equal):
+        if not check_cover01(Homomorphism(lat, emb.target.lattice, emb.mapping)).all_hold:
             bad.append(_show(lat))
     detail = f"{total} distributive lattices embedded, {len(bad)} failures"
     return [_result("grid-embedding-cover01", bad, detail)]
@@ -120,7 +119,7 @@ def cover01(ambients) -> list[Result]:
             if not core.is_semimodular(sub_lat):
                 continue
             sub = oracle._mask_to_set(big, mask)
-            report = retractions.check_cover01(Homomorphism(sub_lat, big, {x: x for x in sub}))
+            report = check_cover01(Homomorphism(sub_lat, big, {x: x for x in sub}))
             if report.is_cover01 != (report.is_embedding and report.lengths_equal):
                 bad.append(_pair(big, sub))
             if report.is_cover01 and len(sub) < len(big):

@@ -238,9 +238,6 @@ class FiniteLattice:
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._index[x]] >> self._index[y] & 1)
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
-
     def covered_by(self, x: str, y: str) -> bool:
         """True iff y covers x."""
         return bool(self._ucov[self._index[x]] >> self._index[y] & 1)
@@ -250,12 +247,6 @@ class FiniteLattice:
 
     def meet(self, x: str, y: str) -> str:
         return self.elements[self._meet[self._index[x]][self._index[y]]]
-
-    def join_all(self, xs) -> str:
-        out = self._index[self.bottom]
-        for x in xs:
-            out = self._join[out][self._index[x]]
-        return self.elements[out]
 
     def meet_all(self, xs) -> str:
         out = self._index[self.top]

@@ -25,9 +25,8 @@ from .core import (
     _check_cap,
     build_lattice,
     check_sublattice,
-    lattice_length,
 )
-from .morphisms import Homomorphism
+from .morphisms import Homomorphism, check_cover01
 
 __all__ = [
     "TrivialFactor",
@@ -207,14 +206,8 @@ def _validate_bump(grid: Grid, bumped: Grid, mapping: dict[str, str], split: int
     src = grid.lattice
     dst = bumped.lattice
     embedding = Homomorphism(src, dst, mapping)  # checks joins and meets
-    if not embedding.injective:
-        raise LatticeError("bump embedding is not injective")
-    if not embedding.preserves_bounds:
-        raise LatticeError("bump embedding does not preserve the bounds")
-    if not embedding.cover_preserving:
-        raise LatticeError("bump embedding does not preserve covers")
-    if lattice_length(src) != lattice_length(dst):
-        raise LatticeError("bump changed the length")
+    if not check_cover01(embedding).all_hold:
+        raise LatticeError("bump embedding is not a cover-{0,1} embedding of equal length")
     # The image decomposes as ideal-below ∪ filter-above the two overlap corners.
     n = bumped.dimension
     hi_corner = bumped.id_of(

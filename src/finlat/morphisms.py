@@ -1,27 +1,43 @@
-"""Verified lattice homomorphisms and congruences.
+"""Verified lattice homomorphisms, congruences and the cover-{0,1} report.
 
 A `Homomorphism` checks join and meet preservation over all pairs when it
 is built, and a `Congruence` checks that its partition is compatible with
 join and meet over all columns.  `congruence_generated_by` closes a set of
 pairs under translations by the join- and meet-irreducibles only, which
-generate all translations.  Element ids appear only at the API edge: every
-check runs on index arrays, the map as a list of target indices and a
-partition as the block index of each element, compared row by row against
-the lattice's integer `_join`/`_meet` tables.  The module depends on `core`
-only, so every other module can build and verify maps.
+generate all translations.  `check_cover01` reports the three flags of the
+cover-{0,1} lemma for a map between semimodular lattices, and
+`Cover01Report.all_hold` is the one place their conjunction is written.
+Element ids appear only at the API edge: every check runs on index
+arrays, the map as a list of target indices and a partition as the block
+index of each element, compared row by row against the lattice's integer
+`_join`/`_meet` tables and cover masks.  The module depends on `core`
+only, so every other module can build and verify maps and certify them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteLattice, LatticeError, _bits, _jmask, _mmask, check_sublattice
+from .core import (
+    FiniteLattice,
+    LatticeError,
+    _bits,
+    _jmask,
+    _mmask,
+    check_sublattice,
+    is_semimodular,
+    lattice_length,
+)
 
 __all__ = [
     "NotAHomomorphism",
     "NotACongruence",
+    "NotSemimodular",
     "Homomorphism",
     "Congruence",
+    "Cover01Report",
+    "check_cover01",
     "congruence_generated_by",
 ]
 
@@ -34,12 +50,16 @@ class NotACongruence(LatticeError):
     pass
 
 
+class NotSemimodular(LatticeError):
+    pass
+
+
 class Homomorphism:
     """A verified lattice homomorphism between two finite lattices.
 
     Join and meet preservation is checked over all pairs at construction.
     The derived flags (bound preservation, cover preservation, injectivity)
-    are computed on demand and cached.
+    are read off the same index map on demand and cached.
     """
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, mapping: dict[str, str]):
@@ -71,27 +91,26 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        self._f = f
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
     @cached_property
     def preserves_bounds(self) -> bool:
-        return (
-            self.mapping[self.source.bottom] == self.target.bottom
-            and self.mapping[self.source.top] == self.target.top
-        )
+        s, t, f = self.source, self.target, self._f
+        return f[s.index(s.bottom)] == t.index(t.bottom) and f[s.index(s.top)] == t.index(t.top)
 
     @cached_property
     def cover_preserving(self) -> bool:
+        ucov, f = self.target._ucov, self._f
         return all(
-            self.target.covered_by(self.mapping[lo], self.mapping[hi])
-            for lo, hi in self.source.covers
+            ucov[f[i]] >> f[j] & 1 for i, row in enumerate(self.source._ucov) for j in _bits(row)
         )
 
     @cached_property
     def injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.source)
+        return len(set(self._f)) == len(self._f)
 
     def fixes(self, subset) -> bool:
         return all(self.mapping[x] == x for x in subset)
@@ -116,6 +135,39 @@ class Homomorphism:
 
     def __repr__(self) -> str:
         return f"<Homomorphism {len(self.source)}->{len(self.target)}>"
+
+
+@dataclass(frozen=True)
+class Cover01Report:
+    """Flags relating cover-{0,1} preservation, injectivity, and length."""
+
+    is_cover01: bool
+    is_embedding: bool
+    lengths_equal: bool
+
+    @property
+    def all_hold(self) -> bool:
+        """The map is a cover-{0,1} embedding of equal length."""
+        return self.is_cover01 and self.is_embedding and self.lengths_equal
+
+
+def check_cover01(f: Homomorphism) -> Cover01Report:
+    """Report whether f preserves 0, 1, and covers, is injective, and keeps length.
+
+    For semimodular source and target, the cover-{0,1} lemma says the
+    first flag holds exactly when the other two do.  The report does not
+    enforce it: `checks.cover01` and `checks.embedding` compare the flags
+    and name the map that breaks the lemma.  The semimodularity
+    precondition costs O(Σₓ deg⁺(x)²) per lattice, over the pairs of upper
+    covers of each element, and is memoised.
+    """
+    if not is_semimodular(f.source) or not is_semimodular(f.target):
+        raise NotSemimodular("cover-{0,1} report needs semimodular source and target")
+    return Cover01Report(
+        is_cover01=f.preserves_bounds and f.cover_preserving,
+        is_embedding=f.injective,
+        lengths_equal=lattice_length(f.source) == lattice_length(f.target),
+    )
 
 
 class Congruence:

@@ -16,7 +16,9 @@ those congruences.  A classifier decides whether a lattice is an
 absolute retract for the class of finite distributive lattices of
 bounded dimension, and in the negative case builds a proper
 cover-preserving {0,1}-extension of equal length as a refutation
-witness, optionally confirmed by exhaustive search.
+witness, certified by `check_cover01` and optionally confirmed by
+exhaustive search.  The cover-{0,1} report lives in `morphisms`; this
+module re-exports it with `NotSemimodular`.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ from .core import (
     is_distributive,
     is_semimodular,
     is_slim,
-    lattice_length,
 )
 from .chains import grid_embed, order_dimension
 from .grids import dimension_bump
-from .morphisms import Congruence, Homomorphism, NotACongruence, NotAHomomorphism
+from .morphisms import (
+    Congruence,
+    Cover01Report,
+    Homomorphism,
+    NotACongruence,
+    NotAHomomorphism,
+    NotSemimodular,
+    check_cover01,
+)
 from .oracle import search_retraction
 from .slim import build_witness
 
@@ -66,44 +75,12 @@ __all__ = [
 _ORACLE_BOUND = 60
 
 
-class NotSemimodular(LatticeError):
-    pass
-
-
 class NotEligible(LatticeError):
     """The target is neither boolean nor a grid of the class dimension."""
 
 
 class NotInClass(LatticeError):
     pass
-
-
-@dataclass(frozen=True)
-class Cover01Report:
-    """Flags relating cover-{0,1} preservation, injectivity, and length."""
-
-    is_cover01: bool
-    is_embedding: bool
-    lengths_equal: bool
-
-
-def check_cover01(f: Homomorphism) -> Cover01Report:
-    """Report whether f preserves 0, 1, and covers, is injective, and keeps length.
-
-    For semimodular source and target, the cover-{0,1} lemma says the
-    first flag holds exactly when the other two do.  The report does not
-    enforce it: `checks.cover01` and `checks.embedding` compare the flags
-    and name the map that breaks the lemma.  The semimodularity
-    precondition costs O(Σₓ deg⁺(x)²) per lattice, over the pairs of upper
-    covers of each element, and is memoised.
-    """
-    if not is_semimodular(f.source) or not is_semimodular(f.target):
-        raise NotSemimodular("cover-{0,1} report needs semimodular source and target")
-    return Cover01Report(
-        is_cover01=f.preserves_bounds and f.cover_preserving,
-        is_embedding=f.injective,
-        lengths_equal=lattice_length(f.source) == lattice_length(f.target),
-    )
 
 
 def _upper_map(lattice: FiniteLattice, mask: int) -> dict[str, str]:
@@ -319,8 +296,7 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     inclusion = Homomorphism(lattice, witness_lattice, mapping)
     cert_report = check_cover01(inclusion)
     proper = len(witness_lattice) > len(lattice)
-    certified = cert_report.is_cover01 and cert_report.is_embedding and cert_report.lengths_equal
-    if not (proper and certified):  # pragma: no cover
+    if not (proper and cert_report.all_hold):  # pragma: no cover
         raise LatticeError("witness construction failed to be a proper cover-{0,1} extension")
     confirmed: bool | None = None
     nodes: int | None = None

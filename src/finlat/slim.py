@@ -332,10 +332,17 @@ def s7_family(i: int) -> OrientedLattice:
     coatoms, and has length i + 2; both counts are checked on every member
     as it is built.  Each member is built once, by one fork of the member
     before it, and is retained for the life of the process and shared by
-    every caller, so it is read-only.
+    every caller, so it is read-only.  Member i has (i + 2)(i + 3)/2 + 1
+    elements, so an index whose member would pass `MAX_ELEMENTS` is refused
+    before any member is built.
     """
     if i < 1:
         raise LatticeError("the family is indexed from 1")
+    size = (i + 2) * (i + 3) // 2 + 1
+    if size > MAX_ELEMENTS:
+        raise ValidationFailed(
+            f"S7 member {i} has {size} elements, over the limit of {MAX_ELEMENTS}"
+        )
     built = i
     while built and built not in _S7:
         built -= 1

@@ -1,18 +1,21 @@
+from functools import reduce
+from itertools import chain, combinations
+
 import pytest
 
-from finlat import chains
+from finlat import chains, oracle
 from finlat import (
-    ChainDecomposition,
-    EmptyChainProduced,
+    LatticeError,
     NotDistributive,
     TrivialLattice,
     build_lattice,
-    disjointify_chains,
+    enumerate_distributive_lattices,
     enumerate_small_lattices,
     grid_embed,
     is_distributive,
     join_irreducibles,
     lattice_length,
+    make_grid,
     min_chain_cover,
     order_dimension,
 )
@@ -45,42 +48,6 @@ def test_min_cover_ji_of_d5(d5):
     assert sorted(map(len, cover.chains)) == [1, 2]
     # duality: certificate matches the chain count exactly
     assert len(cover.antichain) == 2
-
-
-def test_disjointify_overlapping(d5):
-    decomposition = ChainDecomposition(
-        lattice=d5,
-        elements=frozenset({"p", "q", "t"}),
-        chains=(("p", "t"), ("q", "t")),
-    )
-    out = disjointify_chains(decomposition)
-    assert out.chains == (("p", "t"), ("q",))
-
-
-def test_disjointify_prefix_unions(d5):
-    decomposition = ChainDecomposition(
-        lattice=d5,
-        elements=frozenset({"p", "q", "t"}),
-        chains=(("q", "t"), ("p", "t")),
-    )
-    out = disjointify_chains(decomposition)
-    for i in range(1, len(out.chains) + 1):
-        before = set().union(*decomposition.chains[:i])
-        after = set().union(*out.chains[:i])
-        assert before == after
-
-
-def test_disjointify_disjoint_input_unchanged(c5):
-    decomposition = min_chain_cover(c5, {"a", "b"})
-    assert disjointify_chains(decomposition).chains == decomposition.chains
-
-
-def test_disjointify_duplicate_chain_errors(c3):
-    decomposition = ChainDecomposition(
-        lattice=c3, elements=frozenset({"a"}), chains=(("a",), ("a",))
-    )
-    with pytest.raises(EmptyChainProduced):
-        disjointify_chains(decomposition)
 
 
 def test_order_dimension(c5, b3, grid32, s7, c2):
@@ -156,9 +123,9 @@ def test_max_matching_matches_recursive_reference():
     for lat in enumerate_small_lattices(8):
         for subset in (lat.elements, join_irreducibles(lat), lat.elements[::2]):
             elems = sorted(subset)
-            succs = {u: [v for v in elems if lat.lt(u, v)] for u in elems}
+            succs = {u: [v for v in elems if u != v and lat.leq(u, v)] for u in elems}
             got = chains._max_matching(elems, succs)
-            expected = _reference_max_matching(elems, lat.lt)
+            expected = _reference_max_matching(elems, lambda u, v: u != v and lat.leq(u, v))
             assert list(got.items()) == list(expected.items()), (lat.elements, elems)
             count += len(got)
     assert count > 1000
@@ -202,7 +169,7 @@ def test_grid_embed_invariants_over_enumeration():
                 ))
                 for chain in emb.coordinate_chains
             ]
-            assert lat.join_all(joinands) == x
+            assert reduce(lat.join, joinands, lat.bottom) == x
 
 
 def test_min_cover_duality_over_enumeration():
@@ -212,3 +179,103 @@ def test_min_cover_duality_over_enumeration():
         ji = join_irreducibles(lat)
         cover = min_chain_cover(lat, ji)
         assert len(cover.antichain) == len(cover.chains)
+
+
+def _brute_force_width(up, n):
+    """Size of a largest antichain, by scanning subsets from the largest down."""
+    for size in range(n, 0, -1):
+        for subset in combinations(range(n), size):
+            if all(not up[i] >> j & 1 and not up[j] >> i & 1 for i, j in combinations(subset, 2)):
+                return size
+    return 0
+
+
+def test_chain_cover_on_bare_posets_matches_brute_force_width():
+    """The index cover runs on up-set masks alone: every poset with at most
+    7 points gets as many chains as its width, the chains partition it, and
+    the antichain certificate has one member per chain."""
+    posets = 0
+    for poset, _ in chain.from_iterable(oracle._canonical_posets_upto(7)):
+        n = len(poset)
+        if not n:
+            continue
+        posets += 1
+        covers, antichain = chains._chain_cover(poset, (1 << n) - 1)
+        assert len(covers) == _brute_force_width(poset, n) == len(antichain), poset
+        assert sorted(chain.from_iterable(covers)) == list(range(n)), poset
+        assert [min(c) for c in covers] == sorted(min(c) for c in covers)
+        for c in covers:
+            assert all(a != b and poset[a] >> b & 1 for a, b in zip(c, c[1:])), poset
+        for a, b in combinations(antichain, 2):
+            assert not poset[a] >> b & 1 and not poset[b] >> a & 1, poset
+    assert posets == 1 + 2 + 5 + 16 + 63 + 318 + 2045  # OEIS A000112
+
+
+def _reference_min_chain_cover(lattice, subset):
+    """The former id-keyed cover: matching on string ids under the strict order."""
+    elems = sorted(subset)
+    succs = {u: [v for v in elems if u != v and lattice.leq(u, v)] for u in elems}
+    match_left = chains._max_matching(elems, succs)
+    match_right = {v: u for u, v in match_left.items()}
+    covers = []
+    for start in elems:
+        if start in match_right:
+            continue
+        c = [start]
+        while c[-1] in match_left:
+            c.append(match_left[c[-1]])
+        covers.append(tuple(c))
+    return sorted(covers, key=min)
+
+
+def _reference_disjointify(covers):
+    """The former `disjointify_chains`: E_i = C_i minus C_1, ..., C_{i-1}."""
+    seen, out = set(), []
+    for i, c in enumerate(covers):
+        trimmed = tuple(x for x in c if x not in seen)
+        if not trimmed:
+            raise LatticeError(f"chain {i + 1} became empty")
+        seen.update(c)
+        out.append(trimmed)
+    return out
+
+
+def _reference_grid_embedding(lattice):
+    """The former string route: cover, disjointify, then the id mapping."""
+    cover = _reference_min_chain_cover(lattice, join_irreducibles(lattice))
+    disjoint = _reference_disjointify(cover)
+    e_plus = tuple((lattice.bottom,) + c for c in disjoint)
+    target = make_grid(tuple(len(c) for c in e_plus))
+    mapping = {
+        x: target.id_of([max(k for k, e in enumerate(c) if lattice.leq(e, x)) for c in e_plus])
+        for x in lattice.elements
+    }
+    return target.factor_sizes, e_plus, mapping
+
+
+def test_grid_embed_matches_former_string_route():
+    """On every distributive lattice with at most 14 elements the index route
+    gives the same grid, coordinate chains and mapping as the string route,
+    and the coordinate chains keep what disjointification promised: they
+    are pairwise disjoint apart from the bottom, and each prefix covers what
+    the same prefix of the minimum chain cover covers."""
+    count = 0
+    for lattice in enumerate_distributive_lattices(14):
+        if len(lattice) < 2:
+            continue
+        count += 1
+        emb = grid_embed(lattice)
+        sizes, e_plus, mapping = _reference_grid_embedding(lattice)
+        assert emb.target.factor_sizes == sizes
+        assert emb.coordinate_chains == e_plus
+        assert emb.mapping == mapping
+        bottom = lattice.bottom
+        members = [x for c in emb.coordinate_chains for x in c if x != bottom]
+        assert len(members) == len(set(members))
+        assert all(c[0] == bottom for c in emb.coordinate_chains)
+        cover = min_chain_cover(lattice, join_irreducibles(lattice)).chains
+        for i in range(1, len(cover) + 1):
+            before = set().union(*cover[:i])
+            after = set().union(*emb.coordinate_chains[:i]) - {bottom}
+            assert before == after
+    assert count == 1105 - 1

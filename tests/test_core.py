@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -381,14 +382,14 @@ def test_kernel_matches_former_constructor_on_lattices():
 
 
 def _reference_induced_covers(lattice, subset):
-    """The former `induced_lattice` reduction, by `lt` over all triples."""
+    """The former `induced_lattice` reduction, by the strict order over all triples."""
     elems = sorted(subset, key=lattice.index)
     return {
         (x, y)
         for x in elems
         for y in elems
-        if lattice.lt(x, y)
-        and not any(lattice.lt(x, z) and lattice.lt(z, y) for z in elems)
+        if x != y and lattice.leq(x, y)
+        and not any(x != z != y and lattice.leq(x, z) and lattice.leq(z, y) for z in elems)
     }
 
 
@@ -462,7 +463,7 @@ def _reference_is_boolean(lattice):
     of_subset = {}
     for r in range(k + 1):
         for sub in combinations(ats, r):
-            v = lattice.join_all(sub)
+            v = reduce(lattice.join, sub, lattice.bottom)
             key = frozenset(sub)
             if v in of_subset.values():
                 return False

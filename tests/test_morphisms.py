@@ -21,7 +21,8 @@ LATTICES = list(enumerate_small_lattices(6))
 
 
 def _reference_homomorphism(source, target, mapping):
-    """The former string-keyed check of `Homomorphism.__init__`."""
+    """The former string-keyed check of `Homomorphism.__init__`, returning
+    the former derived flags of an accepted map."""
     if set(mapping) != set(source.elements):
         raise NotAHomomorphism("mapping is not total on the source")
     for v in mapping.values():
@@ -33,6 +34,12 @@ def _reference_homomorphism(source, target, mapping):
                 raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
             if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
                 raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
+    # the former id-level flags: bounds, covers, injectivity
+    return (
+        mapping[source.bottom] == target.bottom and mapping[source.top] == target.top,
+        all(target.covered_by(mapping[lo], mapping[hi]) for lo, hi in source.covers),
+        len(set(mapping.values())) == len(source),
+    )
 
 
 def _reference_congruence(lattice, blocks):
@@ -134,20 +141,27 @@ def _homomorphism_cases(rng):
     return cases
 
 
+def _flags(f):
+    return f.preserves_bounds, f.cover_preserving, f.injective
+
+
 def test_homomorphism_matches_reference():
     rng = random.Random(20261018)
     cases = _homomorphism_cases(rng)
     accepted = 0
     messages = set()
+    flags = set()
     for source, target, mapping in cases:
         expected = _outcome(lambda: _reference_homomorphism(source, target, mapping))
-        got = _outcome(lambda: Homomorphism(source, target, mapping) and None)
+        got = _outcome(lambda: _flags(Homomorphism(source, target, mapping)))
         assert got == expected, (source.elements, target.elements, mapping)
         accepted += expected[0] == "ok"
         messages.add(expected[1].split(" ")[0] if expected[0] != "ok" else "ok")
+        flags.add(expected[1] if expected[0] == "ok" else None)
     assert len(cases) > 3000
     assert 500 < accepted < len(cases) - 1000
     assert {"ok", "join", "meet", "mapping", "image"} <= messages
+    assert len(flags - {None}) == 6
 
 
 def _partition_cases(rng):

@@ -285,7 +285,7 @@ def _reference_find_embedding(small, big):
     position = {x: i for i, x in enumerate(order)}
     forced = {}
     for x in small.elements:
-        below = [y for y in small.elements if small.lt(y, x)]
+        below = [y for y in small.elements if y != x and small.leq(y, x)]
         pair = next(
             ((a, b) for a in below for b in below
              if small.join(a, b) == x and position[a] < position[x] and position[b] < position[x]),

@@ -6,6 +6,7 @@ import pytest
 from finlat import (
     ClassId,
     Congruence,
+    Cover01Report,
     Homomorphism,
     LatticeError,
     NotEligible,
@@ -31,6 +32,7 @@ from finlat import (
     recover_subgrid_chains,
     retract_onto,
 )
+import finlat.morphisms as morphisms
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
 from finlat.core import NotASublattice, _induced, _sublattice_mask
@@ -71,6 +73,9 @@ def test_check_cover01_identity(b2):
     hom = Homomorphism(b2, b2, {x: x for x in b2.elements})
     report = check_cover01(hom)
     assert report.is_cover01 and report.is_embedding and report.lengths_equal
+    assert [Cover01Report(*flags).all_hold for flags in product((True, False), repeat=3)] == [
+        True, False, False, False, False, False, False, False
+    ]
 
 
 def test_check_cover01_c3_into_b2(c3, b2):
@@ -83,6 +88,7 @@ def test_check_cover01_c2_into_c3(c2, c3):
     report = check_cover01(Homomorphism(c2, c3, {"0": "0", "1": "1"}))
     assert not report.is_cover01
     assert report.is_embedding and not report.lengths_equal
+    assert not report.all_hold
 
 
 def test_check_cover01_rejects_nonsemimodular(c2):
@@ -230,7 +236,7 @@ def test_cover01_check_names_the_pair_that_breaks_the_lemma(monkeypatch):
     yet never of equal length: the check fails and names the pair."""
     from finlat import checks
 
-    monkeypatch.setattr(retractions, "lattice_length", len)
+    monkeypatch.setattr(morphisms, "lattice_length", len)
     [result] = checks.cover01(enumerate_small_lattices(5, filters=("semimodular",)))
     assert not result.passed
     assert "first failure: sublattice ['0', '2', '3'] of the 4-element lattice" in result.detail

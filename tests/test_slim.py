@@ -4,11 +4,13 @@ import sys
 import pytest
 
 from finlat import (
+    MAX_ELEMENTS,
     LatticeError,
     ForkScript,
     NoRectangularExtensionFound,
     NotA4Cell,
     TooSmall,
+    ValidationFailed,
     add_fork,
     build_lattice,
     build_slim_rectangular,
@@ -78,6 +80,21 @@ def test_s7_family_counts():
         assert lattice_length(member.lattice) == i + 2
         report = classify_properties(member.lattice)
         assert report.slim and report.semimodular
+
+
+def test_s7_family_refuses_members_over_the_cap_before_forking(monkeypatch):
+    """Member i has (i + 2)(i + 3)/2 + 1 elements; one over `MAX_ELEMENTS`
+    is refused by that count, before any fork is added."""
+    for i in range(1, 13):
+        assert len(s7_family(i).lattice) == (i + 2) * (i + 3) // 2 + 1
+
+    def no_fork(ol, cell):
+        raise AssertionError("add_fork called for a member over the cap")
+
+    monkeypatch.setattr(slim, "add_fork", no_fork)
+    for i in (43, 10**9):
+        with pytest.raises(ValidationFailed, match=f"over the limit of {MAX_ELEMENTS}"):
+            s7_family(i)
 
 
 def _reference_s7_family(i):
