@@ -2,10 +2,13 @@
 
 A `Homomorphism` checks join and meet preservation over all pairs when it
 is built, and a `Congruence` checks that its partition is compatible with
-join and meet over all columns.  `congruence_generated_by` closes a set of
-pairs under translations by the join- and meet-irreducibles only, which
-generate all translations.  `check_cover01` reports the three flags of the
-cover-{0,1} lemma for a map between semimodular lattices, and
+join and meet over all columns.  `_congruence_labels` closes a set of
+index pairs under translations by the join- and meet-irreducibles only,
+which generate all translations, and returns the block label of each
+element; `congruence_generated_by` turns those labels into a validated
+`Congruence` for `checks` and the public API, while `slim`'s congruence
+trace reads the labels directly.  `check_cover01` reports the three flags
+of the cover-{0,1} lemma for a map between semimodular lattices, and
 `Cover01Report.all_hold` is the one place their conjunction is written.
 Element ids appear only at the API edge: every check runs on index
 arrays, the map as a list of target indices and a partition as the block
@@ -257,19 +260,34 @@ class Congruence:
 def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
     """Least congruence containing ``pairs``, an iterable of element id pairs.
 
-    Union by size over element indices, where ``label[i]`` always names the
-    block of i, closed under translations: whenever two elements a and b
-    merge, their join rows are walked side by side at the join-irreducible
-    columns and their meet rows at the meet-irreducible columns, and every
-    pair in different blocks is merged in turn.  Every translation
-    x ↦ x ∨ z is a composite of translations by the join-irreducibles
-    below z (x ∨ 0 = x), and dually for meets, so a partition closed under
-    those columns is closed under all of them and the closure is the same
-    least congruence as over full rows (R. Freese, "Computing congruences
-    efficiently", Algebra Universalis 59, 2008).  The result is still
-    checked over full rows by `Congruence`.
+    The pairs go to `_congruence_labels` as index pairs, and its labels
+    become the blocks of a `Congruence`, which checks them again over full
+    rows.
     """
     index = lattice._index
+    label = _congruence_labels(lattice, [(index[a], index[b]) for a, b in pairs])
+    blocks: dict[int, set[str]] = {}
+    for i, x in enumerate(lattice.elements):
+        blocks.setdefault(label[i], set()).add(x)
+    return Congruence(lattice, tuple(frozenset(b) for b in blocks.values()))
+
+
+def _congruence_labels(lattice: FiniteLattice, pairs) -> list[int]:
+    """Block labels of the least congruence containing ``pairs`` of element indices.
+
+    Union by size, where ``label[i]`` always names the block of i, closed
+    under translations: whenever two elements a and b merge, their join
+    rows are walked side by side at the join-irreducible columns and their
+    meet rows at the meet-irreducible columns, and every pair in different
+    blocks is merged in turn.  Every translation x ↦ x ∨ z is a composite
+    of translations by the join-irreducibles below z (x ∨ 0 = x), and
+    dually for meets, so a partition closed under those columns is closed
+    under all of them and the closure is the same least congruence as over
+    full rows (R. Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008).  Each merge is forced by one already made, so
+    the labels never relate more than that congruence does; the result is
+    not checked here.
+    """
     walks = (
         (lattice._join, tuple(_bits(_jmask(lattice)))),
         (lattice._meet, tuple(_bits(_mmask(lattice)))),
@@ -291,7 +309,7 @@ def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
         work.append((a, b))
 
     for a, b in pairs:
-        merge(index[a], index[b])
+        merge(a, b)
     while work:
         a, b = work.pop()
         for table, columns in walks:
@@ -300,8 +318,4 @@ def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
                 x, y = row_a[z], row_b[z]
                 if label[x] != label[y]:
                     merge(x, y)
-
-    blocks: dict[int, set[str]] = {}
-    for i, x in enumerate(lattice.elements):
-        blocks.setdefault(label[i], set()).add(x)
-    return Congruence(lattice, tuple(frozenset(b) for b in blocks.values()))
+    return label

@@ -15,7 +15,7 @@ more inner coatoms than the lattice has elements, and exhaustive search
 confirms that no retraction onto the embedded copy exists.  The kernel
 argument behind the search result (collapsing any two inner coatoms
 collapses them all into the top's block, by Grätzer's Swing Lemma) is also
-verified directly by congruence generation.
+verified directly, on the block labels of each generated congruence.
 
 Oriented lattices are read-only: each keeps the oriented 4-cells found
 when it was validated.  S7 family members are built once per process,
@@ -39,8 +39,8 @@ from .core import (
     lattice_length,
 )
 from .grids import make_grid
-from .morphisms import Homomorphism, NotAHomomorphism
-from .oracle import congruence_generated_by, find_embedding, search_retraction
+from .morphisms import Homomorphism, NotAHomomorphism, _congruence_labels
+from .oracle import find_embedding, search_retraction
 
 __all__ = [
     "NotA4Cell",
@@ -526,7 +526,9 @@ class WitnessReport:
     ``embedded_copy`` locates the isomorphic copy whose retract status was
     refuted by exhaustive search.  ``congruence_trace`` lists the inner
     coatom pairs for which direct congruence generation verified that
-    collapsing the pair collapses every inner coatom into the top's block.
+    collapsing the pair collapses every inner coatom into the top's block;
+    the check reads the union-find labels of each generated congruence and
+    builds no `Congruence`.
     """
 
     source: FiniteLattice
@@ -556,27 +558,31 @@ def build_witness(
     t-th S7 family member's grid interval below its (m+1)-st inner coatom
     in the same way, and locate the embedded copy there.  Exhaustive search
     certifies that no retraction onto the copy exists, and the congruence
-    argument for that fact is verified directly on every inner coatom pair.
+    argument for that fact is verified directly on every inner coatom pair,
+    on the labels of the congruence the pair generates, whose merges are
+    all forced by the pair.  An S7 index over the element cap is refused
+    before a given script is built.
     """
     if not (is_slim(lattice) and is_semimodular(lattice)):
         raise LatticeError("witness construction needs a slim semimodular lattice")
     if len(lattice) < 2:
         raise TooSmall("the one-element lattice is an absolute retract")
 
-    if script is None:
-        script, rect, embedding = find_rectangular_extension(lattice, max_size=max_size)
-    else:
-        rect = build_slim_rectangular(script)
-        embedding = find_embedding(lattice, rect.lattice)
-        if embedding is None:
-            raise NoRectangularExtensionFound(
-                "the provided script does not contain the lattice"
-            )
+    given = script is not None
+    if not given:
+        script, _, embedding = find_rectangular_extension(lattice, max_size=max_size)
 
     m = script.base_sizes[0] - 1
     n = script.base_sizes[1] - 1
     t = max(m + n + 1, len(lattice) + 1)
+    # t depends only on the base sizes, so the cap is checked before any grid is built
     ambient = s7_family(t)
+    if given:
+        embedding = find_embedding(lattice, build_slim_rectangular(script).lattice)
+        if embedding is None:
+            raise NoRectangularExtensionFound(
+                "the provided script does not contain the lattice"
+            )
     coats = inner_coatoms(ambient)
     meet_of_coats = ambient.lattice.meet_all(coats)
     anchor = coats[m]
@@ -634,14 +640,13 @@ def build_witness(
 
     trace = []
     final_coats = inner_coatoms(extension)
-    top = extension.lattice.top
-    for i in range(len(final_coats)):
-        for j in range(i + 1, len(final_coats)):
-            theta = congruence_generated_by(
-                extension.lattice, [(final_coats[i], final_coats[j])]
-            )
-            block = theta.block_of(top)
-            if not set(final_coats) <= block:
+    ext = extension.lattice
+    top = ext.index(ext.top)
+    coat_indices = [ext.index(c) for c in final_coats]
+    for i, ci in enumerate(coat_indices):
+        for j in range(i + 1, len(coat_indices)):
+            label = _congruence_labels(ext, [(ci, coat_indices[j])])
+            if any(label[c] != label[top] for c in coat_indices):
                 raise ValidationFailed("collapsing two inner coatoms did not collapse all")
             trace.append((final_coats[i], final_coats[j]))
 

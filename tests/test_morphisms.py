@@ -7,15 +7,18 @@ import pytest
 
 from finlat import (
     Congruence,
+    ForkScript,
     Homomorphism,
     all_sublattices,
+    build_witness,
     congruence_generated_by,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
+    oriented_grid,
     s7_family,
     search_retraction,
 )
-from finlat.morphisms import NotACongruence, NotAHomomorphism
+from finlat.morphisms import NotACongruence, NotAHomomorphism, _congruence_labels
 
 LATTICES = list(enumerate_small_lattices(6))
 
@@ -245,6 +248,40 @@ def test_principal_congruences_match_reference():
                 assert got == _reference_congruence_generated_by(lattice, [(a, b)]), (a, b)
                 calls += 1
     assert calls == 1136
+
+
+def test_witness_trace_labels_match_validated_congruences(s7, b2):
+    """The congruence trace of `build_witness` reads `_congruence_labels`
+    and builds no `Congruence`.  For every trace pair of the 21 slim
+    semimodular lattices with 2 to 7 elements, S7, and B2 inside a forked
+    3x3 grid, the label blocks are the blocks of the validated congruence,
+    and for inputs of at most 5 elements also those of the reference
+    closure over full rows."""
+    slim_sm = enumerate_small_lattices(7, filters=("slim", "semimodular"))
+    small = [lat for lat in slim_sm if len(lat) >= 2]
+    assert len(small) == 21
+    cell = oriented_grid(3, 3).cells()[4]
+    forked = ForkScript((4, 4), ((cell.top, cell.left),))
+    cases = [(lat, None) for lat in small] + [(s7, None), (b2, forked)]
+    pairs = referenced = 0
+    for lattice, script in cases:
+        report = build_witness(lattice, script=script)
+        ext = report.extension.lattice
+        coats = report.inner_coatoms
+        assert len(report.congruence_trace) == len(coats) * (len(coats) - 1) // 2
+        for a, b in report.congruence_trace:
+            label = _congruence_labels(ext, [(ext.index(a), ext.index(b))])
+            blocks: dict[int, set[str]] = {}
+            for i, x in enumerate(ext.elements):
+                blocks.setdefault(label[i], set()).add(x)
+            got = tuple(sorted(map(frozenset, blocks.values()), key=min))
+            assert got == congruence_generated_by(ext, [(a, b)]).blocks, (a, b)
+            assert set(coats) <= next(blk for blk in got if ext.top in blk)
+            if len(lattice) <= 5:
+                assert got == _reference_congruence_generated_by(ext, [(a, b)]), (a, b)
+                referenced += 1
+            pairs += 1
+    assert (pairs, referenced) == (480, 95)
 
 
 @pytest.mark.parametrize("pairs", [[("0", "nowhere")], [("nowhere", "0")]])

@@ -36,6 +36,7 @@ from finlat.oracle import (
     _canonical_posets_upto,
     _cover_degrees,
     _digraph_canonical_key,
+    _holds,
     canonical_key,
 )
 from tests.conftest import S7_COVERS, S7_ELEMENTS
@@ -131,8 +132,6 @@ def test_equation_system_b2_over_chain(b2):
 
 def test_equation_identity_substitution_is_checked(b2):
     system = build_equation_system(b2, {"0,0", "1,0", "1,1"})
-    from finlat.oracle import _holds
-
     n = len(b2)
     assert _holds(system._codes, list(range(n)) * 2)
     # the unknown 0,1 sent to 0,0 breaks 0,1 ∨ 1,0 ≈ 1,1
@@ -826,6 +825,7 @@ def test_equation_systems_match_reference():
                 continue
             system = build_equation_system(lattice, sub)
             reference = _reference_build_equation_system(lattice, sub)
+            assert _holds(system._codes, list(range(len(lattice))) * 2)
             assert system.unknowns == reference.unknowns
             assert system._codes == reference.codes
             assert (system.ambient, system.sub) == (reference.ambient, reference.sub)

@@ -97,6 +97,20 @@ def test_s7_family_refuses_members_over_the_cap_before_forking(monkeypatch):
             s7_family(i)
 
 
+def test_witness_refuses_an_over_the_cap_script_before_building_it(monkeypatch, c3, s7):
+    """The S7 index t = max(m + n + 1, |L| + 1) is read off the script's base
+    sizes, so a script whose member is over the cap builds no grid.  S7 does
+    not embed in any grid, yet the cap is what it reports."""
+
+    def no_grid(m, n):
+        raise AssertionError("oriented_grid called for an over-the-cap script")
+
+    monkeypatch.setattr(slim, "oriented_grid", no_grid)
+    for lattice in (c3, s7):
+        with pytest.raises(ValidationFailed, match=f"over the limit of {MAX_ELEMENTS}"):
+            build_witness(lattice, script=ForkScript((2, 500)))
+
+
 def _reference_s7_family(i):
     """A fresh fork loop from the boolean square."""
     ol = oriented_grid(1, 1)
