@@ -9,7 +9,10 @@ turns into a maximum antichain certifying optimality.  Ids appear only in
 the order dimension is the width of its join-irreducibles, and the chains
 of a minimum cover of them, each with the bottom prepended, give a
 cover-preserving {0,1}-embedding of equal length into a grid, read off
-the down-set masks.  Both are memoised on the lattice (see `core`); the
+the down-set masks.  Both are memoised on the lattice (see `core`), and
+they share one memoised cover of the join-irreducibles.  The matching
+reads successors off the up-masks only as it needs them, so a long chain
+costs about one successor per element, not every comparable pair.  The
 embedding is validated once, on the first call, and each call returns a
 fresh `GridEmbedding`.  For a grid's own lattice the memo keeps the
 factor sizes, not the grid, so no grid sits in a reference cycle through
@@ -81,18 +84,19 @@ class ChainDecomposition:
                 raise LatticeError("certificate is not an antichain")
 
 
-def _max_matching(elems: list[int], succs: dict[int, list[int]]) -> dict[int, int]:
-    """Maximum matching u -> v over pairs with v in succs[u], by augmenting paths.
+def _max_matching(elems: list[int], succs) -> dict[int, int]:
+    """Maximum matching u -> v over pairs with v in succs(u), by augmenting paths.
 
     Each augmenting path is a depth-first search on an explicit stack of
-    [u, remaining successors of u, v tried from u] frames.
+    [u, remaining successors of u, v tried from u] frames; ``succs(u)`` is
+    iterated only as far as the search goes.
     """
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
 
     for root in elems:
         seen: set[int] = set()
-        stack = [[root, iter(succs[root]), None]]
+        stack = [[root, iter(succs(root)), None]]
         while stack:
             frame = stack[-1]
             for v in frame[1]:
@@ -107,7 +111,7 @@ def _max_matching(elems: list[int], succs: dict[int, list[int]]) -> dict[int, in
                     stack = []
                 else:
                     u = match_right[v]
-                    stack.append([u, iter(succs[u]), None])
+                    stack.append([u, iter(succs(u)), None])
                 break
             else:
                 stack.pop()
@@ -120,10 +124,15 @@ def _chain_cover(up, mask: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]
     ``up[i]`` is the up-set mask of i, i included.  The chains partition
     mask and are sorted by their least index; the antichain, in index
     order, has one member per chain (Dilworth, via Koenig duality on the
-    matching).
+    matching).  Successors are read off the up-masks as the matching asks
+    for them, in ascending index order, so no list of comparable pairs is
+    built.
     """
     elems = list(_bits(mask))
-    succs = {i: list(_bits(up[i] & mask & ~(1 << i))) for i in elems}
+
+    def succs(i: int):
+        return _bits(up[i] & mask & ~(1 << i))
+
     match_left = _max_matching(elems, succs)
     match_right = {v: u for u, v in match_left.items()}
 
@@ -143,7 +152,7 @@ def _chain_cover(up, mask: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]
     frontier = list(reach_left)
     while frontier:
         u = frontier.pop()
-        for v in succs[u]:
+        for v in succs(u):
             if v not in reach_right:
                 reach_right.add(v)
                 w = match_right.get(v)
@@ -181,13 +190,19 @@ def min_chain_cover(lattice: FiniteLattice, subset) -> ChainDecomposition:
 
 
 @_memoised
+def _ji_chains(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    """The chains of a minimum cover of the join-irreducibles, as indices."""
+    return tuple(_chain_cover(lattice._up, _jmask(lattice))[0])
+
+
+@_memoised
 def order_dimension(lattice: FiniteLattice) -> int:
     """Order dimension of a finite distributive lattice: width of Ji."""
     if len(lattice) < 2:
         raise TrivialLattice("order dimension needs at least two elements")
     if not is_distributive(lattice):
         raise NotDistributive("order dimension is only computed for distributive lattices")
-    return len(_chain_cover(lattice._up, _jmask(lattice))[0])
+    return len(_ji_chains(lattice))
 
 
 @dataclass(frozen=True)
@@ -235,8 +250,7 @@ def _grid_embedding_parts(lattice: FiniteLattice):
     reference its own lattice's memo, so its factor sizes stand in for it.
     """
     ids, bottom = lattice.elements, lattice.index(lattice.bottom)
-    chains, _ = _chain_cover(lattice._up, _jmask(lattice))
-    e_plus = [(bottom, *chain) for chain in chains]
+    e_plus = [(bottom, *chain) for chain in _ji_chains(lattice)]
     target = make_grid(tuple(len(chain) for chain in e_plus))
 
     # E_i^+ ∩ ↓x is a prefix of the chain E_i^+, so its largest element

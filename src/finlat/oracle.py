@@ -7,9 +7,12 @@ retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
 solver on integer equation slots built straight from those rows, with
-element ids only in the values they return.  Each public entry checks
-its subset once, through `core`, and builds its target from that mask
-(an equation system keeps it for the retraction a solution induces).
+element ids only in the values they return.  An equation system is built
+as the solver's index alone, each unknown's codes read off its own join
+and meet rows; the full list of codes is derived only when a solution is
+checked.  Each public entry checks its subset once, through `core`, and
+builds its target from that mask (an equation system keeps it for the
+retraction a solution induces).
 One driver, `_backtrack`, runs the retraction search, the solver and
 `find_embedding` on an explicit stack, and one join/meet forcing
 propagator, `_forcing`, serves the retraction search and `find_embedding`.
@@ -31,6 +34,7 @@ the `_refine` the isomorphism test uses; it is their order, not that test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 
 from .core import (
@@ -251,21 +255,36 @@ class EquationSystem:
     unknowns.  Substituting each new element for its own unknown always
     satisfies the system inside the ambient lattice.
 
-    The system is its slot codes, in system order: parameter e is slot
-    index(e) and unknown x is slot n + index(x), so a value array starting
-    as ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
+    Equations are slot codes: parameter e is slot index(e) and unknown x is
+    slot n + index(x), so a value array starting as
+    ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
     ``(table, left, right, result)`` with the ambient's join or meet table.
     Only `build_equation_system` builds one, from the sublattice mask it
     has checked.  ``sub`` and ``unknowns`` are read off that mask in index
-    order.  ``_by_unknown`` files each code with ``left <= right`` under
-    its unknown operands, in system order, for the solver.
+    order.  ``_by_unknown`` is what the solver reads: under each unknown,
+    the codes with ``left <= right`` that have it as an operand, in system
+    order; a code with ``left > right`` says what its mirror image does,
+    since the tables are symmetric.
+    ``_codes``, every code in system order (row by row over the ordered
+    pairs), is derived from the ambient's rows on first use.
     """
 
-    def __init__(self, ambient: FiniteLattice, mask: int, codes: list[tuple], by_unknown: dict):
-        self.ambient, self._mask, self._codes = ambient, mask, codes
-        self._by_unknown = by_unknown
+    def __init__(self, ambient: FiniteLattice, mask: int, by_unknown: dict):
+        self.ambient, self._mask, self._by_unknown = ambient, mask, by_unknown
         self.sub = _mask_to_set(ambient, mask)
         self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
+
+    @cached_property
+    def _codes(self) -> list[tuple]:
+        lat, n = self.ambient, len(self.ambient)
+        join, meet = lat._join, lat._meet
+        slot = _slots(n, self._mask)
+        codes = []
+        for a, joins, meets in zip(slot, join, meet):
+            for b, jk, mk in zip(slot, joins, meets):
+                if a >= n or b >= n:
+                    codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
+        return codes
 
 
 @dataclass(frozen=True)
@@ -275,15 +294,23 @@ class Assignment:
     values: dict[str, str]
 
 
+def _slots(n: int, mask: int) -> list[int]:
+    """Slot of each element index: itself when in mask, else n plus itself."""
+    return [i if mask >> i & 1 else n + i for i in range(n)]
+
+
 def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     """Emit the equations for all ordered pairs touching a new element.
 
     They go straight onto integer slots from the join and meet rows, so
     with every slot holding its own element each code reads a table entry
-    against itself and holds; the tests assert it.  The solver
-    forces or checks a code once its last operand is assigned, so each
-    code is filed under its unknown operands as it is emitted; the tables
-    are symmetric, so only the codes with ``left <= right`` are filed.
+    against itself and holds; the tests assert it.  Only the solver's
+    index is built: for the unknown u at index i, its join and meet rows
+    are read once through the slots, giving (slot k, u) for k < i, then
+    (u, slot k) for each unknown k >= i, then (slot k, u) for each
+    parameter k > i.  That is the order in which the codes with
+    ``left <= right`` touching u come in system order, so the forcing
+    order of the solver does not depend on how the index was built.
     """
     mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
@@ -291,20 +318,26 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
         raise NotProper("the sublattice must be proper")
 
     join, meet = lattice._join, lattice._meet
-    slot = [i if mask >> i & 1 else n + i for i in range(n)]
-    by_unknown: dict[int, list[tuple]] = {s: [] for s in slot if s >= n}
-    codes = []
-    for a, joins, meets in zip(slot, join, meet):
-        for b, jk, mk in zip(slot, joins, meets):
-            if a >= n or b >= n:
-                pair = (join, a, b, slot[jk]), (meet, a, b, slot[mk])
-                codes += pair
-                if a <= b:
-                    if a >= n:
-                        by_unknown[a] += pair
-                    if b != a:
-                        by_unknown[b] += pair
-    return EquationSystem(lattice, mask, codes, by_unknown)
+    slot = _slots(n, mask)
+    by_unknown: dict[int, list[tuple]] = {}
+    for i, u in enumerate(slot):
+        if u < n:
+            continue
+        joins, meets = join[i], meet[i]
+        codes = []
+        for k in range(i):
+            s = slot[k]
+            codes += (join, s, u, slot[joins[k]]), (meet, s, u, slot[meets[k]])
+        for k in range(i, n):
+            s = slot[k]
+            if s >= n:
+                codes += (join, u, s, slot[joins[k]]), (meet, u, s, slot[meets[k]])
+        for k in range(i + 1, n):
+            s = slot[k]
+            if s < n:
+                codes += (join, s, u, slot[joins[k]]), (meet, s, u, slot[meets[k]])
+        by_unknown[u] = codes
+    return EquationSystem(lattice, mask, by_unknown)
 
 
 def _holds(codes: list[tuple], val: list[int]) -> bool:
@@ -334,7 +367,9 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     result slot.  Unknowns are taken in decreasing cover-degree order,
     values in canonical element order, on the integer slots of the system.
     mode="first" returns an Assignment or None; mode="count" returns the
-    number of solutions.
+    number of solutions.  A leaf is reached only when every code under
+    every unknown has been forced or checked, so the first solution is not
+    checked against the system again; the tests do that.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -382,10 +417,7 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
         return count
     if first is None:
         return None
-    result = Assignment(first)
-    if not _satisfies(system, result):  # pragma: no cover - forced by search
-        raise LatticeError("search returned a non-solution")
-    return result
+    return Assignment(first)
 
 
 def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homomorphism:

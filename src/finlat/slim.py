@@ -15,7 +15,10 @@ more inner coatoms than the lattice has elements, and exhaustive search
 confirms that no retraction onto the embedded copy exists.  The kernel
 argument behind the search result (collapsing any two inner coatoms
 collapses them all into the top's block, by Grätzer's Swing Lemma) is also
-verified directly, on the block labels of each generated congruence.
+verified directly, on the block labels of generated congruences.  Two
+distinct coatoms c, d join to the top, so θ(c, d) = θ(c ∧ d, 1), and
+θ(x, 1) ⊆ θ(y, 1) whenever y ≤ x: a closure for one pair per maximal
+pairwise meet covers every pair.
 
 Oriented lattices are read-only: each keeps the oriented 4-cells found
 when it was validated.  S7 family members are built once per process,
@@ -524,11 +527,11 @@ class WitnessReport:
 
     ``extension`` is the slim rectangular lattice built around the input;
     ``embedded_copy`` locates the isomorphic copy whose retract status was
-    refuted by exhaustive search.  ``congruence_trace`` lists the inner
-    coatom pairs for which direct congruence generation verified that
-    collapsing the pair collapses every inner coatom into the top's block;
-    the check reads the union-find labels of each generated congruence and
-    builds no `Congruence`.
+    refuted by exhaustive search.  ``congruence_trace`` lists every inner
+    coatom pair, each verified to collapse every inner coatom into the
+    top's block: directly, on the union-find labels of the congruence it
+    generates (no `Congruence` is built), or through a checked pair whose
+    meet lies above its own, whose congruence is contained in its own.
     """
 
     source: FiniteLattice
@@ -558,10 +561,11 @@ def build_witness(
     t-th S7 family member's grid interval below its (m+1)-st inner coatom
     in the same way, and locate the embedded copy there.  Exhaustive search
     certifies that no retraction onto the copy exists, and the congruence
-    argument for that fact is verified directly on every inner coatom pair,
-    on the labels of the congruence the pair generates, whose merges are
-    all forced by the pair.  An S7 index over the element cap is refused
-    before a given script is built.
+    argument for that fact is verified on the labels of the congruence
+    generated by one inner coatom pair per maximal pairwise meet, whose
+    merges are all forced by the pair; every other pair's meet lies below
+    one of these, so its congruence contains a checked one.  An S7 index
+    over the element cap is refused before a given script is built.
     """
     if not (is_slim(lattice) and is_semimodular(lattice)):
         raise LatticeError("witness construction needs a slim semimodular lattice")
@@ -638,17 +642,24 @@ def build_witness(
     if found is not None:  # pragma: no cover - contradicts the construction
         raise ValidationFailed("a retraction onto the embedded copy exists")
 
-    trace = []
     final_coats = inner_coatoms(extension)
     ext = extension.lattice
     top = ext.index(ext.top)
     coat_indices = [ext.index(c) for c in final_coats]
+    # θ(c, d) = θ(c ∧ d, 1) shrinks as c ∧ d grows, so one pair per maximal
+    # pairwise meet stands for every pair
+    pair_by_meet: dict[int, tuple[int, int]] = {}
     for i, ci in enumerate(coat_indices):
-        for j in range(i + 1, len(coat_indices)):
-            label = _congruence_labels(ext, [(ci, coat_indices[j])])
-            if any(label[c] != label[top] for c in coat_indices):
-                raise ValidationFailed("collapsing two inner coatoms did not collapse all")
-            trace.append((final_coats[i], final_coats[j]))
+        for cj in coat_indices[i + 1:]:
+            pair_by_meet.setdefault(ext._meet[ci][cj], (ci, cj))
+    meets = sum(1 << x for x in pair_by_meet)
+    for x, pair in pair_by_meet.items():
+        if ext._up[x] & meets != 1 << x:
+            continue
+        label = _congruence_labels(ext, [pair])
+        if any(label[c] != label[top] for c in coat_indices):
+            raise ValidationFailed("collapsing two inner coatoms did not collapse all")
+    trace = [(c, d) for i, c in enumerate(final_coats) for d in final_coats[i + 1:]]
 
     return WitnessReport(
         source=lattice,

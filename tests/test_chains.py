@@ -124,7 +124,7 @@ def test_max_matching_matches_recursive_reference():
         for subset in (lat.elements, join_irreducibles(lat), lat.elements[::2]):
             elems = sorted(subset)
             succs = {u: [v for v in elems if u != v and lat.leq(u, v)] for u in elems}
-            got = chains._max_matching(elems, succs)
+            got = chains._max_matching(elems, succs.__getitem__)
             expected = _reference_max_matching(elems, lambda u, v: u != v and lat.leq(u, v))
             assert list(got.items()) == list(expected.items()), (lat.elements, elems)
             count += len(got)
@@ -215,7 +215,7 @@ def _reference_min_chain_cover(lattice, subset):
     """The former id-keyed cover: matching on string ids under the strict order."""
     elems = sorted(subset)
     succs = {u: [v for v in elems if u != v and lattice.leq(u, v)] for u in elems}
-    match_left = chains._max_matching(elems, succs)
+    match_left = chains._max_matching(elems, succs.__getitem__)
     match_right = {v: u for u, v in match_left.items()}
     covers = []
     for start in elems:

@@ -199,6 +199,28 @@ def test_witness_sps_command(tmp_path):
     assert is_isomorphic(extension.lattice, s7_family(4).lattice)
 
 
+C2_FILE = {"name": "C2", "elements": ["0", "1"], "covers": [["0", "1"]]}
+S7_FILE = {"name": "S7", "elements": S7_ELEMENTS, "covers": [list(c) for c in S7_COVERS]}
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        (C2_FILE, (1, 1, 3, 3)),
+        (C3_FILE, (1, 1, 4, 6)),
+        (B2_FILE, (1, 1, 5, 10)),
+        (S7_FILE, (1, 1, 8, 28)),
+    ],
+    ids=["C2", "C3", "B2", "S7"],
+)
+def test_witness_sps_report_sizes_are_pinned(tmp_path, payload, expected):
+    """m, n and t of the witness, and one trace pair per inner coatom pair:
+    t(t - 1)/2 of them, though fewer congruences are closed."""
+    report, code = run(["witness-sps", write(tmp_path, "l.json", payload)])
+    assert code == 0
+    assert tuple(report[k] for k in ("m", "n", "t", "congruence_pairs_checked")) == expected
+
+
 def test_witness_sps_max_size_is_bounded_by_the_element_cap(tmp_path):
     """A --max-size far above the cap gives the default report.  Listing
     bases up to that size would take time and memory without end, so the
@@ -208,8 +230,7 @@ def test_witness_sps_max_size_is_bounded_by_the_element_cap(tmp_path):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    c2 = {"name": "C2", "elements": ["0", "1"], "covers": [["0", "1"]]}
-    path = write(tmp_path, "c2.json", c2)
+    path = write(tmp_path, "c2.json", C2_FILE)
     env = {**os.environ, "PYTHONPATH": str(Path(finlat.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-m", "finlat", "witness-sps", path, "--max-size", "1000000000"],

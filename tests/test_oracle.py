@@ -37,6 +37,7 @@ from finlat.oracle import (
     _cover_degrees,
     _digraph_canonical_key,
     _holds,
+    _satisfies,
     canonical_key,
 )
 from tests.conftest import S7_COVERS, S7_ELEMENTS
@@ -840,6 +841,33 @@ def test_equation_systems_match_reference():
             assert count == exists_retraction(lattice, sub, mode="count")
             pairs += 1
     assert pairs == 767
+
+
+def test_equation_index_is_the_filed_codes_and_solutions_satisfy_them():
+    """The solver's index is read off each unknown's rows, not filed from
+    the codes: under each unknown it holds, in order, exactly the codes with
+    left <= right that have the unknown as an operand.  The solver does not
+    re-check its solutions, so every one is checked against all codes."""
+    pairs = solved = 0
+    for lattice in enumerate_small_lattices(6):
+        n = len(lattice)
+        for sub in all_sublattices(lattice):
+            if len(sub) == n:
+                continue
+            system = build_equation_system(lattice, sub)
+            filed = {n + lattice.index(x): [] for x in system.unknowns}
+            for code in system._codes:
+                left, right = code[1:3]
+                if left <= right:
+                    for s in {left, right} & filed.keys():
+                        filed[s].append(code)
+            assert list(system._by_unknown.items()) == list(filed.items())
+            solution = solve_equation_system(system)
+            if solution is not None:
+                assert _satisfies(system, solution)
+                solved += 1
+            pairs += 1
+    assert (pairs, solved) == (767, 497)
 
 
 def _chain(n):

@@ -386,6 +386,22 @@ def test_witness_congruence_trace_covers_all_pairs(c3):
     assert len(report.congruence_trace) == t * (t - 1) // 2
 
 
+@pytest.mark.parametrize("name", ["c2", "c3", "b2", "s7"])
+def test_witness_trace_closes_fewer_pairs_and_still_checks(monkeypatch, request, name):
+    """The trace closes one pair per maximal pairwise meet of the inner
+    coatoms, fewer than it lists; with every closure left diagonal the
+    witness is refused, so the pairs it does close are checked."""
+    lattice = request.getfixturevalue(name)
+    closed = []
+    labels = slim._congruence_labels
+    monkeypatch.setattr(slim, "_congruence_labels", lambda lat, pairs: closed.append(pairs) or labels(lat, pairs))
+    report = build_witness(lattice)
+    assert 0 < len(closed) < len(report.congruence_trace)
+    monkeypatch.setattr(slim, "_congruence_labels", lambda lat, pairs: list(range(len(lat))))
+    with pytest.raises(ValidationFailed, match="did not collapse all"):
+        build_witness(lattice)
+
+
 def test_all_small_slim_semimodular_have_witnesses():
     for lattice in enumerate_small_lattices(5, filters=("slim", "semimodular")):
         if len(lattice) < 2:
