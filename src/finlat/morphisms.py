@@ -238,10 +238,11 @@ class Congruence:
 
     def intersect(self, other: "Congruence") -> "Congruence":
         """Common refinement with another congruence of the same lattice."""
+        if other.lattice != self.lattice:
+            raise NotACongruence("congruences of different lattices do not intersect")
         pieces: dict[tuple[int, int], set[str]] = {}
         for i, x in enumerate(self.lattice.elements):
-            key = (self._of[i], other._of[other.lattice._index[x]])
-            pieces.setdefault(key, set()).add(x)
+            pieces.setdefault((self._of[i], other._of[i]), set()).add(x)
         return Congruence(self.lattice, tuple(frozenset(p) for p in pieces.values()))
 
     def restrict(self, subset) -> tuple[frozenset[str], ...]:

@@ -7,10 +7,10 @@ retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
 index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
 solver on integer equation slots built straight from those rows, with
-element ids only in the values they return.  An equation system is built
-as the solver's index alone, each unknown's codes read off its own join
-and meet rows; the full list of codes is derived only when a solution is
-checked.  Each public entry checks its subset once, through `core`, and
+element ids only in the values they return.  An equation system is kept
+in one form, the solver's index, each unknown's codes read off its own
+join and meet rows; a solution is checked once, by the homomorphism it
+induces.  Each public entry checks its subset once, through `core`, and
 builds its target from that mask (an equation system keeps it for the
 retraction a solution induces).
 One driver, `_backtrack`, runs the retraction search, the solver and
@@ -34,7 +34,6 @@ the `_refine` the isomorphism test uses; it is their order, not that test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product
 
 from .core import (
@@ -52,7 +51,7 @@ from .core import (
     is_slim,
     lattice_length,
 )
-from .morphisms import Homomorphism, congruence_generated_by
+from .morphisms import Homomorphism, NotAHomomorphism, congruence_generated_by
 
 __all__ = [
     "NotProper",
@@ -260,31 +259,17 @@ class EquationSystem:
     ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
     ``(table, left, right, result)`` with the ambient's join or meet table.
     Only `build_equation_system` builds one, from the sublattice mask it
-    has checked.  ``sub`` and ``unknowns`` are read off that mask in index
-    order.  ``_by_unknown`` is what the solver reads: under each unknown,
-    the codes with ``left <= right`` that have it as an operand, in system
-    order; a code with ``left > right`` says what its mirror image does,
-    since the tables are symmetric.
-    ``_codes``, every code in system order (row by row over the ordered
-    pairs), is derived from the ambient's rows on first use.
+    has checked.  ``unknowns`` is read off that mask in index order.
+    ``_by_unknown`` is the system's one form, the index the solver reads:
+    under each unknown slot, the codes with ``left <= right`` that have it
+    as an operand, in system order; a code with ``left > right`` says what
+    its mirror image does, since the tables are symmetric.  A solution is
+    checked by `induced_homomorphism`, not against the codes.
     """
 
     def __init__(self, ambient: FiniteLattice, mask: int, by_unknown: dict):
         self.ambient, self._mask, self._by_unknown = ambient, mask, by_unknown
-        self.sub = _mask_to_set(ambient, mask)
         self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
-
-    @cached_property
-    def _codes(self) -> list[tuple]:
-        lat, n = self.ambient, len(self.ambient)
-        join, meet = lat._join, lat._meet
-        slot = _slots(n, self._mask)
-        codes = []
-        for a, joins, meets in zip(slot, join, meet):
-            for b, jk, mk in zip(slot, joins, meets):
-                if a >= n or b >= n:
-                    codes += (join, a, b, slot[jk]), (meet, a, b, slot[mk])
-        return codes
 
 
 @dataclass(frozen=True)
@@ -340,26 +325,6 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
     return EquationSystem(lattice, mask, by_unknown)
 
 
-def _holds(codes: list[tuple], val: list[int]) -> bool:
-    """Whether every code holds when slot s takes the element index ``val[s]``."""
-    return all(table[val[left]][val[right]] == val[result] for table, left, right, result in codes)
-
-
-def _satisfies(system: EquationSystem, assignment: Assignment) -> bool:
-    """Whether an assignment of sublattice elements to the unknowns solves the system."""
-    lat = system.ambient
-    values = assignment.values
-    if set(values) != set(system.unknowns):
-        return False
-    if not all(v in system.sub for v in values.values()):
-        return False
-    n = len(lat)
-    val = list(range(n)) + [-1] * n
-    for x, v in values.items():
-        val[n + lat._index[x]] = lat._index[v]
-    return _holds(system._codes, val)
-
-
 def solve_equation_system(system: EquationSystem, mode: str = "first"):
     """Solve over the sublattice by backtracking with forcing.
 
@@ -375,12 +340,9 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
         raise ValueError(f"unknown mode {mode!r}")
     lat = system.ambient
     n = len(lat)
-    index = lat._index
     by_unknown = system._by_unknown
     degree = _cover_degrees(lat)
-    unknowns = sorted(
-        (n + index[x] for x in system.unknowns), key=lambda s: (-degree[s - n], s)
-    )
+    unknowns = sorted(by_unknown, key=lambda s: (-degree[s - n], s))
     values = list(_bits(system._mask))
     val = list(range(n)) + [-1] * n
     assigned: list[int] = []
@@ -424,12 +386,20 @@ def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homo
     """The retraction determined by a solution: identity on old, values on new.
 
     Its target is built on the system's mask, checked when the system was.
+    The map's own check is the solution's: it checks every join and meet,
+    the system's equations among them, while those of two old elements hold
+    since the sublattice is closed and fixed; a value outside the
+    sublattice is an image outside the target.
     """
-    if not _satisfies(system, assignment):
+    values = assignment.values
+    if values.keys() != set(system.unknowns):
         raise LatticeError("assignment does not satisfy the system")
     lat = system.ambient
-    mapping = {x: assignment.values.get(x, x) for x in lat.elements}
-    return Homomorphism(lat, _induced(lat, system._mask), mapping)
+    mapping = {x: values.get(x, x) for x in lat.elements}
+    try:
+        return Homomorphism(lat, _induced(lat, system._mask), mapping)
+    except NotAHomomorphism as exc:
+        raise LatticeError("assignment does not satisfy the system") from exc
 
 
 # ---------------------------------------------------------------------------

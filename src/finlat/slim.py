@@ -255,17 +255,10 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
     if len(set(all_edges)) != len(all_edges):
         raise ValidationFailed("fork legs crossed the same edge")
 
-    fresh = ol._fresh
-    mid = f"f{fresh}"
-    fresh += 1
-    left_names = []
-    for _ in left_edges:
-        left_names.append(f"f{fresh}")
-        fresh += 1
-    right_names = []
-    for _ in right_edges:
-        right_names.append(f"f{fresh}")
-        fresh += 1
+    # numbered mid first, then the left leg, then the right leg
+    fresh = ol._fresh + 1 + len(all_edges)
+    mid, *names = (f"f{k}" for k in range(ol._fresh, fresh))
+    left_names, right_names = names[: len(left_edges)], names[len(left_edges):]
 
     up = {x: list(v) for x, v in ol.up.items()}
     down = {x: list(v) for x, v in ol.down.items()}
@@ -274,24 +267,17 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
     up[mid] = [d]
     down[mid] = [left_names[0], right_names[0]]
 
-    prev = mid
-    for name, (p, q) in zip(left_names, left_edges):
-        up[p][up[p].index(q)] = name
-        down[q][down[q].index(p)] = name
-        up[name] = [q, prev]
-        down[name] = [p]
-        if prev != mid:
-            down[prev].insert(0, name)
-        prev = name
-    prev = mid
-    for name, (p, q) in zip(right_names, right_edges):
-        up[p][up[p].index(q)] = name
-        down[q][down[q].index(p)] = name
-        up[name] = [prev, q]
-        down[name] = [p]
-        if prev != mid:
-            down[prev].append(name)
-        prev = name
+    for leg, edges, left in ((left_names, left_edges, True), (right_names, right_edges, False)):
+        prev = mid
+        for name, (p, q) in zip(leg, edges):
+            up[p][up[p].index(q)] = name
+            down[q][down[q].index(p)] = name
+            up[name] = [q, prev] if left else [prev, q]
+            down[name] = [p]
+            if prev != mid:
+                # down[prev] is [its own p]: the new element goes on the leg's side
+                down[prev].insert(0 if left else 1, name)
+            prev = name
 
     covers = [(x, y) for x, ups in up.items() for y in ups]
     try:
@@ -565,7 +551,9 @@ def build_witness(
     generated by one inner coatom pair per maximal pairwise meet, whose
     merges are all forced by the pair; every other pair's meet lies below
     one of these, so its congruence contains a checked one.  An S7 index
-    over the element cap is refused before a given script is built.
+    over the element cap is refused before a given script is built, and a
+    given script is built once, by the replay, whose rectangle the input
+    is then embedded in.
     """
     if not (is_slim(lattice) and is_semimodular(lattice)):
         raise LatticeError("witness construction needs a slim semimodular lattice")
@@ -581,12 +569,6 @@ def build_witness(
     t = max(m + n + 1, len(lattice) + 1)
     # t depends only on the base sizes, so the cap is checked before any grid is built
     ambient = s7_family(t)
-    if given:
-        embedding = find_embedding(lattice, build_slim_rectangular(script).lattice)
-        if embedding is None:
-            raise NoRectangularExtensionFound(
-                "the provided script does not contain the lattice"
-            )
     coats = inner_coatoms(ambient)
     meet_of_coats = ambient.lattice.meet_all(coats)
     anchor = coats[m]
@@ -636,6 +618,12 @@ def build_witness(
         current_rect, extension = new_rect, new_ext
         if not _check_interval_iso(current_rect, extension, lo, anchor, psi, mirrored):
             raise ValidationFailed("replayed interval drifted from the rectangular lattice")
+    if given:
+        embedding = find_embedding(lattice, current_rect.lattice)
+        if embedding is None:
+            raise NoRectangularExtensionFound(
+                "the provided script does not contain the lattice"
+            )
 
     copy = {x: psi[embedding[x]] for x in lattice.elements}
     found, nodes = search_retraction(extension.lattice, set(copy.values()))

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -272,6 +273,24 @@ def test_oracle_verify_suite(tmp_path, capsys):
     assert "PASS" in err
 
 
+def test_cli_corpus_reports_match_stored_digests(tmp_path, monkeypatch):
+    """Every report of the benchmark's CLI corpus, at the default seed and
+    full size, matches the digest stored in `bench/cli_digests.json`
+    (search node counts dropped).  The corpus module is only loaded and
+    read: its `write_digests` is never called."""
+    bench = Path(__file__).parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("cli_corpus", bench / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    stored = json.loads(corpus.DIGESTS.read_text())
+    sizes = {**corpus.SIZES["full"], "digests": False}
+    items = corpus.cli_corpus(corpus.DEFAULT_SEED, sizes, tmp_path).items
+    got = {item.name: corpus.report_digest(item.call()[1]) for item in items}
+    assert len(items) == len(got) == sizes["expect_items"] == 176
+    assert got == stored
+
+
 def test_oracle_verify_unknown_suite():
     report, code = run(["oracle-verify", "--suite", "bogus"])
     assert code == 1
@@ -460,9 +479,22 @@ def _fork_commands(draw):
 @pytest.fixture(scope="module")
 def fork_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("forks")
-    for name, payload in (("C3", C3_FILE), ("B2", B2_FILE)):
+    for name, payload in (("C3", C3_FILE), ("B2", B2_FILE), ("S7", S7_FILE)):
         (root / f"{name}.json").write_text(json.dumps(payload))
     return root
+
+
+def _main_report(argv):
+    """Run `main` as the console script does; its exit code, which must be
+    0, 1 or 2, and its stdout, which must be one JSON object."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    return exit_info.value.code, report
 
 
 @given(_fork_commands())
@@ -472,13 +504,49 @@ def test_any_fork_script_gives_a_json_report(fork_files, command):
     script = fork_files / "script.json"
     script.write_bytes(content if isinstance(content, bytes) else content.encode())
     files = {"C3": str(fork_files / "C3.json"), "B2": str(fork_files / "B2.json"), "SCRIPT": str(script)}
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
-        main([files.get(arg, arg) for arg in argv])
-    assert exit_info.value.code in (0, 1, 2)
-    report = json.loads(out.getvalue())
-    assert isinstance(report, dict)
-    assert "Traceback" not in err.getvalue()
+    _main_report([files.get(arg, arg) for arg in argv])
+
+
+# Grid sides: valid up to 7 (so no accepted grid passes 8x8 = 64 elements),
+# zero or negative, or over the element cap; written in ASCII digits or in
+# another script's decimal digits, which int() also reads.
+_GRID_SIDE = st.integers(1, 7) | st.integers(-(10**20), 0) | st.integers(finlat.MAX_ELEMENTS, 10**20)
+_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+           "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f")
+
+
+@st.composite
+def _grid_args(draw):
+    """A --grid value, MxN over `_GRID_SIDE` or any short text, passed as
+    its own argument or after '=' (so that '-1x2' reaches the grid parser)."""
+    digits = str.maketrans("0123456789", draw(st.sampled_from(_DIGITS)))
+    m, n = draw(_GRID_SIDE), draw(_GRID_SIDE)
+    shaped = f"{m}".translate(digits) + draw(st.sampled_from("xX")) + f"{n}".translate(digits)
+    text = draw(st.just(shaped) | st.text(max_size=8))
+    return draw(st.sampled_from([["--grid", text], [f"--grid={text}"]]))
+
+
+@given(_grid_args())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_any_grid_string_gives_a_json_report(grid):
+    _main_report(["gen-slim", *grid])
+
+
+@given(st.sampled_from(["C3", "S7"]), st.integers(-2, 30) | st.integers())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_any_witness_max_size_gives_a_json_report(fork_files, name, max_size):
+    _main_report(["witness-sps", str(fork_files / f"{name}.json"), "--max-size", str(max_size)])
+
+
+@given(st.integers())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_any_seed_gives_a_passing_json_report(seed):
+    """The suite's checks hold for every seed, so each run passes."""
+    code, report = _main_report(
+        ["oracle-verify", "--suite", "congruence-bound", "--max-size", "3", "--seed", str(seed)]
+    )
+    assert (code, report["passed"]) == (0, True)
 
 
 def test_analyze_rejects_a_chain_over_the_element_cap(tmp_path):

@@ -10,6 +10,7 @@ from finlat import (
     ForkScript,
     Homomorphism,
     all_sublattices,
+    build_lattice,
     build_witness,
     congruence_generated_by,
     enumerate_distributive_lattices,
@@ -306,3 +307,18 @@ def test_kernel_and_intersection_match_reference():
             assert kernel.block_of(x) == kernel.block_of(mapping[x])
         full = Congruence(lattice, [set(lattice.elements)])
         assert kernel.intersect(full).blocks == kernel.blocks
+
+
+def test_intersect_refuses_congruences_of_another_lattice(c2, c3, c4, b2):
+    """Only congruences of one lattice intersect: not C3 with C2 either
+    way round, nor a chain with the square on the same four ids."""
+    square = build_lattice(c4.elements, [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    assert square.elements == c4.elements and square != c4
+    for left, right in ((c3, c2), (c2, c3), (c4, square), (square, c4)):
+        theta = Congruence(left, [set(left.elements)])
+        diagonal = Congruence(right, [{x} for x in right.elements])
+        with pytest.raises(NotACongruence, match="different lattices"):
+            theta.intersect(diagonal)
+    same = build_lattice(c3.elements, c3.covers)
+    theta = Congruence(same, [set(same.elements)])
+    assert theta.intersect(Congruence(c3, [{x} for x in c3.elements])).block_count() == 3

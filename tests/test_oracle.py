@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from finlat import (
     Assignment,
     CeilingExceeded,
+    LatticeError,
     NotASublattice,
     NotProper,
     all_sublattices,
@@ -36,8 +37,6 @@ from finlat.oracle import (
     _canonical_posets_upto,
     _cover_degrees,
     _digraph_canonical_key,
-    _holds,
-    _satisfies,
     canonical_key,
 )
 from tests.conftest import S7_COVERS, S7_ELEMENTS
@@ -112,9 +111,13 @@ def test_search_retraction_returns_verified(c4):
 
 def test_equation_system_counts(c3):
     system = build_equation_system(c3, {"0", "1"})
+    reference = _reference_build_equation_system(c3, {"0", "1"})
     assert system.unknowns == ("a",)
-    # 5 ordered pairs touch the single new element, 2 operations each
-    assert len(system._codes) == 10
+    # 5 ordered pairs touch the single new element, 2 operations each; the
+    # 3 with left <= right are filed under it
+    assert len(reference.codes) == 10
+    assert system._by_unknown == _reference_index(reference)
+    assert [len(codes) for codes in system._by_unknown.values()] == [6]
     assert solve_equation_system(system, mode="count") == 2
 
 
@@ -125,20 +128,31 @@ def test_equation_system_b2_over_chain(b2):
     # parameter e is slot index(e) and unknown x is slot n + index(x)
     n = len(b2)
     x, p = n + b2.index("0,1"), b2.index("1,0")
-    codes = {(table is b2._join, left, right): result for table, left, right, result in system._codes}
-    assert codes[True, x, p] == b2.index("1,1")
-    assert codes[False, x, p] == b2.index("0,0")
+    reference = _reference_build_equation_system(b2, {"0,0", "1,0", "1,1"})
+    assert system._by_unknown == _reference_index(reference)
+    # filed under x as (p, x), since p's slot is below x's
+    codes = {
+        (table is b2._join, left, right): result
+        for table, left, right, result in system._by_unknown[x]
+    }
+    assert codes[True, p, x] == b2.index("1,1")
+    assert codes[False, p, x] == b2.index("0,0")
     assert solve_equation_system(system) is None
 
 
 def test_equation_identity_substitution_is_checked(b2):
     system = build_equation_system(b2, {"0,0", "1,0", "1,1"})
+    codes = _reference_build_equation_system(b2, {"0,0", "1,0", "1,1"}).codes
     n = len(b2)
-    assert _holds(system._codes, list(range(n)) * 2)
+    assert _holds(codes, list(range(n)) * 2)
     # the unknown 0,1 sent to 0,0 breaks 0,1 ∨ 1,0 ≈ 1,1
     moved = list(range(n)) * 2
     moved[n + b2.index("0,1")] = b2.index("0,0")
-    assert not _holds(system._codes, moved)
+    assert not _holds(codes, moved)
+    # neither that nor the identity, which leaves the sublattice, is a solution
+    for value in ("0,0", "0,1"):
+        with pytest.raises(LatticeError, match="^assignment does not satisfy the system$"):
+            induced_homomorphism(system, Assignment({"0,1": value}))
 
 
 def test_equation_system_rejects_full_sublattice(c3):
@@ -761,6 +775,38 @@ def _reference_build_equation_system(lattice, sub):
     return types.SimpleNamespace(ambient=lattice, sub=sub, unknowns=new, equations=equations, codes=codes)
 
 
+def _holds(codes, val):
+    """Whether every code holds when slot s takes the element index ``val[s]``."""
+    return all(table[val[left]][val[right]] == val[result] for table, left, right, result in codes)
+
+
+def _reference_index(reference):
+    """The reference codes with left <= right, filed in order under each
+    unknown operand: what `EquationSystem._by_unknown` must hold."""
+    lattice = reference.ambient
+    n = len(lattice)
+    filed = {n + lattice.index(x): [] for x in reference.unknowns}
+    for code in reference.codes:
+        left, right = code[1:3]
+        if left <= right:
+            for s in {left, right} & filed.keys():
+                filed[s].append(code)
+    return filed
+
+
+def _reference_satisfies(reference, values):
+    """Whether an assignment gives every unknown, and nothing else, a
+    sublattice element, and the substitution satisfies every reference code."""
+    lattice = reference.ambient
+    if set(values) != set(reference.unknowns) or not set(values.values()) <= reference.sub:
+        return False
+    n = len(lattice)
+    val = list(range(n)) + [-1] * n
+    for x, v in values.items():
+        val[n + lattice.index(x)] = lattice.index(v)
+    return _holds(reference.codes, val)
+
+
 def _reference_solve_equation_system(system, mode="first"):
     """The former string-keyed recursive solver; returns the first values dict or the count."""
     lat = system.ambient
@@ -826,10 +872,11 @@ def test_equation_systems_match_reference():
                 continue
             system = build_equation_system(lattice, sub)
             reference = _reference_build_equation_system(lattice, sub)
-            assert _holds(system._codes, list(range(len(lattice))) * 2)
+            assert _holds(reference.codes, list(range(len(lattice))) * 2)
             assert system.unknowns == reference.unknowns
-            assert system._codes == reference.codes
-            assert (system.ambient, system.sub) == (reference.ambient, reference.sub)
+            assert system._by_unknown == _reference_index(reference)
+            assert system.ambient == reference.ambient
+            assert {lattice.elements[i] for i in _bits(system._mask)} == reference.sub
             solution = solve_equation_system(system)
             expected = _reference_solve_equation_system(reference)
             if expected is None:
@@ -845,29 +892,71 @@ def test_equation_systems_match_reference():
 
 def test_equation_index_is_the_filed_codes_and_solutions_satisfy_them():
     """The solver's index is read off each unknown's rows, not filed from
-    the codes: under each unknown it holds, in order, exactly the codes with
-    left <= right that have the unknown as an operand.  The solver does not
-    re-check its solutions, so every one is checked against all codes."""
+    the codes: under each unknown it holds, in order, exactly the reference
+    codes with left <= right that have the unknown as an operand.  The
+    solver does not re-check its solutions, so every one is checked against
+    all reference codes, and its induced map must accept it."""
     pairs = solved = 0
     for lattice in enumerate_small_lattices(6):
-        n = len(lattice)
         for sub in all_sublattices(lattice):
-            if len(sub) == n:
+            if len(sub) == len(lattice):
                 continue
             system = build_equation_system(lattice, sub)
-            filed = {n + lattice.index(x): [] for x in system.unknowns}
-            for code in system._codes:
-                left, right = code[1:3]
-                if left <= right:
-                    for s in {left, right} & filed.keys():
-                        filed[s].append(code)
-            assert list(system._by_unknown.items()) == list(filed.items())
+            reference = _reference_build_equation_system(lattice, sub)
+            assert list(system._by_unknown.items()) == list(_reference_index(reference).items())
             solution = solve_equation_system(system)
             if solution is not None:
-                assert _satisfies(system, solution)
+                assert _reference_satisfies(reference, solution.values)
+                assert induced_homomorphism(system, solution).is_retraction()
                 solved += 1
             pairs += 1
     assert (pairs, solved) == (767, 497)
+
+
+def _mutated_assignments(lattice, sub, unknowns, solution):
+    """The first solution, if any, and the constant map to the least
+    sublattice element, each also with its first unknown dropped, with an
+    extra key on an old element, with its first unknown fixed (a value
+    outside the sublattice), and with that value moved to the next
+    sublattice element."""
+    olds = sorted(sub, key=lattice.index)
+    bases = [{x: olds[0] for x in unknowns}]
+    if solution is not None:
+        bases.insert(0, solution.values)
+    x = unknowns[0]
+    for base in bases:
+        yield base
+        yield {y: v for y, v in base.items() if y != x}
+        yield {**base, olds[0]: olds[0]}
+        yield {**base, x: x}
+        yield {**base, x: olds[(olds.index(base[x]) + 1) % len(olds)]}
+
+
+def test_induced_homomorphism_accepts_exactly_the_solutions():
+    """`induced_homomorphism` checks an assignment once, through the map it
+    induces; it must accept exactly the assignments whose substitution
+    satisfies every reference code, and refuse the rest with one error."""
+    tried = accepted = 0
+    for lattice in enumerate_small_lattices(6):
+        for sub in all_sublattices(lattice):
+            if len(sub) == len(lattice):
+                continue
+            system = build_equation_system(lattice, sub)
+            reference = _reference_build_equation_system(lattice, sub)
+            solution = solve_equation_system(system)
+            for values in _mutated_assignments(lattice, sub, system.unknowns, solution):
+                tried += 1
+                if _reference_satisfies(reference, values):
+                    hom = induced_homomorphism(system, Assignment(values))
+                    assert hom.is_retraction() and hom.fixes(sub)
+                    assert all(hom(x) == v for x, v in values.items())
+                    accepted += 1
+                else:
+                    with pytest.raises(
+                        LatticeError, match="^assignment does not satisfy the system$"
+                    ):
+                        induced_homomorphism(system, Assignment(values))
+    assert (tried, accepted) == (6320, 997)
 
 
 def _chain(n):

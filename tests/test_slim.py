@@ -371,6 +371,28 @@ def test_witness_with_provided_script(c2):
     assert not report.retraction_found
 
 
+def test_witness_builds_a_given_script_once(monkeypatch, c2, c4):
+    """A given script is built only by the replay: a bad step is refused
+    with the error `build_slim_rectangular` gives, and a rectangle that
+    does not contain the input with the same error as before."""
+    bad = ForkScript((2, 2), (("1,1", "1,0"), ("9,9", "0,0")))
+    with pytest.raises(NotA4Cell) as expected:
+        build_slim_rectangular(bad)
+
+    def no_rebuild(script):
+        raise AssertionError("a given script was built twice")
+
+    monkeypatch.setattr(slim, "build_slim_rectangular", no_rebuild)
+    with pytest.raises(NotA4Cell) as got:
+        build_witness(c2, script=bad)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(
+        NoRectangularExtensionFound, match="^the provided script does not contain the lattice$"
+    ):
+        build_witness(c4, script=ForkScript((2, 2)))
+    assert build_witness(c2, script=ForkScript((2, 2), bad.steps[:1])).t == 3
+
+
 def test_witness_with_mirrored_forks(s7):
     report = build_witness(s7)
     assert report.t == 8
