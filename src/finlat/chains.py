@@ -16,7 +16,8 @@ costs about one successor per element, not every comparable pair.  The
 embedding is validated once, on the first call, and each call returns a
 fresh `GridEmbedding`.  For a grid's own lattice the memo keeps the
 factor sizes, not the grid, so no grid sits in a reference cycle through
-its lattice's memo.
+its lattice's memo.  The elements' grid coordinates have a memo of their
+own, which `retractions` bumps without building the embedding's grid.
 """
 
 from __future__ import annotations
@@ -243,20 +244,34 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
 
 
 @_memoised
+def _grid_coordinates(lattice: FiniteLattice):
+    """(E_i^+ chains, the grid coordinates of every element), both by index.
+
+    The lattice must be distributive with at least two elements; the
+    coordinates are those of the embedding into the grid whose factor
+    sizes are the chain lengths.
+    """
+    bottom = lattice.index(lattice.bottom)
+    e_plus = tuple((bottom, *chain) for chain in _ji_chains(lattice))
+    # E_i^+ ∩ ↓x is a prefix of the chain E_i^+, so its largest element
+    # has index |E_i^+ ∩ ↓x| - 1.
+    chain_masks = [sum(1 << i for i in chain) for chain in e_plus]
+    coords = tuple(
+        tuple((down & m).bit_count() - 1 for m in chain_masks) for down in lattice._down
+    )
+    return e_plus, coords
+
+
+@_memoised
 def _grid_embedding_parts(lattice: FiniteLattice):
     """(target grid, mapping, coordinate chains), validated; never the lattice.
 
     When the target grid's lattice is the input itself, the grid would
     reference its own lattice's memo, so its factor sizes stand in for it.
     """
-    ids, bottom = lattice.elements, lattice.index(lattice.bottom)
-    e_plus = [(bottom, *chain) for chain in _ji_chains(lattice)]
+    ids = lattice.elements
+    e_plus, coords = _grid_coordinates(lattice)
     target = make_grid(tuple(len(chain) for chain in e_plus))
-
-    # E_i^+ ∩ ↓x is a prefix of the chain E_i^+, so its largest element
-    # has index |E_i^+ ∩ ↓x| - 1.
-    chain_masks = [sum(1 << i for i in chain) for chain in e_plus]
-    coords = [[(down & m).bit_count() - 1 for m in chain_masks] for down in lattice._down]
     mapping = {x: target.id_of(c) for x, c in zip(ids, coords)}
     _validate_embedding(lattice, target, mapping, e_plus, coords)
     chain_ids = tuple(tuple(ids[i] for i in chain) for chain in e_plus)

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -264,11 +265,11 @@ def _cmd_witness_sps(args) -> tuple[dict, int]:
 
 
 def _cmd_gen_slim(args) -> tuple[dict, int]:
-    try:
-        m_text, n_text = args.grid.lower().split("x")
-        m, n = int(m_text), int(n_text)
-    except ValueError:
-        raise ParseError(f"bad --grid {args.grid!r}, expected MxN") from None
+    # int() alone would also take '_', spaces and non-ASCII digits.
+    shape = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", args.grid)
+    if shape is None:
+        raise ParseError(f"bad --grid {args.grid!r}, expected MxN")
+    m, n = int(shape[1]), int(shape[2])
     steps: tuple[tuple[str, str], ...] = ()
     if args.forks:
         script = slim.ForkScript.from_jsonable(_read_json(args.forks))

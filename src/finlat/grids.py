@@ -13,6 +13,10 @@ invariants.  A grid leaves the table when its last holder drops it, so
 the table never outgrows what callers keep alive.  The dimension bump is
 memoised per grid in its lattice's ``_memo``, as `chains` memoises the
 grid embedding, so a bumped grid lives at least as long as its source.
+The bump rule itself acts on coordinate tuples and is written once:
+`dimension_bump` applies it to a grid's own points and validates the
+result, and the classifier in `retractions` applies it to the coordinates
+of a grid embedding.
 """
 
 from __future__ import annotations
@@ -178,26 +182,32 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     return bumped, dict(mapping)
 
 
-def _bump_parts(grid: Grid) -> tuple[Grid, dict[str, str]]:
-    """(bumped grid, mapping), validated; never the source grid or its lattice."""
-    sizes = grid.factor_sizes
+def _bump_coords(sizes: tuple[int, ...], coords):
+    """(split axis, q, bumped factor sizes, bumped coordinates) of the bump rule.
+
+    The split axis is the first factor of size at least three and q the
+    index of its coatom; each coordinate tuple of ``coords``, a point of the
+    grid of the given sizes, is mapped into the grid of the bumped sizes.
+    """
     split = next((j for j, s in enumerate(sizes) if s >= 3), None)
     if split is None:
         raise BooleanInput("every factor is a two-element chain")
     s = sizes[split]
     q = s - 2  # index of the coatom of the split factor
     new_sizes = sizes[:split] + (2, s - 1) + sizes[split + 1 :]
+    bumped = [
+        c[:split] + ((0, c[split]) if c[split] <= q else (1, q)) + c[split + 1 :]
+        for c in coords
+    ]
+    return split, q, new_sizes, bumped
+
+
+def _bump_parts(grid: Grid) -> tuple[Grid, dict[str, str]]:
+    """(bumped grid, mapping), validated; never the source grid or its lattice."""
+    ids = grid.lattice.elements
+    split, q, new_sizes, coords = _bump_coords(grid.factor_sizes, map(grid.coords, ids))
     bumped = make_grid(new_sizes)
-
-    mapping: dict[str, str] = {}
-    for x in grid.lattice.elements:
-        c = grid.coords(x)
-        if c[split] <= q:
-            nc = c[:split] + (0, c[split]) + c[split + 1 :]
-        else:
-            nc = c[:split] + (1, q) + c[split + 1 :]
-        mapping[x] = bumped.id_of(nc)
-
+    mapping = {x: bumped.id_of(c) for x, c in zip(ids, coords)}
     _validate_bump(grid, bumped, mapping, split, q)
     return bumped, mapping
 

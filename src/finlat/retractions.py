@@ -17,7 +17,10 @@ absolute retract for the class of finite distributive lattices of
 bounded dimension, and in the negative case builds a proper
 cover-preserving {0,1}-extension of equal length as a refutation
 witness, certified by `check_cover01` and optionally confirmed by
-exhaustive search.  The cover-{0,1} report lives in `morphisms`; this
+exhaustive search.  A witness one dimension up is the grid embedding
+followed by the dimension bump, composed on grid coordinates: only the
+bumped grid is built, only the composite map is checked, and the pair is
+memoised on the input.  The cover-{0,1} report lives in `morphisms`; this
 module re-exports it with `NotSemimodular`.
 """
 
@@ -32,6 +35,7 @@ from .core import (
     _bits,
     _induced,
     _jmask,
+    _memoised,
     _sublattice_mask,
     grid_factor_sizes,
     is_boolean,
@@ -39,8 +43,8 @@ from .core import (
     is_semimodular,
     is_slim,
 )
-from .chains import grid_embed, order_dimension
-from .grids import dimension_bump
+from .chains import _grid_coordinates, grid_embed, order_dimension
+from .grids import Grid, _bump_coords, make_grid
 from .morphisms import (
     Congruence,
     Cover01Report,
@@ -246,6 +250,20 @@ class Verdict:
     search_nodes: int | None = None
 
 
+@_memoised
+def _bump_witness(lattice: FiniteLattice) -> tuple[Grid, dict[str, str]]:
+    """(bumped grid B, map L → B): the grid embedding followed by the bump.
+
+    The bump rule is applied to the embedding's coordinates, so the grid
+    of L's own dimension is never built; B is larger than L, so it never
+    references L.  Unverified: the caller certifies the map.
+    """
+    e_plus, coords = _grid_coordinates(lattice)
+    _, _, sizes, bumped_coords = _bump_coords(tuple(map(len, e_plus)), coords)
+    bumped = make_grid(sizes)
+    return bumped, {x: bumped.id_of(c) for x, c in zip(lattice.elements, bumped_coords)}
+
+
 def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     """Decide absolute-retract status in a class, with a constructive refutation.
 
@@ -254,9 +272,11 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     extension witness is built: the grid embedding target when dimensions
     already agree, or else a dimension bump of that target.  (A boolean
     grid target would make the lattice boolean, which is positive.)  The
-    certificate is returned only when the inclusion is proper,
-    cover-{0,1}, injective and of equal length; for witnesses of at most
-    `_ORACLE_BOUND` elements an exhaustive search is run as confirmation.
+    bump is applied to the embedding's coordinates, so only the final map
+    is checked: the certificate is returned only when that inclusion is
+    proper, cover-{0,1}, injective and of equal length; for witnesses of
+    at most `_ORACLE_BOUND` elements an exhaustive search is run as
+    confirmation.
     """
     _check_membership(lattice, cls)
 
@@ -279,19 +299,17 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
         return Verdict(lattice, cls, True)
 
     # |lattice| >= 2 here: the singleton is boolean and already returned.
-    k = order_dimension(lattice)
-    emb = grid_embed(lattice)
-    target = emb.target
     n = cls.n
-    if n is None or k < n:
+    if n is None or order_dimension(lattice) < n:
         case = "dimension-bump"
-        bumped, bump_map = dimension_bump(target)
+        bumped, bump_map = _bump_witness(lattice)
         witness_lattice = bumped.lattice
-        mapping = {x: bump_map[v] for x, v in emb.mapping.items()}
+        mapping = dict(bump_map)
     else:
         case = "same-dimension"
-        witness_lattice = target.lattice
-        mapping = dict(emb.mapping)
+        emb = grid_embed(lattice)
+        witness_lattice = emb.target.lattice
+        mapping = emb.mapping
 
     inclusion = Homomorphism(lattice, witness_lattice, mapping)
     cert_report = check_cover01(inclusion)

@@ -265,6 +265,18 @@ def test_gen_slim_rejects_mismatched_script(tmp_path):
     assert "error" in report
 
 
+@pytest.mark.parametrize("grid", ["1_0x1", " 2 x 3", "٣x٣"])
+def test_gen_slim_takes_only_ascii_digit_sides(grid):
+    """`int()` accepts these sides; the grid parser does not."""
+    report, code = run(["gen-slim", "--grid", grid])
+    assert code == 1
+    assert report == {
+        "command": "gen-slim",
+        "error": f"ParseError: bad --grid {grid!r}, expected MxN",
+    }
+    assert run(["gen-slim", "--grid", "2X3"])[1] == 0
+
+
 def test_oracle_verify_suite(tmp_path, capsys):
     report, code = run(["oracle-verify", "--suite", "swing", "--max-size", "4"])
     assert code == 0

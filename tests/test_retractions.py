@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from itertools import combinations, product
 
@@ -16,6 +17,7 @@ from finlat import (
     check_cover01,
     check_sublattice,
     classify_absolute_retract,
+    dimension_bump,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
     exists_retraction,
@@ -32,6 +34,8 @@ from finlat import (
     recover_subgrid_chains,
     retract_onto,
 )
+import finlat.chains as chains
+import finlat.grids as grids
 import finlat.morphisms as morphisms
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
@@ -259,6 +263,73 @@ def test_negative_verdicts_bump_or_keep_the_dimension():
             if not verdict.is_absolute_retract:
                 cases.add(verdict.case)
     assert cases == {"dimension-bump", "same-dimension"}
+
+
+def _reference_bump(grid):
+    """The bump rule written out: the first factor of size s >= 3 splits
+    into a two-element chain and one of s - 1, at its coatom q = s - 2."""
+    split = next(j for j, s in enumerate(grid.factor_sizes) if s >= 3)
+    q = grid.factor_sizes[split] - 2
+    mapping = {}
+    for x in grid.lattice.elements:
+        c = grid.coords(x)
+        head = (0, c[split]) if c[split] <= q else (1, q)
+        mapping[x] = ",".join(map(str, c[:split] + head + c[split + 1 :]))
+    sizes = grid.factor_sizes
+    return sizes[:split] + (2, sizes[split] - 1) + sizes[split + 1 :], mapping
+
+
+def test_bump_witness_is_the_embedding_followed_by_the_bump():
+    """The witness composed on coordinates is the grid embedding followed
+    by `dimension_bump` of its target: the same grid, the same map."""
+    lattices = [lat for lat in enumerate_distributive_lattices(10) if not is_boolean(lat)]
+    c40 = [f"c{i:02d}" for i in range(40)]
+    lattices.append(build_lattice(c40, list(zip(c40, c40[1:]))))
+    g3333 = make_grid((3, 3, 3, 3)).lattice
+    lattices.append(build_lattice(g3333.elements, g3333.covers))  # its own memo
+    assert len(lattices) == 107  # 105 with at most 10 elements, C40 and 3x3x3x3
+    for lattice in lattices:
+        emb = grid_embed(lattice)
+        bumped, bump_map = dimension_bump(emb.target)
+        assert (bumped.factor_sizes, bump_map) == _reference_bump(emb.target)
+        verdict = classify_absolute_retract(lattice, ClassId.dfin(None))
+        assert verdict.case == "dimension-bump"
+        assert verdict.witness == bumped.lattice
+        assert verdict.embedding == {x: bump_map[v] for x, v in emb.mapping.items()}
+        assert verdict.certificate.proper and verdict.certificate.cover01.all_hold
+
+
+def test_bump_witness_builds_and_checks_only_the_final_map(monkeypatch, c5):
+    """Classify neither validates the grid embedding or the bump nor builds
+    a grid of the input's shape, and the witness is memoised on the input."""
+    g33 = make_grid((3, 3)).lattice
+    inputs = {(5,): lambda: build_lattice(c5.elements, c5.covers),
+              (3, 3): lambda: build_lattice(g33.elements, g33.covers)}
+    omega = ClassId.dfin(None)
+    expected = {shape: classify_absolute_retract(make(), omega) for shape, make in inputs.items()}
+
+    def refuse(*args):
+        raise AssertionError("an intermediate map was validated")
+
+    built = []
+
+    class RecordedGrid(grids.Grid):
+        def __init__(self, sizes):
+            built.append(tuple(sizes))
+            super().__init__(sizes)
+
+    monkeypatch.setattr(grids, "_validate_bump", refuse)
+    monkeypatch.setattr(chains, "_validate_embedding", refuse)
+    monkeypatch.setattr(grids, "_GRIDS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(grids, "Grid", RecordedGrid)
+    for shape, make in inputs.items():
+        lattice = make()
+        built.clear()
+        assert classify_absolute_retract(lattice, omega) == expected[shape]
+        assert shape not in built and built
+        built.clear()
+        assert classify_absolute_retract(lattice, omega) == expected[shape]
+        assert built == []
 
 
 def test_classify_positive_cases(c3, b3):
