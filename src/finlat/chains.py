@@ -14,9 +14,10 @@ they share one memoised cover of the join-irreducibles.  The matching
 reads successors off the up-masks only as it needs them, so a long chain
 costs about one successor per element, not every comparable pair.  The
 embedding is validated once, on the first call, and each call returns a
-fresh `GridEmbedding`.  For a grid's own lattice the memo keeps the
-factor sizes, not the grid, so no grid sits in a reference cycle through
-its lattice's memo.  The elements' grid coordinates have a memo of their
+fresh `GridEmbedding`.  An input that already is the grid's presentation
+(its elements and covers) is adopted as the target's lattice, not built a
+second time; for it the memo keeps the factor sizes, not the grid, so no
+grid sits in a reference cycle through its lattice's memo.  The elements' grid coordinates have a memo of their
 own, which `retractions` bumps without building the embedding's grid.
 """
 
@@ -234,12 +235,17 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
         raise TrivialLattice("cannot embed the one-element lattice")
     if not is_distributive(lattice):
         raise NotDistributive("grid embedding needs a distributive lattice")
-    target, mapping, e_plus = _grid_embedding_parts(lattice)
+    memo = lattice._memo
+    if _grid_embedding_parts in memo:
+        target, mapping, e_plus = memo[_grid_embedding_parts]
+        if isinstance(target, tuple):
+            target = make_grid(target, lattice)
+    else:
+        target, mapping, e_plus = _grid_embedding_parts(lattice)
+        kept = target.factor_sizes if target.lattice is lattice else target
+        memo[_grid_embedding_parts] = kept, mapping, e_plus
     return GridEmbedding(
-        source=lattice,
-        target=make_grid(target) if isinstance(target, tuple) else target,
-        mapping=dict(mapping),
-        coordinate_chains=e_plus,
+        source=lattice, target=target, mapping=dict(mapping), coordinate_chains=e_plus
     )
 
 
@@ -262,22 +268,21 @@ def _grid_coordinates(lattice: FiniteLattice):
     return e_plus, coords
 
 
-@_memoised
 def _grid_embedding_parts(lattice: FiniteLattice):
-    """(target grid, mapping, coordinate chains), validated; never the lattice.
+    """(target grid, mapping, coordinate chains), validated.
 
-    When the target grid's lattice is the input itself, the grid would
-    reference its own lattice's memo, so its factor sizes stand in for it.
+    An input that already is the grid's presentation becomes the target's
+    lattice, not a second equal copy.  `grid_embed` memoises the parts; for
+    such an input the grid would reference its own lattice's memo, so its
+    factor sizes stand in for it there, and the grid is looked up again,
+    adopting the input once more if that grid has gone.
     """
     ids = lattice.elements
     e_plus, coords = _grid_coordinates(lattice)
-    target = make_grid(tuple(len(chain) for chain in e_plus))
+    target = make_grid(tuple(len(chain) for chain in e_plus), lattice)
     mapping = {x: target.id_of(c) for x, c in zip(ids, coords)}
     _validate_embedding(lattice, target, mapping, e_plus, coords)
-    chain_ids = tuple(tuple(ids[i] for i in chain) for chain in e_plus)
-    if target.lattice is lattice:
-        return target.factor_sizes, mapping, chain_ids
-    return target, mapping, chain_ids
+    return target, mapping, tuple(tuple(ids[i] for i in chain) for chain in e_plus)
 
 
 def _validate_embedding(lattice, target, mapping, e_plus, coords):

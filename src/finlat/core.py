@@ -11,7 +11,9 @@ tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
 elements.  Covers are kept as index masks; `upper_covers` and
 `lower_covers` read the ids off them on demand.  Whether a subset is a
 sublattice is decided here alone, by `_closed_mask`, and `_induced` builds
-the sublattice from that mask, so a caller checks a subset once.
+the sublattice from that mask, so a caller checks a subset once; a
+homomorphism onto a sublattice calls it only when its target is first
+read.
 
 Derived invariants (distributivity, semimodularity, booleanness, slimness,
 the join- and meet-irreducibles, the length, the grid factor sizes, in
@@ -21,9 +23,10 @@ lattice in its private ``_memo`` dict.  An entry is computed from the
 immutable tables, so a second writer stores an equal value: the writes
 are idempotent and reads stay safe.  Entries are immutable or copied at
 the API edge, and none references its lattice, so a lattice sits in no
-reference cycle.  The grid embedding of a grid's own lattice would target
-that very grid, so for it `chains` keeps the factor sizes and looks the
-grid up again on each call.
+reference cycle.  The grid embedding of a lattice that is a grid's own
+presentation targets a grid holding that very lattice, so for it `chains`
+keeps the factor sizes and looks the grid up again on each call, adopting
+the lattice into a new grid if the old one has gone.
 """
 
 from __future__ import annotations

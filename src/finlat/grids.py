@@ -10,7 +10,9 @@ a non-boolean grid into a grid of one dimension higher.
 caller holds a grid, every request for its shape returns that one grid, so
 lattices of one grid shape share one witness lattice and its memoised
 invariants.  A grid leaves the table when its last holder drops it, so
-the table never outgrows what callers keep alive.  The dimension bump is
+the table never outgrows what callers keep alive.  The grid embedding
+passes its input along, and a grid adopts it as its lattice when it has
+the grid's own elements and covers, rather than build an equal copy.  The dimension bump is
 memoised per grid in its lattice's ``_memo``, as `chains` memoises the
 grid embedding, so a bumped grid lives at least as long as its source.
 The bump rule itself acts on coordinate tuples and is written once:
@@ -25,6 +27,7 @@ import weakref
 from math import prod
 
 from .core import (
+    FiniteLattice,
     LatticeError,
     _check_cap,
     build_lattice,
@@ -69,7 +72,7 @@ class Grid:
 
     __slots__ = ("factor_sizes", "lattice", "canonical_chains", "_coords", "__weakref__")
 
-    def __init__(self, factor_sizes: tuple[int, ...]):
+    def __init__(self, factor_sizes: tuple[int, ...], _adopt: FiniteLattice | None = None):
         if not factor_sizes:
             raise TrivialFactor("a grid needs at least one factor")
         if any(s < 2 for s in factor_sizes):
@@ -92,7 +95,10 @@ class Grid:
             for k, s, stride in zip(c, self.factor_sizes, strides)
             if k + 1 < s
         ]
-        self.lattice = build_lattice(elements, covers)
+        if _adopt is not None and len(_adopt) == len(elements) and _adopt.covers == frozenset(covers):
+            self.lattice = _adopt
+        else:
+            self.lattice = build_lattice(elements, covers)
         self.canonical_chains = tuple(
             tuple(elements[k * stride] for k in range(s))
             for s, stride in zip(self.factor_sizes, strides)
@@ -119,14 +125,22 @@ class Grid:
 _GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def make_grid(sizes) -> Grid:
+def make_grid(sizes, _adopt: FiniteLattice | None = None) -> Grid:
     """The grid with the given factor sizes (each at least 2), built once per
-    shape while some caller holds it."""
+    shape while some caller holds it.
+
+    ``_adopt`` is a lattice that may already be the grid's presentation, with
+    the same elements and covers.  If it is, the grid returned holds it as
+    its lattice rather than an equal copy, and a new grid adopting it is
+    interned only if no grid of that shape is live.
+    """
     key = tuple(sizes)
     grid = _GRIDS.get(key)
     if grid is None:
-        grid = Grid(key)
+        grid = Grid(key, _adopt)
         grid = _GRIDS.setdefault(grid.factor_sizes, grid)
+    elif _adopt is not None and grid.lattice is not _adopt and grid.lattice == _adopt:
+        grid = Grid(key, _adopt)
     return grid
 
 

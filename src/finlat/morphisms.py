@@ -1,17 +1,22 @@
 """Verified lattice homomorphisms, congruences and the cover-{0,1} report.
 
 A `Homomorphism` checks join and meet preservation over all pairs when it
-is built, and a `Congruence` checks that its partition is compatible with
-join and meet over all columns.  `_congruence_labels` closes a set of
-index pairs under translations by the join- and meet-irreducibles only,
-which generate all translations, and returns the block label of each
-element; `congruence_generated_by` turns those labels into a validated
-`Congruence` for `checks` and the public API, while `slim`'s congruence
-trace reads the labels directly.  `check_cover01` reports the three flags
-of the cover-{0,1} lemma for a map between semimodular lattices, and
-`Cover01Report.all_hold` is the one place their conjunction is written.
-Element ids appear only at the API edge: every check runs on index
-arrays, the map as a list of target indices and a partition as the block
+is built, on the target's tables; one onto a sublattice of its own source
+(a found or constructed retraction) is built from a closed index mask and
+an index map, checked on the source's tables, which on a closed mask hold
+the sublattice's joins and meets, and builds its target, id mapping and
+target-index map only when they are first read.  A `Congruence` checks
+that its partition is compatible with join and meet over all columns.
+`_congruence_labels` closes a set of index pairs under translations by
+the join- and meet-irreducibles only, which generate all translations,
+and returns the block label of each element; `congruence_generated_by`
+turns those labels into a validated `Congruence` for `checks` and the
+public API, while `slim`'s congruence trace reads the labels directly.
+`check_cover01` reports the three flags of the cover-{0,1} lemma for a
+map between semimodular lattices, and `Cover01Report.all_hold` is the
+one place their conjunction is written.  Element ids appear only at the
+API edge: every check runs on index arrays, the map as a list of target
+(or, onto a sublattice, source) indices and a partition as the block
 index of each element, compared row by row against the lattice's integer
 `_join`/`_meet` tables and cover masks.  The module depends on `core`
 only, so every other module can build and verify maps and certify them.
@@ -26,6 +31,7 @@ from .core import (
     FiniteLattice,
     LatticeError,
     _bits,
+    _induced,
     _jmask,
     _mmask,
     check_sublattice,
@@ -60,10 +66,23 @@ class NotSemimodular(LatticeError):
 class Homomorphism:
     """A verified lattice homomorphism between two finite lattices.
 
-    Join and meet preservation is checked over all pairs at construction.
-    The derived flags (bound preservation, cover preservation, injectivity)
-    are read off the same index map on demand and cached.
+    Join and meet preservation is checked over all pairs at construction,
+    on the target's tables.  The derived flags (bound preservation, cover
+    preservation, injectivity) are read off the same index map on demand
+    and cached.
+
+    `_onto_sublattice` builds a homomorphism onto a sublattice of its own
+    source from a closed index mask and the source index of each image, and
+    checks it on the source's tables, which on a closed mask hold the
+    sublattice's joins and meets.  Such a homomorphism builds ``target``,
+    ``mapping`` and the target-index map only when they are first read;
+    `is_retraction`, `fixes`, `kernel` and the repr answer from the mask and
+    the index map alone.
     """
+
+    # The closed mask of the target inside the source, and each element's
+    # image as a source index, for a homomorphism from `_onto_sublattice`.
+    _mask: int | None = None
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, mapping: dict[str, str]):
         if set(mapping) != set(source.elements):
@@ -71,30 +90,53 @@ class Homomorphism:
         for v in mapping.values():
             if v not in target:
                 raise NotAHomomorphism(f"image {v!r} is outside the target")
-        # f[i] is the target index of the i-th source element; row i of the
-        # source tables, read through f, must equal row f[i] of the target
-        # tables read at f.
         f = [target._index[mapping[x]] for x in source.elements]
-        image = f.__getitem__
-        for i, (s_join, s_meet) in enumerate(zip(source._join, source._meet)):
-            t_join, t_meet = target._join[f[i]], target._meet[f[i]]
-            joins = list(map(image, s_join))
-            meets = list(map(image, s_meet))
-            if joins == list(map(t_join.__getitem__, f)) and meets == list(
-                map(t_meet.__getitem__, f)
-            ):
-                continue
-            x = source.elements[i]
-            for j, fj in enumerate(f):
-                y = source.elements[j]
-                if joins[j] != t_join[fj]:
-                    raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
-                if meets[j] != t_meet[fj]:
-                    raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
+        _check_rows(source, target, f)
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
         self._f = f
+
+    @classmethod
+    def _onto_sublattice(
+        cls, source: FiniteLattice, g, mask: int, target: FiniteLattice | None = None
+    ) -> "Homomorphism":
+        """The homomorphism onto the sublattice on ``mask``, sending i to g[i].
+
+        ``mask`` must be closed under the source's join and meet, and
+        ``target``, when given, the sublattice `_induced` builds on it.
+        The checks are the constructor's, on source indices: every image
+        lies in the mask, and every join and meet row is preserved.
+        """
+        ids = source.elements
+        if len(g) != len(ids):
+            raise NotAHomomorphism("mapping is not total on the source")
+        for v in g:
+            if not mask >> v & 1:
+                raise NotAHomomorphism(f"image {ids[v]!r} is outside the target")
+        _check_rows(source, source, g)
+        hom = cls.__new__(cls)
+        hom.source = source
+        hom._mask = mask
+        hom._g = g
+        if target is not None:
+            hom.target = target
+        return hom
+
+    @cached_property
+    def target(self) -> FiniteLattice:
+        return _induced(self.source, self._mask)
+
+    @cached_property
+    def mapping(self) -> dict[str, str]:
+        ids = self.source.elements
+        return {x: ids[v] for x, v in zip(ids, self._g)}
+
+    @cached_property
+    def _f(self) -> list[int]:
+        # The target's indices follow the source's order on the mask.
+        mask = self._mask
+        return [(mask & ((1 << v) - 1)).bit_count() for v in self._g]
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -116,28 +158,61 @@ class Homomorphism:
         return len(set(self._f)) == len(self._f)
 
     def fixes(self, subset) -> bool:
-        return all(self.mapping[x] == x for x in subset)
+        if self._mask is None:
+            return all(self.mapping[x] == x for x in subset)
+        index, g = self.source._index, self._g
+        return all(g[index[x]] == index[x] for x in subset)
 
     def is_retraction(self) -> bool:
         """True iff the target is a sublattice of the source fixed pointwise.
 
         With the target fixed, closure under the source's operations forces
-        the target's order to be the induced one.
+        the target's order to be the induced one.  A target on a closed
+        mask is such a sublattice already, so only the fixed points are
+        read.
         """
-        elements = self.target.elements
-        return check_sublattice(self.source, elements) and self.fixes(elements)
+        if self._mask is None:
+            elements = self.target.elements
+            return check_sublattice(self.source, elements) and self.fixes(elements)
+        g = self._g
+        return all(g[i] == i for i in _bits(self._mask))
 
     def kernel(self) -> "Congruence":
-        fibers: dict[str, set[str]] = {}
-        for x, v in self.mapping.items():
-            fibers.setdefault(v, set()).add(x)
-        blocks = tuple(
-            frozenset(b) for b in sorted(fibers.values(), key=lambda b: min(b))
-        )
-        return Congruence(self.source, blocks)
+        """The partition of the source into fibers, grouped by image index."""
+        fibers: dict[int, list[int]] = {}
+        for i, v in enumerate(self._f):
+            fibers.setdefault(v, []).append(i)
+        ids = self.source.elements
+        return Congruence(self.source, tuple(frozenset(ids[i] for i in b) for b in fibers.values()))
 
     def __repr__(self) -> str:
-        return f"<Homomorphism {len(self.source)}->{len(self.target)}>"
+        size = len(self.target) if self._mask is None else self._mask.bit_count()
+        return f"<Homomorphism {len(self.source)}->{size}>"
+
+
+def _check_rows(source: FiniteLattice, target: FiniteLattice, f) -> None:
+    """Raise `NotAHomomorphism` unless f preserves every join and meet.
+
+    f[i] is the target index of the i-th source element; row i of the
+    source tables, read through f, must equal row f[i] of the target
+    tables read at f.
+    """
+    image = f.__getitem__
+    for i, (s_join, s_meet) in enumerate(zip(source._join, source._meet)):
+        t_join, t_meet = target._join[f[i]], target._meet[f[i]]
+        joins = list(map(image, s_join))
+        meets = list(map(image, s_meet))
+        if joins == list(map(t_join.__getitem__, f)) and meets == list(
+            map(t_meet.__getitem__, f)
+        ):
+            continue
+        x = source.elements[i]
+        for j, fj in enumerate(f):
+            y = source.elements[j]
+            if joins[j] != t_join[fj]:
+                raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
+            if meets[j] != t_meet[fj]:
+                raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
 
 
 @dataclass(frozen=True)

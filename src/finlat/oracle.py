@@ -42,7 +42,6 @@ from .core import (
     NotALattice,
     _bits,
     _covers_within,
-    _induced,
     _memoised,
     _sublattice_mask,
     build_lattice,
@@ -184,7 +183,8 @@ def _search(lattice: FiniteLattice, sub, count_all: bool):
     Raises `NotASublattice` unless ``sub`` is a sublattice.  Assignments are
     propagated by `_forcing` within the lattice.  Variables are taken in
     decreasing cover-degree order, values in canonical element order.
-    Returns (sublattice mask, first mapping or None, count, nodes).
+    Returns (sublattice mask, first map as element indices or None, count,
+    nodes).
     """
     mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
@@ -211,20 +211,19 @@ def _search(lattice: FiniteLattice, sub, count_all: bool):
 
     propagate = _forcing(lattice, lattice, f, assigned, injective=False)
     nodes = _backtrack(variables, sub_idx, f, assigned, propagate, leaf)
-    mapping = None
-    if first is not None:
-        mapping = {
-            lattice.elements[i]: lattice.elements[first[i]] for i in range(n)
-        }
-    return mask, mapping, count, nodes
+    return mask, first, count, nodes
 
 
 def search_retraction(lattice: FiniteLattice, sub) -> tuple[Homomorphism | None, int]:
-    """First retraction onto a sublattice (verified) plus nodes explored."""
-    mask, mapping, _, nodes = _search(lattice, sub, count_all=False)
-    if mapping is None:
+    """First retraction onto a sublattice (verified) plus nodes explored.
+
+    The map found is checked on the lattice's own tables, as a map onto the
+    sublattice's mask; its target and id mapping are built on first read.
+    """
+    mask, first, _, nodes = _search(lattice, sub, count_all=False)
+    if first is None:
         return None, nodes
-    return Homomorphism(lattice, _induced(lattice, mask), mapping), nodes
+    return Homomorphism._onto_sublattice(lattice, first, mask), nodes
 
 
 def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
@@ -385,9 +384,10 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
 def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homomorphism:
     """The retraction determined by a solution: identity on old, values on new.
 
-    Its target is built on the system's mask, checked when the system was.
-    The map's own check is the solution's: it checks every join and meet,
-    the system's equations among them, while those of two old elements hold
+    Its target is the sublattice on the system's mask, checked when the
+    system was, and built only when it is read.  The map's own check is the
+    solution's: it checks every join and meet on the ambient's tables, the
+    system's equations among them, while those of two old elements hold
     since the sublattice is closed and fixed; a value outside the
     sublattice is an image outside the target.
     """
@@ -395,9 +395,12 @@ def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homo
     if values.keys() != set(system.unknowns):
         raise LatticeError("assignment does not satisfy the system")
     lat = system.ambient
-    mapping = {x: values.get(x, x) for x in lat.elements}
+    index = lat._index
+    g = [index.get(values.get(x, x)) for x in lat.elements]
     try:
-        return Homomorphism(lat, _induced(lat, system._mask), mapping)
+        if None in g:
+            raise NotAHomomorphism("an image is not an element")
+        return Homomorphism._onto_sublattice(lat, g, system._mask)
     except NotAHomomorphism as exc:
         raise LatticeError("assignment does not satisfy the system") from exc
 

@@ -87,21 +87,21 @@ class NotInClass(LatticeError):
     pass
 
 
-def _upper_map(lattice: FiniteLattice, mask: int) -> dict[str, str]:
+def _upper_map(lattice: FiniteLattice, mask: int) -> list[int]:
     """x ↦ the least member of the sublattice S at or above x ∧ t, t = top of S.
 
-    S is given by its index mask.  The image of x is the meet of the members
-    in the up-set of x ∧ t, which lies in S because S is closed under meets.
+    S is given by its index mask, and so is the image of each element index.
+    The image of x is the meet of the members in the up-set of x ∧ t, which
+    lies in S because S is closed under meets.
     """
-    ids, join, meet, up = lattice.elements, lattice._join, lattice._meet, lattice._up
+    join, meet, up = lattice._join, lattice._meet, lattice._up
     t = reduce(lambda a, b: join[a][b], _bits(mask))
-    return {
-        x: ids[reduce(lambda a, b: meet[a][b], _bits(up[meet[i][t]] & mask))]
-        for i, x in enumerate(ids)
-    }
+    return [
+        reduce(lambda a, b: meet[a][b], _bits(up[meet[i][t]] & mask)) for i in range(len(lattice))
+    ]
 
 
-def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
+def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> list[int]:
     """Schmid's prime-ideal map of a distributive lattice onto a boolean sublattice.
 
     Walks a maximal chain of ``sub`` built greedily through its atoms in
@@ -110,7 +110,8 @@ def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
     these primes, x maps to the member d with J(d) ∩ P = J(x) ∩ P, where
     J(x) is the set of join-irreducibles below x.  The kernel is the
     intersection of the two-block congruences of the prime ideals
-    {x : p not below x}, which has exactly |sub| blocks.
+    {x : p not below x}, which has exactly |sub| blocks.  Images are given
+    as element indices of ``lattice``.
     """
     chain = [sub.bottom]
     for a in sorted(sub.upper_covers(sub.bottom)):
@@ -122,8 +123,8 @@ def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> dict[str, str]:
     for lower, upper in zip(chain, chain[1:]):
         candidates = down[lattice.index(upper)] & ~down[lattice.index(lower)] & jmask
         primes |= candidates & -candidates
-    rep = {down[lattice.index(d)] & primes: d for d in sub.elements}
-    return {x: rep[dx & primes] for x, dx in zip(lattice.elements, down)}
+    rep = {down[i] & primes: i for i in map(lattice.index, sub.elements)}
+    return [rep[dx & primes] for dx in down]
 
 
 @dataclass(frozen=True)
@@ -202,20 +203,21 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     boolean targets and grids of the class dimension.  A proper boolean
     target gets the prime map, every other target the upper map
     x ↦ least member at or above x ∧ t, both computed in the ambient
-    lattice.
+    lattice.  Both maps are index arrays, checked on the ambient's tables,
+    and the sublattice built for eligibility is the result's target.
     """
     _check_membership(lattice, cls)
     mask = _sublattice_mask(lattice, subset)
     sub = _induced(lattice, mask)
-    mapping = None
+    g = None
     if len(sub) < len(lattice):
         if cls.kind == "sps" and len(sub) != 1:
             raise NotEligible("only one-element sublattices are eligible in this class")
         if cls.kind != "sps" and not _qualifies(sub, cls):
             raise NotEligible("target is neither boolean nor a grid of the class dimension")
         if cls.kind != "sps" and is_boolean(sub):
-            mapping = _prime_map(lattice, sub)
-    result = Homomorphism(lattice, sub, mapping or _upper_map(lattice, mask))
+            g = _prime_map(lattice, sub)
+    result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask, sub)
     if not result.is_retraction():  # pragma: no cover - verified construction
         raise LatticeError("constructed map is not a retraction")
     return result

@@ -8,6 +8,21 @@ REFERENCE_GRID_SIZES = [
     (2, 2), (3, 2), (4, 2), (3, 3), (2, 2, 2), (4, 3), (2, 2, 3), (4, 4), (2, 2, 2, 2),
 ]
 
+def homomorphism_fields(hom):
+    """Every public field of a homomorphism, the target's tables included."""
+    target = hom.target
+    return (
+        (target.elements, target.covers, target._join, target._meet),
+        hom.mapping,
+        hom.preserves_bounds,
+        hom.cover_preserving,
+        hom.injective,
+        hom.is_retraction(),
+        hom.kernel().blocks,
+        repr(hom),
+    )
+
+
 S7_ELEMENTS = ["0", "u", "v", "l", "m", "r", "1"]
 S7_COVERS = [
     ("0", "u"), ("0", "v"), ("u", "l"), ("u", "m"), ("v", "m"), ("v", "r"),

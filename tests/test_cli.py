@@ -5,13 +5,24 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import finlat
-from finlat import build_lattice, is_isomorphic, oracle, s7_family
+import finlat.core as core
+import finlat.grids as grids
+from finlat import (
+    Homomorphism,
+    build_lattice,
+    induced_lattice,
+    is_isomorphic,
+    make_grid,
+    oracle,
+    s7_family,
+)
 from finlat.cli import LatticeFile, ParseError, lattice_to_jsonable, main, run
 from tests.conftest import S7_COVERS, S7_ELEMENTS
 
@@ -100,6 +111,21 @@ def test_embed_grid_command(tmp_path):
     assert report["map"]["t"] == "2,1"
     target = LatticeFile.parse(json.dumps(report["target"]).encode())
     assert len(target.lattice) == 6
+
+
+def test_embed_grid_adopts_a_parsed_grid_presentation(tmp_path, monkeypatch):
+    """A file holding the 3x3 grid's own presentation is parsed into the one
+    lattice the command builds: the embedding's target adopts it."""
+    path = write(tmp_path, "g33.json", lattice_to_jsonable("G3x3", make_grid((3, 3)).lattice))
+    expected = run(["embed-grid", path])
+    built = []
+    real = core.FiniteLattice.__init__
+    monkeypatch.setattr(
+        core.FiniteLattice, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    monkeypatch.setattr(grids, "_GRIDS", weakref.WeakValueDictionary())
+    assert run(["embed-grid", path]) == expected
+    assert len(built) == 1
 
 
 def test_retract_command_positive(tmp_path):
@@ -549,6 +575,55 @@ def test_any_grid_string_gives_a_json_report(grid):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_any_witness_max_size_gives_a_json_report(fork_files, name, max_size):
     _main_report(["witness-sps", str(fork_files / f"{name}.json"), "--max-size", str(max_size)])
+
+
+_SUB_LATTICES = {
+    "C3": C3_FILE,
+    "B2": B2_FILE,
+    "G3x3": lattice_to_jsonable("G3x3", make_grid((3, 3)).lattice),
+}
+
+
+@st.composite
+def _sub_files(draw):
+    """A lattice file name and the bytes of a `--sub` file for it: mostly a
+    list of that file's ids with duplicates and unknown ids, else a list
+    with non-strings or any JSON value, either bare or under a "sub" key."""
+    name = draw(st.sampled_from(sorted(_SUB_LATTICES)))
+    ids = st.sampled_from(_SUB_LATTICES[name]["elements"])
+    unknown = st.sampled_from(["z", "", "0,0", "a", "1,1,1"])
+    sub = draw(st.one_of(
+        st.lists(ids | unknown, max_size=10),
+        st.lists(ids, max_size=10),
+        st.lists(ids | _JSON_VALUES, max_size=4),
+        _JSON_VALUES,
+    ))
+    if draw(st.booleans()):
+        sub = {"sub": sub}
+    return name, json.dumps(sub)
+
+
+@pytest.fixture(scope="module")
+def sub_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("subs")
+    for name, payload in _SUB_LATTICES.items():
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    return root
+
+
+@given(_sub_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_any_sub_file_gives_a_json_report(sub_files, drawn):
+    """On exit 0 the reported map passes the eager public route."""
+    name, content = drawn
+    (sub_files / "sub.json").write_text(content)
+    path = sub_files / f"{name}.json"
+    code, report = _main_report(["retract", str(path), "--sub", str(sub_files / "sub.json")])
+    if code == 0:
+        sub = json.loads(content)
+        sub = sub["sub"] if isinstance(sub, dict) else sub
+        lattice = LatticeFile.parse(path.read_bytes()).lattice
+        assert Homomorphism(lattice, induced_lattice(lattice, sub), report["map"]).is_retraction()
 
 
 @given(st.integers())

@@ -15,6 +15,7 @@ from finlat import (
     NotInClass,
     TrivialFactor,
     all_sublattices,
+    build_lattice,
     canonical_joinands,
     check_cover01,
     check_sublattice,
@@ -256,6 +257,34 @@ def test_grid_embed_of_a_grid_leaves_no_cycle(sizes):
     finally:
         gc.enable()
     assert grid_embed(make_grid(sizes).lattice).target.factor_sizes == sizes
+
+
+@pytest.mark.parametrize("sizes", [(4,), (3, 3), (2, 2, 2)])
+def test_grid_embed_adopts_an_input_that_is_the_grid_presentation(sizes):
+    """An input with the grid's own elements and covers is the target's
+    lattice, whether or not a grid of that shape is live, and its memo
+    keeps no grid: the adopted grid goes with its last holder."""
+    live = make_grid(sizes)
+    copy = build_lattice(live.lattice.elements, live.lattice.covers)
+    for _ in range(2):
+        target = grid_embed(copy).target
+        assert target.lattice is copy and target.factor_sizes == sizes
+    assert make_grid(sizes) is live
+    del live
+    gc.collect()
+    target = grid_embed(copy).target
+    assert target.lattice is copy and make_grid(sizes) is target
+    ref = weakref.ref(target)
+    gc.disable()
+    try:
+        del target
+        assert ref() is None
+    finally:
+        gc.enable()
+    relabelled = build_lattice(
+        [f"x{x}" for x in copy.elements], [(f"x{a}", f"x{b}") for a, b in copy.covers]
+    )
+    assert grid_embed(relabelled).target.lattice == copy
 
 
 @pytest.mark.parametrize(

@@ -2,24 +2,37 @@
 string implementations, kept here as `_reference_*`."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
+import finlat.core as core
+import finlat.morphisms as morphisms
+import finlat.oracle as oracle
+import finlat.retractions as retractions
 from finlat import (
+    ClassId,
     Congruence,
     ForkScript,
     Homomorphism,
     all_sublattices,
     build_lattice,
     build_witness,
+    classify_absolute_retract,
     congruence_generated_by,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
+    exists_retraction,
+    induced_lattice,
     oriented_grid,
     s7_family,
     search_retraction,
 )
+from finlat.checks import retraction_kernels
+from finlat.core import _sublattice_mask
 from finlat.morphisms import NotACongruence, NotAHomomorphism, _congruence_labels
+from tests.conftest import homomorphism_fields
 
 LATTICES = list(enumerate_small_lattices(6))
 
@@ -322,3 +335,111 @@ def test_intersect_refuses_congruences_of_another_lattice(c2, c3, c4, b2):
     same = build_lattice(c3.elements, c3.covers)
     theta = Congruence(same, [set(same.elements)])
     assert theta.intersect(Congruence(c3, [{x} for x in c3.elements])).block_count() == 3
+
+
+# -- homomorphisms onto a sublattice, built from an index map and a closed mask
+
+
+def test_found_retractions_equal_the_eager_route():
+    """On all 4,449 proper sublattice pairs of the lattices with at most 7
+    elements, a found retraction answers its mask-read queries without a
+    target, and equals the same map built eagerly on every public field."""
+    pairs = found = 0
+    for lattice in enumerate_small_lattices(7):
+        for sub in all_sublattices(lattice):
+            if len(sub) == len(lattice):
+                continue
+            pairs += 1
+            hom, _ = search_retraction(lattice, sub)
+            if hom is None:
+                continue
+            found += 1
+            assert (hom.is_retraction(), hom.fixes(sub), repr(hom)) == (
+                True, True, f"<Homomorphism {len(lattice)}->{len(sub)}>"
+            )
+            hom.kernel()
+            assert "target" not in vars(hom) and "mapping" not in vars(hom)
+            eager = Homomorphism(lattice, induced_lattice(lattice, sub), hom.mapping)
+            assert homomorphism_fields(hom) == homomorphism_fields(eager), (lattice.covers, sub)
+    assert (pairs, found) == (4449, 2251)
+
+
+def _index_maps(lattice):
+    """Every map of the lattice into itself, as index tuples."""
+    return product(range(len(lattice)), repeat=len(lattice))
+
+
+def test_onto_sublattice_refuses_and_accepts_as_the_constructor():
+    """Every map of a lattice with at most 4 elements into itself, against
+    every sublattice: the private entry refuses with the constructor's error
+    or accepts with its fields, `fixes` and `is_retraction` included."""
+    outcomes = Counter()
+    for lattice in enumerate_small_lattices(4):
+        ids = lattice.elements
+        for sub in all_sublattices(lattice):
+            mask = _sublattice_mask(lattice, sub)
+            target = induced_lattice(lattice, sub)
+            for g in _index_maps(lattice):
+                mapping = {x: ids[v] for x, v in zip(ids, g)}
+                expected = _outcome(lambda: Homomorphism(lattice, target, mapping))
+                got = _outcome(lambda: Homomorphism._onto_sublattice(lattice, list(g), mask))
+                assert got[0] == expected[0] and (got[0] == "ok" or got == expected), (ids, sub, g)
+                if got[0] == "ok":
+                    hom, eager = got[1], expected[1]
+                    assert hom.fixes(sub) == eager.fixes(sub)
+                    assert homomorphism_fields(hom) == homomorphism_fields(eager), (ids, sub, g)
+                    outcomes["retraction" if eager.is_retraction() else "homomorphism"] += 1
+                else:
+                    outcomes[expected[1].split(" ")[0]] += 1
+    assert set(outcomes) == {"retraction", "homomorphism", "image", "join", "meet"}
+
+
+def test_search_kernels_keep_the_id_fibers():
+    """The kernel of every retraction `checks.retraction_kernels` visits at
+    its suite bound has the blocks that grouping ids by image gave."""
+    total = 0
+    for lattice in enumerate_small_lattices(5):
+        for sub in all_sublattices(lattice):
+            hom = exists_retraction(lattice, sub)
+            if hom is None:
+                continue
+            total += 1
+            fibers = {}
+            for x, v in hom.mapping.items():
+                fibers.setdefault(v, set()).add(x)
+            expected = tuple(frozenset(b) for b in sorted(fibers.values(), key=min))
+            assert hom.kernel().blocks == expected
+    assert retraction_kernels(5)[0].detail.startswith(f"{total} retraction kernels")
+
+
+def test_found_retractions_build_their_target_once_when_read(monkeypatch, b3, d5):
+    """With no lattice buildable, a search and classify's confirming search
+    still answer; the first read of a target then builds one lattice, and a
+    second read none."""
+    sub = {"0,0,0", "1,0,0", "0,1,0", "1,1,0"}
+    expected = classify_absolute_retract(d5, ClassId.dfin(None))
+    assert expected.certificate.oracle_confirmed is True
+
+    def refuse(*args):
+        raise AssertionError("a lattice was built")
+
+    with monkeypatch.context() as patch:
+        for module in (core, morphisms, oracle, retractions):
+            if hasattr(module, "_induced"):
+                patch.setattr(module, "_induced", refuse)
+        patch.setattr(core.FiniteLattice, "__init__", refuse)
+        hom, _ = search_retraction(b3, sub)
+        assert hom.is_retraction() and hom.fixes(sub)
+        assert hom.kernel().is_diagonal_on(sub)
+        assert set(hom.mapping.values()) == sub
+        assert classify_absolute_retract(d5, ClassId.dfin(None)) == expected
+
+    built = []
+    real = core.FiniteLattice.__init__
+    monkeypatch.setattr(
+        core.FiniteLattice, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    target = hom.target
+    assert len(built) == 1
+    assert hom.target is target and len(built) == 1
+    assert target == induced_lattice(b3, sub)

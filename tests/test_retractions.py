@@ -108,15 +108,20 @@ def test_check_cover01_rejects_nonsemimodular(c2):
 # -- chain, grid and boolean targets of `retract_onto`, each in a class it qualifies for
 
 
+def _mapping(lattice, g, mask):
+    """An index map onto the sublattice on a mask, read as ids."""
+    return Homomorphism._onto_sublattice(lattice, g, mask).mapping
+
+
 def test_chain_retraction_c4(c4):
     mask = _sublattice_mask(c4, {"a", "1"})
-    upper = _upper_map(c4, mask)
+    upper = _mapping(c4, _upper_map(c4, mask), mask)
     assert upper == {"0": "a", "a": "a", "b": "1", "1": "1"}
     # a two-element target is boolean, so `retract_onto` takes the prime map:
     # the least prime below 1 and not below a is 1 itself, so b joins a
     hom = retract_onto(c4, {"a", "1"}, ClassId.dfin(1))
     assert hom.mapping == {"0": "a", "a": "a", "b": "a", "1": "1"}
-    assert hom.mapping == _prime_map(c4, hom.target)
+    assert hom.mapping == _mapping(c4, _prime_map(c4, hom.target), mask)
     # both are idempotent and fix the subchain
     for mapping in (upper, hom.mapping):
         for x in c4.elements:
@@ -314,9 +319,9 @@ def test_bump_witness_builds_and_checks_only_the_final_map(monkeypatch, c5):
     built = []
 
     class RecordedGrid(grids.Grid):
-        def __init__(self, sizes):
+        def __init__(self, sizes, *adopt):
             built.append(tuple(sizes))
-            super().__init__(sizes)
+            super().__init__(sizes, *adopt)
 
     monkeypatch.setattr(grids, "_validate_bump", refuse)
     monkeypatch.setattr(chains, "_validate_embedding", refuse)
@@ -529,9 +534,9 @@ def test_grid_and_boolean_retractions_match_congruence_references():
             return
         mask = _sublattice_mask(lattice, subset)
         if name == "upper":
-            got = _upper_map(lattice, mask)
+            got = _mapping(lattice, _upper_map(lattice, mask), mask)
         else:
-            got = _prime_map(lattice, _induced(lattice, mask))
+            got = _mapping(lattice, _prime_map(lattice, _induced(lattice, mask)), mask)
         where = (name, lattice.elements, sorted(lattice.covers), subset)
         assert list(got.items()) == list(expected.mapping.items()), where
         counts[name] += 1
@@ -560,7 +565,8 @@ def test_chain_retraction_matches_member_loop_reference():
         for k in range(1, n + 1):
             for subset in combinations(chain.elements, k):
                 expected = _reference_chain_retraction(chain, subset).mapping
-                got = _upper_map(chain, _sublattice_mask(chain, subset))
+                mask = _sublattice_mask(chain, subset)
+                got = _mapping(chain, _upper_map(chain, mask), mask)
                 assert list(got.items()) == list(expected.items()), subset
                 total += 1
     assert total == 2035
