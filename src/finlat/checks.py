@@ -194,16 +194,18 @@ def subgrid(grid_sizes) -> list[Result]:
     bad: list[str] = []
     for sizes in grid_sizes:
         grid = grids.make_grid(sizes)
-        joinands = {x: grids.canonical_joinands(grid, x) for x in grid.lattice.elements}
-        for mask in oracle._sublattice_masks(grid.lattice):
+        lat = grid.lattice
+        joinands = {x: grids.canonical_joinands(grid, x) for x in lat.elements}
+        for mask in oracle._sublattice_masks(lat):
             if mask.bit_count() < 2:
                 continue
             # every subchain with two or more elements is a 1-dimensional grid
             if grid.dimension > 1:
-                factors = core.grid_factor_sizes(core._induced(grid.lattice, mask))
+                jmask = core._sub_jmask(lat, mask)
+                factors = core._chain_factor_sizes(lat._up, lat._down, jmask, mask.bit_count())
                 if factors is None or len(factors) != grid.dimension:
                     continue
-            sub = oracle._mask_to_set(grid.lattice, mask)
+            sub = oracle._mask_to_set(lat, mask)
             tested += 1
             try:
                 recovered = [set(c) for c in grids.recover_subgrid_chains(grid, sub)]

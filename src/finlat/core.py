@@ -10,10 +10,13 @@ sort and the join/meet tables from one up-/down-mask lookup per pair; the
 tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
 elements.  Covers are kept as index masks; `upper_covers` and
 `lower_covers` read the ids off them on demand.  Whether a subset is a
-sublattice is decided here alone, by `_closed_mask`, and `_induced` builds
-the sublattice from that mask, so a caller checks a subset once; a
-homomorphism onto a sublattice calls it only when its target is first
-read.
+sublattice is decided here alone, by `_closed_mask`, so a caller checks a
+subset once, and `_induced` builds the sublattice from that mask only
+where it is read: a homomorphism onto a sublattice builds its target when
+it is first read.  On a closed mask the ambient's tables hold the
+sublattice's order, joins and meets, so `_sub_jmask` reads its
+join-irreducibles and `_chain_factor_sizes` its grid factors without
+building it, for `retract_onto`'s eligibility and `checks.subgrid`.
 
 Derived invariants (distributivity, semimodularity, booleanness, slimness,
 the join- and meet-irreducibles, the length, the grid factor sizes, in
@@ -436,10 +439,21 @@ def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     """
     if not is_distributive(lattice):
         return None
-    jmask = _jmask(lattice)
-    up, down = lattice._up, lattice._down
-    # J splits into pairwise incomparable chains iff comparability is an
-    # equivalence on J, iff the distinct comparability masks are disjoint.
+    return _chain_factor_sizes(lattice._up, lattice._down, _jmask(lattice), len(lattice))
+
+
+def _chain_factor_sizes(up, down, jmask: int, size: int) -> tuple[int, ...] | None:
+    """Factor sizes of a lattice of ``size`` elements with join-irreducibles ``jmask``.
+
+    ``up`` and ``down`` are the order's up- and down-set masks, which may be
+    an ambient lattice's when ``jmask`` is a closed mask's `_sub_jmask`.
+    J splits into pairwise incomparable chains iff comparability is an
+    equivalence on J, iff the distinct comparability masks are disjoint.
+    x ↦ J(x) embeds every finite lattice in the down-sets of J, which
+    number the product of the sizes computed here, so the size check
+    holds exactly when that embedding is onto: the answer is exact on any
+    lattice, distributive or not.
+    """
     components = {jmask & (up[a] | down[a]) for a in _bits(jmask)}
     if sum(c.bit_count() for c in components) != jmask.bit_count():
         return None
@@ -447,7 +461,7 @@ def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     prod = 1
     for s in sizes:
         prod *= s
-    if prod != len(lattice):  # cannot happen for a valid distributive input
+    if prod != size:
         return None
     return sizes
 
@@ -543,6 +557,28 @@ def _sublattice_mask(lattice: FiniteLattice, subset) -> int:
     if not mask:
         raise NotASublattice(f"{sorted(subset)!r} is not a sublattice")
     return mask
+
+
+def _sub_jmask(lattice: FiniteLattice, mask: int) -> int:
+    """Index mask of the join-irreducibles of the sublattice on a closed mask.
+
+    A member i is join-irreducible in the sublattice S iff the members of S
+    strictly below it are not empty and their join, the ambient's since S
+    is closed, is not i.  An element that is join-irreducible in the
+    ambient may not be in S, and the other way round.
+    """
+    down, join = lattice._down, lattice._join
+    jmask = 0
+    for i in _bits(mask):
+        below = down[i] & mask & ~(1 << i)
+        if below:
+            members = _bits(below)
+            j = next(members)
+            for k in members:
+                j = join[j][k]
+            if j != i:
+                jmask |= 1 << i
+    return jmask
 
 
 def _induced(lattice: FiniteLattice, mask: int) -> FiniteLattice:

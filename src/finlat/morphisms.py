@@ -6,7 +6,9 @@ is built, on the target's tables; one onto a sublattice of its own source
 an index map, checked on the source's tables, which on a closed mask hold
 the sublattice's joins and meets, and builds its target, id mapping and
 target-index map only when they are first read.  A `Congruence` checks
-that its partition is compatible with join and meet over all columns.
+that its partition is compatible with join and meet over all columns,
+except a homomorphism's kernel, which is one by theorem and is built by
+`Congruence._of_labels` unchecked.
 `_congruence_labels` closes a set of index pairs under translations by
 the join- and meet-irreducibles only, which generate all translations,
 and returns the block label of each element; `congruence_generated_by`
@@ -98,15 +100,12 @@ class Homomorphism:
         self._f = f
 
     @classmethod
-    def _onto_sublattice(
-        cls, source: FiniteLattice, g, mask: int, target: FiniteLattice | None = None
-    ) -> "Homomorphism":
+    def _onto_sublattice(cls, source: FiniteLattice, g, mask: int) -> "Homomorphism":
         """The homomorphism onto the sublattice on ``mask``, sending i to g[i].
 
-        ``mask`` must be closed under the source's join and meet, and
-        ``target``, when given, the sublattice `_induced` builds on it.
-        The checks are the constructor's, on source indices: every image
-        lies in the mask, and every join and meet row is preserved.
+        ``mask`` must be closed under the source's join and meet.  The
+        checks are the constructor's, on source indices: every image lies
+        in the mask, and every join and meet row is preserved.
         """
         ids = source.elements
         if len(g) != len(ids):
@@ -119,8 +118,6 @@ class Homomorphism:
         hom.source = source
         hom._mask = mask
         hom._g = g
-        if target is not None:
-            hom.target = target
         return hom
 
     @cached_property
@@ -178,12 +175,17 @@ class Homomorphism:
         return all(g[i] == i for i in _bits(self._mask))
 
     def kernel(self) -> "Congruence":
-        """The partition of the source into fibers, grouped by image index."""
-        fibers: dict[int, list[int]] = {}
-        for i, v in enumerate(self._f):
-            fibers.setdefault(v, []).append(i)
-        ids = self.source.elements
-        return Congruence(self.source, tuple(frozenset(ids[i] for i in b) for b in fibers.values()))
+        """The partition of the source into fibers, grouped by image index.
+
+        The kernel of a verified homomorphism is a congruence, so its
+        compatibility is not checked again; the tests compare it with the
+        validated `Congruence` of the same fibers.
+        """
+        # Fibers are numbered by their least element index, which is the
+        # least id, so the blocks come out sorted as `Congruence` keeps them.
+        number: dict[int, int] = {}
+        of = [number.setdefault(v, len(number)) for v in self._f]
+        return Congruence._of_labels(self.source, of)
 
     def __repr__(self) -> str:
         size = len(self.target) if self._mask is None else self._mask.bit_count()
@@ -279,6 +281,22 @@ class Congruence:
                 of[index[x]] = k
         self._of = of
         self._validate()
+
+    @classmethod
+    def _of_labels(cls, lattice: FiniteLattice, of: list[int]) -> "Congruence":
+        """The partition with element index i in block of[i], not validated.
+
+        For a partition known to be a congruence; blocks must be numbered
+        0, 1, ... in the order of their least element indices.
+        """
+        members: list[list[str]] = [[] for _ in range(max(of) + 1)]
+        for x, k in zip(lattice.elements, of):
+            members[k].append(x)
+        congruence = cls.__new__(cls)
+        congruence.lattice = lattice
+        congruence.blocks = tuple(map(frozenset, members))
+        congruence._of = of
+        return congruence
 
     def _validate(self):
         lat = self.lattice

@@ -12,9 +12,12 @@ the member whose join-irreducibles agree with those of x on one chosen
 prime per atom; the kernel is the intersection of the two-block
 congruences of those prime ideals.  `retract_onto` is the one public
 entry to both; the tests compare each map with a reference built from
-those congruences.  A classifier decides whether a lattice is an
-absolute retract for the class of finite distributive lattices of
-bounded dimension, and in the negative case builds a proper
+those congruences.  It decides eligibility and builds both maps on the
+target's closed mask, reading the target's join-irreducibles, bottom,
+atoms and chain factors off the ambient's tables, so no sublattice is
+built unless the result's target is read.  A classifier decides whether
+a lattice is an absolute retract for the class of finite distributive
+lattices of bounded dimension, and in the negative case builds a proper
 cover-preserving {0,1}-extension of equal length as a refutation
 witness, certified by `check_cover01` and optionally confirmed by
 exhaustive search.  A witness one dimension up is the grid embedding
@@ -33,9 +36,10 @@ from .core import (
     FiniteLattice,
     LatticeError,
     _bits,
-    _induced,
+    _chain_factor_sizes,
     _jmask,
     _memoised,
+    _sub_jmask,
     _sublattice_mask,
     grid_factor_sizes,
     is_boolean,
@@ -101,29 +105,37 @@ def _upper_map(lattice: FiniteLattice, mask: int) -> list[int]:
     ]
 
 
-def _prime_map(lattice: FiniteLattice, sub: FiniteLattice) -> list[int]:
+def _prime_map(lattice: FiniteLattice, mask: int) -> list[int]:
     """Schmid's prime-ideal map of a distributive lattice onto a boolean sublattice.
 
-    Walks a maximal chain of ``sub`` built greedily through its atoms in
-    canonical order; for each step picks the least join-irreducible p with
-    p below the upper endpoint but not the lower one.  With P the set of
-    these primes, x maps to the member d with J(d) ∩ P = J(x) ∩ P, where
-    J(x) is the set of join-irreducibles below x.  The kernel is the
-    intersection of the two-block congruences of the prime ideals
-    {x : p not below x}, which has exactly |sub| blocks.  Images are given
-    as element indices of ``lattice``.
+    The boolean sublattice S is given by its closed index mask.  Walks a
+    maximal chain of S built greedily through its atoms in canonical
+    order; for each step picks the least join-irreducible p of the
+    lattice with p below the upper endpoint but not the lower one.  With P
+    the set of these primes, x maps to the member d with J(d) ∩ P =
+    J(x) ∩ P, where J(x) is the set of join-irreducibles below x.  The
+    kernel is the intersection of the two-block congruences of the prime
+    ideals {x : p not below x}, which has exactly |S| blocks.  S's bottom,
+    its atoms and the joins along the chain are read off the lattice's
+    tables, which on a closed mask hold those of S, and images are given as
+    element indices of ``lattice``.
     """
-    chain = [sub.bottom]
-    for a in sorted(sub.upper_covers(sub.bottom)):
-        chain.append(sub.join(chain[-1], a))
+    join, meet, up, down = lattice._join, lattice._meet, lattice._up, lattice._down
+    bottom = reduce(lambda a, b: meet[a][b], _bits(mask))
+    above = up[bottom] & mask & ~(1 << bottom)
+    # Index order is sorted-id order: the atoms of S come in canonical
+    # order, and the lowest bit is the least p.
+    chain = [bottom]
+    for a in _bits(above):
+        if down[a] & above == 1 << a:
+            chain.append(join[chain[-1]][a])
 
-    # Index order is sorted-id order, so the lowest bit is the least p.
-    down, jmask = lattice._down, _jmask(lattice)
+    jmask = _jmask(lattice)
     primes = 0
     for lower, upper in zip(chain, chain[1:]):
-        candidates = down[lattice.index(upper)] & ~down[lattice.index(lower)] & jmask
+        candidates = down[upper] & ~down[lower] & jmask
         primes |= candidates & -candidates
-    rep = {down[i] & primes: i for i in map(lattice.index, sub.elements)}
+    rep = {down[i] & primes: i for i in _bits(mask)}
     return [rep[dx & primes] for dx in down]
 
 
@@ -185,14 +197,27 @@ def _check_membership(lattice: FiniteLattice, cls: ClassId):
         raise NotInClass(f"dimension exceeds {cls.n}")
 
 
-def _qualifies(lattice: FiniteLattice, cls: ClassId) -> bool:
-    """Positive side of the classification for the distributive classes."""
-    if is_boolean(lattice):
-        return True
-    if cls.kind in ("dfin", "dcov") and cls.n is not None:
-        factors = grid_factor_sizes(lattice)
-        return factors is not None and len(factors) == cls.n
-    return False
+def _qualifies(lattice: FiniteLattice, cls: ClassId, mask: int | None = None) -> str | None:
+    """Positive side of the classification for the distributive classes.
+
+    Returns "boolean", "grid" (a grid of the class dimension) or None, for
+    the lattice by its memoised predicates or, given a closed mask, for the
+    sublattice S on it, read off the lattice's tables without building S.
+    x ↦ J(x) embeds S in the down-sets of J(S), so S is boolean iff
+    |S| = 2^|J(S)|, and `_chain_factor_sizes` is exact on S too.
+    """
+    if mask is None:
+        if is_boolean(lattice):
+            return "boolean"
+        factors = grid_factor_sizes(lattice) if cls.n is not None else None
+    else:
+        size, jmask = mask.bit_count(), _sub_jmask(lattice, mask)
+        if size == 1 << jmask.bit_count():
+            return "boolean"
+        factors = None
+        if cls.n is not None:
+            factors = _chain_factor_sizes(lattice._up, lattice._down, jmask, size)
+    return "grid" if factors is not None and len(factors) == cls.n else None
 
 
 def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
@@ -203,21 +228,25 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     boolean targets and grids of the class dimension.  A proper boolean
     target gets the prime map, every other target the upper map
     x ↦ least member at or above x ∧ t, both computed in the ambient
-    lattice.  Both maps are index arrays, checked on the ambient's tables,
-    and the sublattice built for eligibility is the result's target.
+    lattice.  Eligibility is decided on the target's closed mask, both maps
+    are index arrays checked on the ambient's tables, and the result builds
+    its target lattice only when it is first read.
     """
     _check_membership(lattice, cls)
     mask = _sublattice_mask(lattice, subset)
-    sub = _induced(lattice, mask)
+    size = mask.bit_count()
     g = None
-    if len(sub) < len(lattice):
-        if cls.kind == "sps" and len(sub) != 1:
-            raise NotEligible("only one-element sublattices are eligible in this class")
-        if cls.kind != "sps" and not _qualifies(sub, cls):
-            raise NotEligible("target is neither boolean nor a grid of the class dimension")
-        if cls.kind != "sps" and is_boolean(sub):
-            g = _prime_map(lattice, sub)
-    result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask, sub)
+    if size < len(lattice):
+        if cls.kind == "sps":
+            if size != 1:
+                raise NotEligible("only one-element sublattices are eligible in this class")
+        else:
+            shape = _qualifies(lattice, cls, mask)
+            if shape is None:
+                raise NotEligible("target is neither boolean nor a grid of the class dimension")
+            if shape == "boolean":
+                g = _prime_map(lattice, mask)
+    result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask)
     if not result.is_retraction():  # pragma: no cover - verified construction
         raise LatticeError("constructed map is not a retraction")
     return result

@@ -33,6 +33,7 @@ from finlat import (
     oriented_grid,
     s7_family,
 )
+from finlat.core import _bits, _chain_factor_sizes, _sub_jmask, _sublattice_mask
 
 
 def test_build_chain(c3):
@@ -627,3 +628,25 @@ def test_check_sublattice_matches_string_version():
                 assert check_sublattice(lat, candidate) == expected, (elems, candidate)
                 count[expected] += 1
     assert count[True] > 500 and count[False] > 1000
+
+
+def test_sublattice_invariants_on_the_mask_match_the_built_sublattice():
+    """`_sub_jmask` is the J of the induced sublattice, and the mask's
+    booleanness and chain factors are the public predicates' answers on it,
+    for every sublattice of every lattice with at most 7 elements,
+    distributive or not."""
+    count = Counter()
+    for lat in enumerate_small_lattices(7):
+        for sub in all_sublattices(lat):
+            induced = induced_lattice(lat, sub)
+            mask = _sublattice_mask(lat, sub)
+            jmask = _sub_jmask(lat, mask)
+            assert tuple(lat.elements[i] for i in _bits(jmask)) == join_irreducibles(induced)
+            size = mask.bit_count()
+            assert (size == 1 << jmask.bit_count()) == is_boolean(induced), sub
+            factors = _chain_factor_sizes(lat._up, lat._down, jmask, size)
+            assert factors == grid_factor_sizes(induced), sub
+            count[is_distributive(induced), factors is not None] += 1
+    # For 290 of the 398 non-distributive sublattices J splits into chains
+    # all the same, and only the size check gives None.
+    assert count == {(True, True): 3885, (True, False): 244, (False, False): 398}

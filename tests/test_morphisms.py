@@ -396,7 +396,9 @@ def test_onto_sublattice_refuses_and_accepts_as_the_constructor():
 
 def test_search_kernels_keep_the_id_fibers():
     """The kernel of every retraction `checks.retraction_kernels` visits at
-    its suite bound has the blocks that grouping ids by image gave."""
+    its suite bound has the blocks that grouping ids by image gave, and
+    equals, block for block, the validated `Congruence` of those fibers:
+    `kernel()` skips that check, which the theorem makes redundant."""
     total = 0
     for lattice in enumerate_small_lattices(5):
         for sub in all_sublattices(lattice):
@@ -408,7 +410,10 @@ def test_search_kernels_keep_the_id_fibers():
             for x, v in hom.mapping.items():
                 fibers.setdefault(v, set()).add(x)
             expected = tuple(frozenset(b) for b in sorted(fibers.values(), key=min))
-            assert hom.kernel().blocks == expected
+            kernel = hom.kernel()
+            assert kernel.blocks == expected
+            validated = Congruence(lattice, fibers.values())
+            assert (kernel.blocks, kernel._of) == (validated.blocks, validated._of)
     assert retraction_kernels(5)[0].detail.startswith(f"{total} retraction kernels")
 
 

@@ -22,6 +22,7 @@ from finlat import (
     enumerate_small_lattices,
     exists_retraction,
     grid_embed,
+    grid_factor_sizes,
     induced_lattice,
     is_boolean,
     is_distributive,
@@ -35,11 +36,12 @@ from finlat import (
     retract_onto,
 )
 import finlat.chains as chains
+import finlat.core as core
 import finlat.grids as grids
 import finlat.morphisms as morphisms
 import finlat.retractions as retractions
 from finlat.chains import NotDistributive
-from finlat.core import NotASublattice, _induced, _sublattice_mask
+from finlat.core import NotASublattice, _sublattice_mask
 from finlat.retractions import (
     NotSemimodular,
     _check_membership,
@@ -121,7 +123,7 @@ def test_chain_retraction_c4(c4):
     # the least prime below 1 and not below a is 1 itself, so b joins a
     hom = retract_onto(c4, {"a", "1"}, ClassId.dfin(1))
     assert hom.mapping == {"0": "a", "a": "a", "b": "a", "1": "1"}
-    assert hom.mapping == _mapping(c4, _prime_map(c4, hom.target), mask)
+    assert hom.mapping == _mapping(c4, _prime_map(c4, mask), mask)
     # both are idempotent and fix the subchain
     for mapping in (upper, hom.mapping):
         for x in c4.elements:
@@ -536,7 +538,7 @@ def test_grid_and_boolean_retractions_match_congruence_references():
         if name == "upper":
             got = _mapping(lattice, _upper_map(lattice, mask), mask)
         else:
-            got = _mapping(lattice, _prime_map(lattice, _induced(lattice, mask)), mask)
+            got = _mapping(lattice, _prime_map(lattice, mask), mask)
         where = (name, lattice.elements, sorted(lattice.covers), subset)
         assert list(got.items()) == list(expected.mapping.items()), where
         counts[name] += 1
@@ -642,3 +644,118 @@ def test_retract_onto_matches_grid_embedding_reference():
         ("boolean", True): 2075,
         ("boolean", False): 780,
     }
+
+
+def _reference_built_prime_map(lattice, sub):
+    """The former `_prime_map`: the chain runs through the atoms of the built
+    sublattice, and each prime is the least join-irreducible of the lattice
+    below a step's top and not below its bottom."""
+    chain = [sub.bottom]
+    for a in sorted(sub.upper_covers(sub.bottom)):
+        chain.append(sub.join(chain[-1], a))
+    ji = join_irreducibles(lattice)
+    primes = [
+        next(p for p in ji if lattice.leq(p, upper) and not lattice.leq(p, lower))
+        for lower, upper in zip(chain, chain[1:])
+    ]
+
+    def trace(x):
+        return tuple(lattice.leq(p, x) for p in primes)
+
+    rep = {trace(d): d for d in sub.elements}
+    return {x: rep[trace(x)] for x in lattice.elements}
+
+
+def _reference_built_retract_onto(lattice, sub, cls):
+    """The former `retract_onto` onto ``sub``, the sublattice `induced_lattice`
+    built: eligibility by the public predicates on it, the prime map
+    through its atoms, and the upper map by a scan of its members."""
+    _check_membership(lattice, cls)
+    mapping = None
+    if len(sub) < len(lattice):
+        if cls.kind == "sps" and len(sub) != 1:
+            raise NotEligible("only one-element sublattices are eligible in this class")
+        if cls.kind != "sps":
+            factors = grid_factor_sizes(sub) if cls.n is not None else None
+            if not (is_boolean(sub) or factors is not None and len(factors) == cls.n):
+                raise NotEligible("target is neither boolean nor a grid of the class dimension")
+            if is_boolean(sub):
+                mapping = _reference_built_prime_map(lattice, sub)
+    if mapping is None:
+        t = sub.top
+        mapping = {
+            x: sub.meet_all(d for d in sub.elements if lattice.leq(lattice.meet(x, t), d))
+            for x in lattice.elements
+        }
+    return Homomorphism(lattice, sub, mapping)
+
+
+def test_retract_onto_matches_the_built_sublattice_reference():
+    """Deciding eligibility and the prime map on the target's mask gives the
+    map, target and refusal that building the target gave, and a kernel
+    equal to the validated congruence of its fibers."""
+    classes = [
+        ClassId.parse(text) for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2", "sps")
+    ]
+    counts = Counter()
+    for lattice in enumerate_distributive_lattices(8):
+        for subset in all_sublattices(lattice):
+            # built once per subset, so its memoised predicates serve every class
+            sub = induced_lattice(lattice, subset)
+            for cls in classes:
+                where = (lattice.elements, sorted(lattice.covers), sorted(subset), str(cls))
+                expected = _outcome(_reference_built_retract_onto, lattice, sub, cls)
+                try:
+                    hom = retract_onto(lattice, subset, cls)
+                except LatticeError as error:
+                    assert (type(error), str(error)) == expected, where
+                    counts[type(error).__name__] += 1
+                    continue
+                assert (list(hom.mapping.items()), hom.target) == expected, where
+                assert hom.is_retraction(), where
+                fibers = {}
+                for x, v in hom.mapping.items():
+                    fibers.setdefault(v, set()).add(x)
+                assert hom.kernel().blocks == Congruence(lattice, fibers.values()).blocks, where
+                counts["retraction"] += 1
+    assert counts == {"retraction": 4619, "NotEligible": 14079, "NotInClass": 3400}
+
+
+def test_retract_onto_builds_no_lattice_until_the_target_is_read(monkeypatch, c4, d5, grid33):
+    """With no lattice buildable, `retract_onto` still answers for boolean,
+    chain, grid, whole and one-element targets; the first read of a target
+    then builds one lattice."""
+    lat33 = grid33.lattice
+    cases = [
+        (lat33, {"0,0", "1,0", "0,1", "1,1"}, ClassId.dfin(2)),
+        (d5, {"0", "p", "q", "1"}, ClassId.dfin(None)),
+        (c4, {"0", "a", "1"}, ClassId.dfin(1)),
+        (lat33, {f"{i},{j}" for i in (0, 2) for j in (0, 1, 2)}, ClassId.dfin(2)),
+        (d5, set(d5.elements), ClassId.dfin(2)),
+        (c4, {"b"}, ClassId.dfin(1)),
+        (c4, {"b"}, ClassId.parse("sps")),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a lattice was built")
+
+    with monkeypatch.context() as patch:
+        for module in (core, morphisms, retractions):
+            if hasattr(module, "_induced"):
+                patch.setattr(module, "_induced", refuse)
+        patch.setattr(core.FiniteLattice, "__init__", refuse)
+        homs = [retract_onto(lattice, subset, cls) for lattice, subset, cls in cases]
+        for hom, (lattice, subset, cls) in zip(homs, cases):
+            assert hom.is_retraction() and hom.fixes(subset)
+            assert set(hom.mapping.values()) == subset
+
+    built = []
+    real = core.FiniteLattice.__init__
+    monkeypatch.setattr(
+        core.FiniteLattice, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    for hom, (lattice, subset, cls) in zip(homs, cases):
+        del built[:]
+        target = hom.target
+        assert len(built) == 1 and hom.target is target and len(built) == 1
+        assert target == induced_lattice(lattice, subset)
