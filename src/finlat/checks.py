@@ -202,7 +202,7 @@ def subgrid(grid_sizes) -> list[Result]:
             # every subchain with two or more elements is a 1-dimensional grid
             if grid.dimension > 1:
                 jmask = core._sub_jmask(lat, mask)
-                factors = core._chain_factor_sizes(lat._up, lat._down, jmask, mask.bit_count())
+                factors = core._chain_factor_sizes(lat, jmask, mask.bit_count())
                 if factors is None or len(factors) != grid.dimension:
                     continue
             sub = oracle._mask_to_set(lat, mask)

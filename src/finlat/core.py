@@ -439,14 +439,16 @@ def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     """
     if not is_distributive(lattice):
         return None
-    return _chain_factor_sizes(lattice._up, lattice._down, _jmask(lattice), len(lattice))
+    return _chain_factor_sizes(lattice, _jmask(lattice), len(lattice))
 
 
-def _chain_factor_sizes(up, down, jmask: int, size: int) -> tuple[int, ...] | None:
+def _chain_factor_sizes(lattice: FiniteLattice, jmask: int, size: int) -> tuple[int, ...] | None:
     """Factor sizes of a lattice of ``size`` elements with join-irreducibles ``jmask``.
 
-    ``up`` and ``down`` are the order's up- and down-set masks, which may be
-    an ambient lattice's when ``jmask`` is a closed mask's `_sub_jmask`.
+    That lattice is ``lattice`` itself, with its `_jmask`, or the sublattice
+    on a closed mask, with the mask's `_sub_jmask`; the order is read off
+    ``lattice``'s up- and down-set masks, which on the mask are the
+    sublattice's.
     J splits into pairwise incomparable chains iff comparability is an
     equivalence on J, iff the distinct comparability masks are disjoint.
     x ↦ J(x) embeds every finite lattice in the down-sets of J, which
@@ -454,6 +456,7 @@ def _chain_factor_sizes(up, down, jmask: int, size: int) -> tuple[int, ...] | No
     holds exactly when that embedding is onto: the answer is exact on any
     lattice, distributive or not.
     """
+    up, down = lattice._up, lattice._down
     components = {jmask & (up[a] | down[a]) for a in _bits(jmask)}
     if sum(c.bit_count() for c in components) != jmask.bit_count():
         return None

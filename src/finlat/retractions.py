@@ -41,8 +41,6 @@ from .core import (
     _memoised,
     _sub_jmask,
     _sublattice_mask,
-    grid_factor_sizes,
-    is_boolean,
     is_distributive,
     is_semimodular,
     is_slim,
@@ -197,27 +195,20 @@ def _check_membership(lattice: FiniteLattice, cls: ClassId):
         raise NotInClass(f"dimension exceeds {cls.n}")
 
 
-def _qualifies(lattice: FiniteLattice, cls: ClassId, mask: int | None = None) -> str | None:
+def _qualifies(lattice: FiniteLattice, cls: ClassId, jmask: int, size: int) -> bool:
     """Positive side of the classification for the distributive classes.
 
-    Returns "boolean", "grid" (a grid of the class dimension) or None, for
-    the lattice by its memoised predicates or, given a closed mask, for the
-    sublattice S on it, read off the lattice's tables without building S.
-    x ↦ J(x) embeds S in the down-sets of J(S), so S is boolean iff
-    |S| = 2^|J(S)|, and `_chain_factor_sizes` is exact on S too.
+    Decides for the lattice of ``size`` elements with join-irreducibles
+    ``jmask``: ``lattice`` itself, with its `_jmask`, or the sublattice on
+    a closed mask, with the mask's `_sub_jmask`, read off ``lattice``'s
+    tables without building it.  x ↦ J(x) embeds a finite lattice in the
+    down-sets of J, so it is boolean iff it has 2^|J| elements, and
+    `_chain_factor_sizes` is exact on it too.
     """
-    if mask is None:
-        if is_boolean(lattice):
-            return "boolean"
-        factors = grid_factor_sizes(lattice) if cls.n is not None else None
-    else:
-        size, jmask = mask.bit_count(), _sub_jmask(lattice, mask)
-        if size == 1 << jmask.bit_count():
-            return "boolean"
-        factors = None
-        if cls.n is not None:
-            factors = _chain_factor_sizes(lattice._up, lattice._down, jmask, size)
-    return "grid" if factors is not None and len(factors) == cls.n else None
+    if size == 1 << jmask.bit_count():
+        return True
+    factors = _chain_factor_sizes(lattice, jmask, size) if cls.n is not None else None
+    return factors is not None and len(factors) == cls.n
 
 
 def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
@@ -241,10 +232,10 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
             if size != 1:
                 raise NotEligible("only one-element sublattices are eligible in this class")
         else:
-            shape = _qualifies(lattice, cls, mask)
-            if shape is None:
+            jmask = _sub_jmask(lattice, mask)
+            if not _qualifies(lattice, cls, jmask, size):
                 raise NotEligible("target is neither boolean nor a grid of the class dimension")
-            if shape == "boolean":
+            if size == 1 << jmask.bit_count():
                 g = _prime_map(lattice, mask)
     result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask)
     if not result.is_retraction():  # pragma: no cover - verified construction
@@ -326,7 +317,7 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
             search_nodes=report.search_nodes,
         )
 
-    if _qualifies(lattice, cls):
+    if _qualifies(lattice, cls, _jmask(lattice), len(lattice)):
         return Verdict(lattice, cls, True)
 
     # |lattice| >= 2 here: the singleton is boolean and already returned.

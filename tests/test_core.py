@@ -644,7 +644,7 @@ def test_sublattice_invariants_on_the_mask_match_the_built_sublattice():
             assert tuple(lat.elements[i] for i in _bits(jmask)) == join_irreducibles(induced)
             size = mask.bit_count()
             assert (size == 1 << jmask.bit_count()) == is_boolean(induced), sub
-            factors = _chain_factor_sizes(lat._up, lat._down, jmask, size)
+            factors = _chain_factor_sizes(lat, jmask, size)
             assert factors == grid_factor_sizes(induced), sub
             count[is_distributive(induced), factors is not None] += 1
     # For 290 of the 398 non-distributive sublattices J splits into chains

@@ -46,7 +46,6 @@ from finlat.retractions import (
     NotSemimodular,
     _check_membership,
     _prime_map,
-    _qualifies,
     _upper_map,
 )
 from tests.conftest import REFERENCE_GRID_SIZES
@@ -592,7 +591,8 @@ def _reference_retract_onto(lattice, subset, cls):
             lattice, induced_lattice(lattice, subset), {x: d for x in lattice.elements}
         )
     sub = induced_lattice(lattice, subset)
-    if not _qualifies(sub, cls):
+    factors = grid_factor_sizes(sub) if cls.n is not None else None
+    if not (is_boolean(sub) or factors is not None and len(factors) == cls.n):
         raise NotEligible("target is neither boolean nor a grid of the class dimension")
     emb = grid_embed(lattice)
     image = {emb.mapping[d] for d in subset}
@@ -608,11 +608,14 @@ def _reference_retract_onto(lattice, subset, cls):
 
 
 def test_retract_onto_matches_grid_embedding_reference():
+    """`retract_onto`, which decides on the target's mask, gives the map,
+    target and refusal of the reference that builds the target, and a
+    kernel equal to the validated congruence of its fibers."""
     cases = [
         (lattice, subset, ClassId.parse(text))
         for lattice in enumerate_distributive_lattices(8)
         for subset in all_sublattices(lattice)
-        for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2")
+        for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2", "sps")
     ]
     sps = ClassId.parse("sps")
     for lattice in enumerate_small_lattices(7):
@@ -622,15 +625,22 @@ def test_retract_onto_matches_grid_embedding_reference():
     counts = Counter()
     for lattice, subset, cls in cases:
         expected = _outcome(_reference_retract_onto, lattice, subset, cls)
-        got = _outcome(retract_onto, lattice, subset, cls)
         where = (lattice.elements, sorted(lattice.covers), sorted(subset), str(cls))
-        if not isinstance(expected[0], list):
-            assert got == expected, where
-            counts["error"] += 1
-        elif cls.kind != "sps" and 1 < len(subset) < len(lattice) and is_boolean(expected[1]):
+        try:
             hom = retract_onto(lattice, subset, cls)
+        except LatticeError as error:
+            assert (type(error), str(error)) == expected, where
+            counts["error"] += 1
+            continue
+        assert isinstance(expected[0], list) and hom.is_retraction(), where
+        fibers = {}
+        for x, v in hom.mapping.items():
+            fibers.setdefault(v, set()).add(x)
+        assert hom.kernel().blocks == Congruence(lattice, fibers.values()).blocks, where
+        got = list(hom.mapping.items()), hom.target
+        if cls.kind != "sps" and 1 < len(subset) < len(lattice) and is_boolean(expected[1]):
             assert hom.mapping == _reference_boolean_retraction(lattice, subset).mapping, where
-            assert hom.target == expected[1] and hom.is_retraction(), where
+            assert hom.target == expected[1], where
             counts["boolean", got == expected] += 1
         else:
             assert got == expected, where
@@ -638,87 +648,12 @@ def test_retract_onto_matches_grid_embedding_reference():
     # ("boolean", same map as the reference): proper boolean targets with at
     # least two elements may get a different prime, hence a different map.
     assert counts == {
-        "error": 14057,
+        "error": 17479,
         "other": 1503,
-        "sps": 144,
+        "sps": 405,
         ("boolean", True): 2075,
         ("boolean", False): 780,
     }
-
-
-def _reference_built_prime_map(lattice, sub):
-    """The former `_prime_map`: the chain runs through the atoms of the built
-    sublattice, and each prime is the least join-irreducible of the lattice
-    below a step's top and not below its bottom."""
-    chain = [sub.bottom]
-    for a in sorted(sub.upper_covers(sub.bottom)):
-        chain.append(sub.join(chain[-1], a))
-    ji = join_irreducibles(lattice)
-    primes = [
-        next(p for p in ji if lattice.leq(p, upper) and not lattice.leq(p, lower))
-        for lower, upper in zip(chain, chain[1:])
-    ]
-
-    def trace(x):
-        return tuple(lattice.leq(p, x) for p in primes)
-
-    rep = {trace(d): d for d in sub.elements}
-    return {x: rep[trace(x)] for x in lattice.elements}
-
-
-def _reference_built_retract_onto(lattice, sub, cls):
-    """The former `retract_onto` onto ``sub``, the sublattice `induced_lattice`
-    built: eligibility by the public predicates on it, the prime map
-    through its atoms, and the upper map by a scan of its members."""
-    _check_membership(lattice, cls)
-    mapping = None
-    if len(sub) < len(lattice):
-        if cls.kind == "sps" and len(sub) != 1:
-            raise NotEligible("only one-element sublattices are eligible in this class")
-        if cls.kind != "sps":
-            factors = grid_factor_sizes(sub) if cls.n is not None else None
-            if not (is_boolean(sub) or factors is not None and len(factors) == cls.n):
-                raise NotEligible("target is neither boolean nor a grid of the class dimension")
-            if is_boolean(sub):
-                mapping = _reference_built_prime_map(lattice, sub)
-    if mapping is None:
-        t = sub.top
-        mapping = {
-            x: sub.meet_all(d for d in sub.elements if lattice.leq(lattice.meet(x, t), d))
-            for x in lattice.elements
-        }
-    return Homomorphism(lattice, sub, mapping)
-
-
-def test_retract_onto_matches_the_built_sublattice_reference():
-    """Deciding eligibility and the prime map on the target's mask gives the
-    map, target and refusal that building the target gave, and a kernel
-    equal to the validated congruence of its fibers."""
-    classes = [
-        ClassId.parse(text) for text in ("dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:2", "sps")
-    ]
-    counts = Counter()
-    for lattice in enumerate_distributive_lattices(8):
-        for subset in all_sublattices(lattice):
-            # built once per subset, so its memoised predicates serve every class
-            sub = induced_lattice(lattice, subset)
-            for cls in classes:
-                where = (lattice.elements, sorted(lattice.covers), sorted(subset), str(cls))
-                expected = _outcome(_reference_built_retract_onto, lattice, sub, cls)
-                try:
-                    hom = retract_onto(lattice, subset, cls)
-                except LatticeError as error:
-                    assert (type(error), str(error)) == expected, where
-                    counts[type(error).__name__] += 1
-                    continue
-                assert (list(hom.mapping.items()), hom.target) == expected, where
-                assert hom.is_retraction(), where
-                fibers = {}
-                for x, v in hom.mapping.items():
-                    fibers.setdefault(v, set()).add(x)
-                assert hom.kernel().blocks == Congruence(lattice, fibers.values()).blocks, where
-                counts["retraction"] += 1
-    assert counts == {"retraction": 4619, "NotEligible": 14079, "NotInClass": 3400}
 
 
 def test_retract_onto_builds_no_lattice_until_the_target_is_read(monkeypatch, c4, d5, grid33):
