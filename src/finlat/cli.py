@@ -143,14 +143,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
         {
             "command": "analyze",
             "name": lf.name,
-            "properties": {
-                "distributive": report.distributive,
-                "semimodular": report.semimodular,
-                "boolean": report.boolean,
-                "slim": report.slim,
-                "length": report.length,
-                "join_irreducible_count": report.join_irreducible_count,
-            },
+            "properties": vars(report),  # its fields in order; asdict would deep-copy each
         },
         0,
     )
@@ -223,13 +216,12 @@ def _cmd_classify(args) -> tuple[dict, int]:
             "lattice": lattice_to_jsonable(f"{lf.name}-witness", verdict.witness),
             "embedding": dict(sorted(verdict.embedding.items())),
         }
-        if verdict.certificate is not None:
+        cert = verdict.certificate
+        if cert is not None:
             witness["certificate"] = {
-                "proper": verdict.certificate.proper,
-                "is_cover01": verdict.certificate.cover01.is_cover01,
-                "is_embedding": verdict.certificate.cover01.is_embedding,
-                "lengths_equal": verdict.certificate.cover01.lengths_equal,
-                "oracle_confirmed": verdict.certificate.oracle_confirmed,
+                "proper": cert.proper,
+                **vars(cert.cover01),
+                "oracle_confirmed": cert.oracle_confirmed,
             }
         if verdict.search_nodes is not None:
             witness["search_nodes"] = verdict.search_nodes

@@ -14,12 +14,13 @@ sublattice is decided here alone, by `_closed_mask`, so a caller checks a
 subset once, and `_induced` builds the sublattice from that mask only
 where it is read: a homomorphism onto a sublattice builds its target when
 it is first read.  On a closed mask the ambient's tables hold the
-sublattice's order, joins and meets, so `_sub_jmask` reads its
-join-irreducibles and `_chain_factor_sizes` its grid factors without
-building it, for `retract_onto`'s eligibility and `checks.subgrid`.
+sublattice's order, joins and meets, so `_grid_shape` reads its
+join-irreducibles and its boolean or grid shape without building it; the
+whole lattice is the full mask, so `grid_factor_sizes`, `retract_onto`'s
+eligibility and `checks.subgrid` share that one decision.
 
-Derived invariants (distributivity, semimodularity, booleanness, slimness,
-the join- and meet-irreducibles, the length, the grid factor sizes, in
+Derived invariants (distributivity, semimodularity, slimness, the join-
+and meet-irreducibles, the length, the grid factor sizes, in
 `chains` the order dimension and the grid embedding, in `grids` the
 dimension bump, and in `oracle` the cover degrees) are memoised per
 lattice in its private ``_memo`` dict.  An entry is computed from the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 __all__ = [
     "MAX_ELEMENTS",
@@ -400,15 +402,14 @@ def is_semimodular(lattice: FiniteLattice) -> bool:
     return True
 
 
-@_memoised
 def is_boolean(lattice: FiniteLattice) -> bool:
-    """True iff the lattice is distributive with 2^|J| elements.
+    """True iff the lattice has 2^|J| elements.
 
-    A finite distributive lattice is the lattice of down-sets of its
-    join-irreducibles J, so it has 2^|J| elements exactly when J is an
-    antichain, that is, when it is the power set of its atoms.
+    x ↦ J(x), the join-irreducibles below x, embeds every finite lattice
+    in the down-sets of J, so this holds iff it is onto the power set of
+    J: the lattice is the power set of its atoms.  No distributivity scan.
     """
-    return len(lattice) == 1 << len(join_irreducibles(lattice)) and is_distributive(lattice)
+    return len(lattice) == 1 << _jmask(lattice).bit_count()
 
 
 @_memoised
@@ -432,41 +433,36 @@ def is_slim(lattice: FiniteLattice) -> bool:
 def grid_factor_sizes(lattice: FiniteLattice) -> tuple[int, ...] | None:
     """Factor sizes if the lattice is a direct product of nontrivial chains.
 
-    Returns the chain sizes (each ≥ 2, sorted descending) when the
-    join-irreducibles split into pairwise incomparable chains, which by
-    Birkhoff duality characterizes products of chains among distributive
-    lattices.  Returns None otherwise.
+    The chain sizes, each ≥ 2 and sorted descending, or None: the
+    `_grid_shape` of the full mask, with no distributivity scan.
     """
-    if not is_distributive(lattice):
-        return None
-    return _chain_factor_sizes(lattice, _jmask(lattice), len(lattice))
+    return _grid_shape(lattice, (1 << len(lattice)) - 1)
 
 
-def _chain_factor_sizes(lattice: FiniteLattice, jmask: int, size: int) -> tuple[int, ...] | None:
-    """Factor sizes of a lattice of ``size`` elements with join-irreducibles ``jmask``.
+def _grid_shape(lattice: FiniteLattice, mask: int) -> tuple[int, ...] | None:
+    """Chain factor sizes, sorted descending, of the sublattice on a closed mask, or None.
 
-    That lattice is ``lattice`` itself, with its `_jmask`, or the sublattice
-    on a closed mask, with the mask's `_sub_jmask`; the order is read off
-    ``lattice``'s up- and down-set masks, which on the mask are the
-    sublattice's.
-    J splits into pairwise incomparable chains iff comparability is an
-    equivalence on J, iff the distinct comparability masks are disjoint.
-    x ↦ J(x) embeds every finite lattice in the down-sets of J, which
-    number the product of the sizes computed here, so the size check
-    holds exactly when that embedding is onto: the answer is exact on any
-    lattice, distributive or not.
+    The full mask is ``lattice`` itself, with its memoised `_jmask`; any
+    other mask reads J with `_sub_jmask`, and the order off ``lattice``'s
+    masks, which on the mask are the sublattice's.  x ↦ J(x) embeds every
+    finite lattice in the down-sets of J, so 2^|J| elements means boolean,
+    decided before any comparability mask is built; otherwise J splits
+    into pairwise incomparable chains iff the distinct comparability masks
+    are disjoint, and the product check holds iff the embedding is onto.
+    Exact on any lattice, distributive or not.  A shape is boolean iff it
+    is ``()`` or its first, largest, factor is 2.
     """
+    size = mask.bit_count()
+    jmask = _jmask(lattice) if size == len(lattice.elements) else _sub_jmask(lattice, mask)
+    k = jmask.bit_count()
+    if size == 1 << k:
+        return (2,) * k
     up, down = lattice._up, lattice._down
     components = {jmask & (up[a] | down[a]) for a in _bits(jmask)}
-    if sum(c.bit_count() for c in components) != jmask.bit_count():
+    if sum(c.bit_count() for c in components) != k:
         return None
     sizes = tuple(sorted((c.bit_count() + 1 for c in components), reverse=True))
-    prod = 1
-    for s in sizes:
-        prod *= s
-    if prod != size:
-        return None
-    return sizes
+    return sizes if prod(sizes) == size else None
 
 
 @dataclass(frozen=True)

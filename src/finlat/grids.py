@@ -23,6 +23,7 @@ of a grid embedding.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from math import prod
 
@@ -59,6 +60,17 @@ class BooleanInput(LatticeError):
     """Dimension bump needs some factor of size at least three."""
 
 
+def _integral(sizes) -> tuple[int, ...]:
+    """The sizes as a tuple of ints, refusing any that is not integral (2.5, "3")."""
+    out = []
+    for s in sizes:
+        try:
+            out.append(operator.index(s))
+        except TypeError:
+            raise LatticeError(f"grid factor size {s!r} is not an integer") from None
+    return tuple(out)
+
+
 def _coord_id(coords: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in coords)
 
@@ -73,11 +85,11 @@ class Grid:
     __slots__ = ("factor_sizes", "lattice", "canonical_chains", "_coords", "__weakref__")
 
     def __init__(self, factor_sizes: tuple[int, ...], _adopt: FiniteLattice | None = None):
-        if not factor_sizes:
+        self.factor_sizes = _integral(factor_sizes)
+        if not self.factor_sizes:
             raise TrivialFactor("a grid needs at least one factor")
-        if any(s < 2 for s in factor_sizes):
-            raise TrivialFactor(f"factor sizes {factor_sizes!r} include a trivial chain")
-        self.factor_sizes = tuple(int(s) for s in factor_sizes)
+        if any(s < 2 for s in self.factor_sizes):
+            raise TrivialFactor(f"factor sizes {self.factor_sizes!r} include a trivial chain")
         _check_cap(prod(self.factor_sizes))  # before any element id is built
 
         coords_list: list[tuple[int, ...]] = [()]
@@ -134,7 +146,7 @@ def make_grid(sizes, _adopt: FiniteLattice | None = None) -> Grid:
     its lattice rather than an equal copy, and a new grid adopting it is
     interned only if no grid of that shape is live.
     """
-    key = tuple(sizes)
+    key = _integral(sizes)
     grid = _GRIDS.get(key)
     if grid is None:
         grid = Grid(key, _adopt)

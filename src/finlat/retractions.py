@@ -12,10 +12,10 @@ the member whose join-irreducibles agree with those of x on one chosen
 prime per atom; the kernel is the intersection of the two-block
 congruences of those prime ideals.  `retract_onto` is the one public
 entry to both; the tests compare each map with a reference built from
-those congruences.  It decides eligibility and builds both maps on the
-target's closed mask, reading the target's join-irreducibles, bottom,
-atoms and chain factors off the ambient's tables, so no sublattice is
-built unless the result's target is read.  A classifier decides whether
+those congruences.  It reads the target's shape once off its closed mask
+(`core._grid_shape`), both to decide eligibility and to choose the map,
+and builds both maps on the ambient's tables, so no sublattice is built
+unless the result's target is read.  A classifier decides whether
 a lattice is an absolute retract for the class of finite distributive
 lattices of bounded dimension, and in the negative case builds a proper
 cover-preserving {0,1}-extension of equal length as a refutation
@@ -36,11 +36,11 @@ from .core import (
     FiniteLattice,
     LatticeError,
     _bits,
-    _chain_factor_sizes,
+    _grid_shape,
     _jmask,
     _memoised,
-    _sub_jmask,
     _sublattice_mask,
+    grid_factor_sizes,
     is_distributive,
     is_semimodular,
     is_slim,
@@ -172,10 +172,10 @@ class ClassId:
         if kind in ("dfin", "dcov"):
             if arg == "omega":
                 return cls(kind, None)
-            try:
-                return cls(kind, int(arg))
-            except ValueError:
-                raise LatticeError(f"bad dimension {arg!r} in class {text!r}") from None
+            # int() alone would also take '_', spaces, signs and non-ASCII digits.
+            if not (arg.isascii() and arg.isdigit()):
+                raise LatticeError(f"bad dimension {arg!r} in class {text!r}")
+            return cls(kind, int(arg))
         raise LatticeError(f"unknown class {text!r}")
 
     def __str__(self) -> str:
@@ -195,20 +195,10 @@ def _check_membership(lattice: FiniteLattice, cls: ClassId):
         raise NotInClass(f"dimension exceeds {cls.n}")
 
 
-def _qualifies(lattice: FiniteLattice, cls: ClassId, jmask: int, size: int) -> bool:
-    """Positive side of the classification for the distributive classes.
-
-    Decides for the lattice of ``size`` elements with join-irreducibles
-    ``jmask``: ``lattice`` itself, with its `_jmask`, or the sublattice on
-    a closed mask, with the mask's `_sub_jmask`, read off ``lattice``'s
-    tables without building it.  x ↦ J(x) embeds a finite lattice in the
-    down-sets of J, so it is boolean iff it has 2^|J| elements, and
-    `_chain_factor_sizes` is exact on it too.
-    """
-    if size == 1 << jmask.bit_count():
-        return True
-    factors = _chain_factor_sizes(lattice, jmask, size) if cls.n is not None else None
-    return factors is not None and len(factors) == cls.n
+def _qualifies(cls: ClassId, shape: tuple[int, ...] | None) -> bool:
+    """Positive side of the distributive classes, on a `core._grid_shape` shape:
+    boolean (``()`` or a largest factor of 2) or a grid of the class dimension."""
+    return shape is not None and (not shape or shape[0] == 2 or len(shape) == cls.n)
 
 
 def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
@@ -219,9 +209,10 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     boolean targets and grids of the class dimension.  A proper boolean
     target gets the prime map, every other target the upper map
     x ↦ least member at or above x ∧ t, both computed in the ambient
-    lattice.  Eligibility is decided on the target's closed mask, both maps
-    are index arrays checked on the ambient's tables, and the result builds
-    its target lattice only when it is first read.
+    lattice.  One `core._grid_shape` of the target's closed mask decides
+    eligibility and the map; both maps are index arrays checked on the
+    ambient's tables, and the result builds its target lattice only when it
+    is first read.
     """
     _check_membership(lattice, cls)
     mask = _sublattice_mask(lattice, subset)
@@ -232,10 +223,10 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
             if size != 1:
                 raise NotEligible("only one-element sublattices are eligible in this class")
         else:
-            jmask = _sub_jmask(lattice, mask)
-            if not _qualifies(lattice, cls, jmask, size):
+            shape = _grid_shape(lattice, mask)
+            if not _qualifies(cls, shape):
                 raise NotEligible("target is neither boolean nor a grid of the class dimension")
-            if size == 1 << jmask.bit_count():
+            if not shape or shape[0] == 2:
                 g = _prime_map(lattice, mask)
     result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask)
     if not result.is_retraction():  # pragma: no cover - verified construction
@@ -317,7 +308,7 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
             search_nodes=report.search_nodes,
         )
 
-    if _qualifies(lattice, cls, _jmask(lattice), len(lattice)):
+    if _qualifies(cls, grid_factor_sizes(lattice)):
         return Verdict(lattice, cls, True)
 
     # |lattice| >= 2 here: the singleton is boolean and already returned.

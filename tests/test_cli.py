@@ -429,6 +429,19 @@ def test_any_class_string_gives_a_json_report(b2_path, text):
     assert json.loads(json.dumps(report)) == report
 
 
+@pytest.mark.parametrize("text", ["dfin:1_0", "dfin: 3", "dfin:٣", "dcov:+2"])
+def test_class_dimension_takes_only_ascii_digits(b2_path, text):
+    """`int()` accepts these dimensions and prints them back as other strings."""
+    report, code = run(["classify", b2_path, "--class", text])
+    assert code == 1
+    dimension = text.partition(":")[2]
+    assert report == {
+        "command": "classify",
+        "error": f"LatticeError: bad dimension {dimension!r} in class {text!r}",
+    }
+    assert run(["classify", b2_path, "--class", "dfin:3"])[1] == 0
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),

@@ -33,7 +33,7 @@ from finlat import (
     oriented_grid,
     s7_family,
 )
-from finlat.core import _bits, _chain_factor_sizes, _sub_jmask, _sublattice_mask
+from finlat.core import _bits, _grid_shape, _sub_jmask, _sublattice_mask
 
 
 def test_build_chain(c3):
@@ -644,7 +644,7 @@ def test_sublattice_invariants_on_the_mask_match_the_built_sublattice():
             assert tuple(lat.elements[i] for i in _bits(jmask)) == join_irreducibles(induced)
             size = mask.bit_count()
             assert (size == 1 << jmask.bit_count()) == is_boolean(induced), sub
-            factors = _chain_factor_sizes(lat, jmask, size)
+            factors = _grid_shape(lat, mask)
             assert factors == grid_factor_sizes(induced), sub
             count[is_distributive(induced), factors is not None] += 1
     # For 290 of the 398 non-distributive sublattices J splits into chains

@@ -302,6 +302,20 @@ def test_make_grid_keeps_invalid_size_errors(sizes, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("sizes, bad", [((2.5, 3), "2.5"), ((3, 2.0), "2.0"), (("3", 2), "'3'")])
+def test_make_grid_refuses_a_non_integral_size_before_building_ids(monkeypatch, sizes, bad):
+    """`int()` would have read 2.5 as 2 and built the 2x3 grid."""
+    built = []
+    real = grids._coord_id
+    monkeypatch.setattr(grids, "_coord_id", lambda coords: built.append(coords) or real(coords))
+    held = make_grid((3, 2))  # (3, 2.0) == (3, 2), so the live 3x2 grid must not answer it
+    built.clear()
+    with pytest.raises(LatticeError) as info:
+        make_grid(sizes)
+    assert str(info.value) == f"grid factor size {bad} is not an integer"
+    assert built == [] and held.factor_sizes == (3, 2)
+
+
 def test_make_grid_refuses_an_oversized_shape_before_building_ids(monkeypatch):
     built = []
     real = grids._coord_id

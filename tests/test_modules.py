@@ -2,8 +2,9 @@
 sibling from inside a function, every exported name is bound, every
 imported name is used, every definition is used somewhere and, outside
 the tests and the export lists, by the package or the benchmark, every
-finlat name the benchmark tracer wraps still resolves, and every grid the
-package builds goes through the intern table of `make_grid`."""
+finlat name the benchmark tracer wraps still resolves, every grid the
+package builds goes through the intern table of `make_grid`, and only
+`core` names `_sub_jmask`."""
 
 import ast
 import importlib
@@ -106,6 +107,19 @@ def test_grids_are_built_only_by_make_grid():
                 allowed |= grid_calls(func)
         bypasses += [f"{name}.py:{node.lineno}" for node in grid_calls(tree) - allowed]
     assert bypasses == []
+
+
+def test_only_core_names_sub_jmask():
+    """A sublattice's boolean or grid shape is decided by `core._grid_shape`
+    alone, so no other module calls `_sub_jmask` to decide it again."""
+    readers = [
+        f"{name}.py:{node.lineno}"
+        for name in sorted(MODULES - {"core"})
+        for node in ast.walk(_parse(name))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "_sub_jmask" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert readers == []
 
 
 def _used_names(tree):
