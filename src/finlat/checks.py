@@ -5,7 +5,8 @@ generator, or the ambient lattices or grid sizes to sweep) and returns a
 list of `Result` triples.  A failing result's detail names the first input
 that broke it.  `SUITES` binds every check to the bounds of ``finlat
 oracle-verify --suite NAME --max-size N``; the acceptance tests call the
-same functions with their own bounds.
+same functions with their own bounds.  `cover01` and `subgrid` read each
+sublattice as a closed mask: ids appear only in a failure line or a search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import chains, core, grids, oracle, slim
-from .morphisms import Homomorphism, check_cover01, congruence_generated_by
+from .morphisms import Homomorphism, NotSemimodular, check_cover01, congruence_generated_by
 
 __all__ = [
     "Result", "SUITES", "congruence_bound", "cover01", "embedding", "forks", "generation",
@@ -107,6 +108,15 @@ def embedding(size: int) -> list[Result]:
     return [_result("grid-embedding-cover01", bad, detail)]
 
 
+def _inclusion_flags(big: core.FiniteLattice, mask: int, ucov, length: int) -> tuple[bool, bool]:
+    """(cover-{0,1}, equal length) of the inclusion of a closed mask, with covers ``ucov``,
+    into ``big`` of the given length.  An inclusion is an embedding; it is cover-{0,1}
+    iff both bounds are in the mask and every cover within it is an ambient cover."""
+    bounds = 1 << big.index(big.bottom) | 1 << big.index(big.top)
+    is_cover01 = mask & bounds == bounds and not any(c & ~u for c, u in zip(ucov, big._ucov))
+    return is_cover01, core._length_on(big, ucov) == length
+
+
 def cover01(ambients) -> list[Result]:
     """The cover-{0,1} lemma on every semimodular sublattice of each ambient
     lattice: an inclusion is cover-{0,1} iff it is an embedding of equal
@@ -114,16 +124,19 @@ def cover01(ambients) -> list[Result]:
     searched = 0
     bad: list[str] = []
     for big in ambients:
+        if not core.is_semimodular(big):
+            raise NotSemimodular("cover-{0,1} report needs semimodular source and target")
+        length = core._length_on(big, big._ucov)  # read as each sublattice's is
         for mask in oracle._sublattice_masks(big):
-            sub_lat = core._induced(big, mask)
-            if not core.is_semimodular(sub_lat):
+            ucov = core._covers_within(big._up, mask)
+            if not core._semimodular_on(big, ucov):
                 continue
-            sub = oracle._mask_to_set(big, mask)
-            report = check_cover01(Homomorphism(sub_lat, big, {x: x for x in sub}))
-            if report.is_cover01 != (report.is_embedding and report.lengths_equal):
-                bad.append(_pair(big, sub))
-            if report.is_cover01 and len(sub) < len(big):
+            is_cover01, lengths_equal = _inclusion_flags(big, mask, ucov, length)
+            if is_cover01 != lengths_equal:
+                bad.append(_pair(big, oracle._mask_to_set(big, mask)))
+            if is_cover01 and mask.bit_count() < len(big):
                 searched += 1
+                sub = oracle._mask_to_set(big, mask)
                 if oracle.exists_retraction(big, sub) is not None:
                     bad.append(_pair(big, sub))
     detail = f"inclusion flags consistent; {searched} proper cover-01 extensions admit no retraction"
@@ -189,13 +202,19 @@ def swing(t_max: int) -> list[Result]:
 
 def subgrid(grid_sizes) -> list[Result]:
     """Every sublattice of each grid that is a grid of the same dimension is
-    recovered exactly from its subchains by the membership formula."""
+    recovered exactly from its subchains by the membership formula, read
+    per axis as the union of the fibers of the chain's canonical joinands."""
     tested = 0
     bad: list[str] = []
     for sizes in grid_sizes:
         grid = grids.make_grid(sizes)
         lat = grid.lattice
-        joinands = {x: grids.canonical_joinands(grid, x) for x in lat.elements}
+        full = (1 << len(lat)) - 1
+        # fibers[j][c]: the mask of the elements whose j-th canonical joinand is c
+        fibers = [[0] * len(lat) for _ in grid.canonical_chains]
+        for i, x in enumerate(lat.elements):
+            for fiber, joinand in zip(fibers, grids.canonical_joinands(grid, x)):
+                fiber[lat.index(joinand)] |= 1 << i
         for mask in oracle._sublattice_masks(lat):
             if mask.bit_count() < 2:
                 continue
@@ -204,19 +223,16 @@ def subgrid(grid_sizes) -> list[Result]:
                 factors = core._grid_shape(lat, mask)
                 if factors is None or len(factors) != grid.dimension:
                     continue
-            sub = oracle._mask_to_set(lat, mask)
             tested += 1
             try:
-                recovered = [set(c) for c in grids.recover_subgrid_chains(grid, sub)]
-                members = {
-                    x
-                    for x, js in joinands.items()
-                    if all(j in c for j, c in zip(js, recovered))
-                }
+                members = full
+                for fiber, chain in zip(fibers, grids._subgrid_chains(grid, mask)):
+                    members &= sum(fiber[c] for c in core._bits(chain))  # fibers are disjoint
             except grids.NotASubgrid:
                 members = None
-            if members != sub:
-                bad.append(f"sublattice {sorted(sub)} of the {'x'.join(map(str, sizes))} grid")
+            if members != mask:
+                sub = sorted(oracle._mask_to_set(lat, mask))
+                bad.append(f"sublattice {sub} of the {'x'.join(map(str, sizes))} grid")
     detail = f"{tested} full-dimension grid sublattices recovered, {len(bad)} failures"
     return [_result("subgrid-recovery", bad, detail)]
 

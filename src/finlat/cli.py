@@ -317,6 +317,13 @@ def _cmd_oracle_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+def _ascii_int(text: str) -> int:
+    # int() alone would also take '_', spaces and non-ASCII digits.
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="finlat", description="finite lattice computations")
@@ -348,7 +355,7 @@ def _build_parser() -> _Parser:
     p = commands.add_parser("witness-sps", help="non-retract witness for a slim semimodular lattice")
     p.add_argument("file")
     p.add_argument("--forks", help="optional fork script for the rectangular extension")
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=_ascii_int, default=None,
                    help="bound for the rectangular extension search")
     p.set_defaults(func=_cmd_witness_sps)
 
@@ -360,8 +367,8 @@ def _build_parser() -> _Parser:
     p = commands.add_parser("oracle-verify", help="run the exhaustive checks of finlat.checks")
     p.add_argument("--suite", required=True,
                    help=f"one of: {', '.join(sorted(checks.SUITES))}, all")
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-size", type=_ascii_int, default=5)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.set_defaults(func=_cmd_oracle_verify)
 
     return parser

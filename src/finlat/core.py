@@ -17,7 +17,10 @@ it is first read.  On a closed mask the ambient's tables hold the
 sublattice's order, joins and meets, so `_grid_shape` reads its
 join-irreducibles and its boolean or grid shape without building it; the
 whole lattice is the full mask, so `grid_factor_sizes`, `retract_onto`'s
-eligibility and `checks.subgrid` share that one decision.
+eligibility and `checks.subgrid` share that one decision.  Likewise
+`is_semimodular` and `lattice_length` are the full-mask case of
+`_semimodular_on` and `_length_on`, which `checks.cover01` runs on the
+upper-cover masks that `_covers_within` reads within a closed mask.
 
 Derived invariants (distributivity, semimodularity, slimness, the join-
 and meet-irreducibles, the length, the grid factor sizes, in
@@ -100,20 +103,20 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _covers_within(up, mask: int) -> list[tuple[int, int]]:
-    """Cover pairs of an up-set encoded order restricted to the indices in mask.
+def _covers_within(up, mask: int) -> list[int]:
+    """Each index's upper-cover mask in an up-set encoded order restricted to mask, 0 off it.
 
     The upper covers of i are its strict up-set within mask minus the strict
     up-sets of the members of that set.
     """
-    pairs = []
+    ucov = [0] * len(up)
     for i in _bits(mask):
         above = up[i] & mask & ~(1 << i)
         covers = above
         for j in _bits(above):
             covers &= ~up[j] | 1 << j
-        pairs += [(i, j) for j in _bits(covers)]
-    return pairs
+        ucov[i] = covers
+    return ucov
 
 
 class FiniteLattice:
@@ -344,14 +347,19 @@ def join_irreducibles(lattice: FiniteLattice) -> tuple[str, ...]:
 
 @_memoised
 def lattice_length(lattice: FiniteLattice) -> int:
-    """Length of a longest maximal chain, computed by longest-path search."""
-    order = sorted(range(len(lattice)), key=lambda i: lattice._down[i].bit_count())
-    dist = [0] * len(lattice)
-    for i in order:
-        for j in _bits(lattice._ucov[i]):
+    """Length of a longest maximal chain: `_length_on` the lattice's own cover masks."""
+    return _length_on(lattice, lattice._ucov)
+
+
+def _length_on(lattice: FiniteLattice, ucov) -> int:
+    """Length of the sublattice on a closed mask whose upper-cover masks, 0 off it, are ucov:
+    a longest path in those covers, taken in order of down-set size."""
+    dist = [0] * len(ucov)
+    for i in sorted(range(len(ucov)), key=lambda i: lattice._down[i].bit_count()):
+        for j in _bits(ucov[i]):
             if dist[i] + 1 > dist[j]:
                 dist[j] = dist[i] + 1
-    return dist[lattice.index(lattice.top)]
+    return max(dist)
 
 
 @_memoised
@@ -385,10 +393,15 @@ def is_semimodular(lattice: FiniteLattice) -> bool:
     equivalent to semimodularity, x ≺ y implying x ∨ z ⪯ y ∨ z
     (G. Grätzer, *Lattice Theory: Foundation*, Birkhäuser 2011, the
     section on semimodular lattices; M. Stern, *Semimodular Lattices*,
-    CUP 1999).  Cost O(Σₓ deg⁺(x)²) integer operations, where deg⁺(x) is
-    the number of upper covers of x.
+    CUP 1999).  `_semimodular_on` on the lattice's own cover masks.
     """
-    join, ucov = lattice._join, lattice._ucov
+    return _semimodular_on(lattice, lattice._ucov)
+
+
+def _semimodular_on(lattice: FiniteLattice, ucov) -> bool:
+    """Birkhoff's condition on the upper-cover masks ``ucov`` of a closed mask, in
+    O(Σₓ deg⁺(x)²) integer operations, where deg⁺(x) is the number of upper covers of x."""
+    join = lattice._join
     for uc in ucov:
         if not uc & (uc - 1):
             continue
@@ -583,7 +596,7 @@ def _sub_jmask(lattice: FiniteLattice, mask: int) -> int:
 def _induced(lattice: FiniteLattice, mask: int) -> FiniteLattice:
     """The sublattice on the indices of a mask already known to be closed."""
     ids = lattice.elements
-    covers = [(ids[i], ids[j]) for i, j in _covers_within(lattice._up, mask)]
+    covers = [(ids[i], ids[j]) for i, uc in enumerate(_covers_within(lattice._up, mask)) for j in _bits(uc)]
     return FiniteLattice([ids[i] for i in _bits(mask)], covers)
 
 

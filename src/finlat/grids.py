@@ -4,7 +4,8 @@ A grid is kept together with its canonical chains (the principal ideals
 below the maximal join-irreducible of each axis).  The module provides the
 canonical-joinand decomposition, recovery of the defining subchains of a
 full-dimensional grid sublattice, and the length-preserving embedding of
-a non-boolean grid into a grid of one dimension higher.
+a non-boolean grid into a grid of one dimension higher.  Recovery runs on
+a closed mask (`_subgrid_chains`, which `checks.subgrid` calls directly).
 
 `make_grid` interns grids by factor sizes in a weak table: while some
 caller holds a grid, every request for its shape returns that one grid, so
@@ -30,9 +31,10 @@ from math import prod
 from .core import (
     FiniteLattice,
     LatticeError,
+    _bits,
     _check_cap,
+    _closed_mask,
     build_lattice,
-    check_sublattice,
 )
 from .morphisms import Homomorphism, check_cover01
 
@@ -175,18 +177,26 @@ def recover_subgrid_chains(grid: Grid, subset) -> tuple[tuple[str, ...], ...]:
     that product, so it equals the product iff the sizes agree.  A trivial
     chain or a size mismatch means the subset was not such a sublattice.
     """
-    elems = set(subset)
-    if not check_sublattice(grid.lattice, elems):
+    mask = _closed_mask(grid.lattice, subset)
+    if not mask:
         raise NotASubgrid("subset is not a sublattice")
+    chains = zip(grid.canonical_chains, _subgrid_chains(grid, mask))
+    return tuple(tuple(x for x in c if m >> grid.lattice.index(x) & 1) for c, m in chains)
+
+
+def _subgrid_chains(grid: Grid, mask: int) -> list[int]:
+    """`recover_subgrid_chains` on a closed mask: chain j is the mask of the
+    x_j = x ∧ (top of the j-th canonical chain) for x in L."""
     chains = []
     for j, canonical in enumerate(grid.canonical_chains):
-        values = sorted({grid.coords(x)[j] for x in elems})
-        if len(values) < 2:
+        meet = grid.lattice._meet[grid.lattice.index(canonical[-1])]
+        chain = sum({1 << meet[i] for i in _bits(mask)})
+        if not chain & (chain - 1):
             raise NotASubgrid(f"recovered chain {j} is trivial")
-        chains.append(tuple(canonical[k] for k in values))
-    if prod(map(len, chains)) != len(elems):
+        chains.append(chain)
+    if prod(c.bit_count() for c in chains) != mask.bit_count():
         raise NotASubgrid("membership formula does not reproduce the subset")
-    return tuple(chains)
+    return chains
 
 
 def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:

@@ -704,7 +704,7 @@ def _poset_bounded_lattice(leq: tuple[int, ...]) -> FiniteLattice | None:
     up = [2 * top - 1] + [leq_i << 1 | top for leq_i in leq] + [top]
     width = len(str(k + 1))
     ids = [f"{v:0{width}d}" for v in range(k + 2)]
-    covers = [(ids[i], ids[j]) for i, j in _covers_within(up, 2 * top - 1)]
+    covers = [(ids[i], ids[j]) for i, uc in enumerate(_covers_within(up, 2 * top - 1)) for j in _bits(uc)]
     try:
         return build_lattice(ids, covers)
     except NotALattice:

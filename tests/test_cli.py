@@ -303,6 +303,23 @@ def test_gen_slim_takes_only_ascii_digit_sides(grid):
     assert run(["gen-slim", "--grid", "2X3"])[1] == 0
 
 
+@pytest.mark.parametrize("value", ["1_0", " 9", "٣"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["witness-sps", "C3"], "--max-size"),
+        (["oracle-verify", "--suite", "swing"], "--max-size"),
+        (["oracle-verify", "--suite", "swing"], "--seed"),
+    ],
+)
+def test_integer_options_take_only_ascii_digits(tmp_path, argv, flag, value):
+    """`int()` reads these as 10, 9 and 3; the options refuse them."""
+    files = {"C3": write(tmp_path, "c3.json", C3_FILE)}
+    report, code = run([files.get(arg, arg) for arg in argv] + [flag, value])
+    assert code == 1
+    assert report == {"error": f"argument {flag}: invalid int value: {value!r}"}
+
+
 def test_oracle_verify_suite(tmp_path, capsys):
     report, code = run(["oracle-verify", "--suite", "swing", "--max-size", "4"])
     assert code == 0

@@ -10,6 +10,7 @@ from finlat import (
     MAX_ELEMENTS,
     Cell,
     CycleDetected,
+    Homomorphism,
     LatticeError,
     NonReducedCovers,
     NotALattice,
@@ -17,6 +18,7 @@ from finlat import (
     add_fork,
     all_sublattices,
     build_lattice,
+    check_cover01,
     check_sublattice,
     classify_properties,
     enumerate_distributive_lattices,
@@ -29,11 +31,21 @@ from finlat import (
     is_semimodular,
     is_slim,
     join_irreducibles,
+    lattice_length,
     make_grid,
     oriented_grid,
     s7_family,
 )
-from finlat.core import _bits, _grid_shape, _sub_jmask, _sublattice_mask
+from finlat.checks import _inclusion_flags
+from finlat.core import (
+    _bits,
+    _covers_within,
+    _grid_shape,
+    _length_on,
+    _semimodular_on,
+    _sub_jmask,
+    _sublattice_mask,
+)
 
 
 def test_build_chain(c3):
@@ -632,10 +644,13 @@ def test_check_sublattice_matches_string_version():
 
 def test_sublattice_invariants_on_the_mask_match_the_built_sublattice():
     """`_sub_jmask` is the J of the induced sublattice, and the mask's
-    booleanness and chain factors are the public predicates' answers on it,
-    for every sublattice of every lattice with at most 7 elements,
-    distributive or not."""
+    booleanness, chain factors, semimodularity and length are the public
+    predicates' answers on it, for every sublattice of every lattice with
+    at most 7 elements, distributive or not.  Where both are semimodular,
+    the inclusion's flags read off the mask are `check_cover01`'s on the
+    built inclusion, which is an embedding."""
     count = Counter()
+    inclusions = Counter()
     for lat in enumerate_small_lattices(7):
         for sub in all_sublattices(lat):
             induced = induced_lattice(lat, sub)
@@ -646,7 +661,18 @@ def test_sublattice_invariants_on_the_mask_match_the_built_sublattice():
             assert (size == 1 << jmask.bit_count()) == is_boolean(induced), sub
             factors = _grid_shape(lat, mask)
             assert factors == grid_factor_sizes(induced), sub
+            ucov = _covers_within(lat._up, mask)
+            assert _semimodular_on(lat, ucov) == is_semimodular(induced), sub
+            assert _length_on(lat, ucov) == lattice_length(induced), sub
+            if is_semimodular(induced) and is_semimodular(lat):
+                report = check_cover01(Homomorphism(induced, lat, {x: x for x in sub}))
+                assert report.is_embedding
+                flags = _inclusion_flags(lat, mask, ucov, lattice_length(lat))
+                assert flags == (report.is_cover01, report.lengths_equal), sub
+                inclusions[flags] += 1
             count[is_distributive(induced), factors is not None] += 1
     # For 290 of the 398 non-distributive sublattices J splits into chains
     # all the same, and only the size check gives None.
     assert count == {(True, True): 3885, (True, False): 244, (False, False): 398}
+    # the cover-{0,1} lemma: the flag pairs are all equal
+    assert inclusions == {(False, False): 1623, (True, True): 216}

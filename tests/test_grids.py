@@ -3,6 +3,8 @@ import random
 import weakref
 from collections import Counter
 from functools import reduce
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -188,6 +190,49 @@ def test_recover_subgrid_chains_matches_reference():
             messages[expected[1].split()[0] if expected[0] is NotASubgrid else "chains"] += 1
     # both successes and each of the three errors occur
     assert set(messages) == {"chains", "subset", "recovered", "membership"}, messages
+
+
+def _coordinate_recover_subgrid_chains(grid, subset):
+    """The former `recover_subgrid_chains`, on coordinate sets."""
+    elems = set(subset)
+    if not check_sublattice(grid.lattice, elems):
+        raise NotASubgrid("subset is not a sublattice")
+    chains = []
+    for j, canonical in enumerate(grid.canonical_chains):
+        values = sorted({grid.coords(x)[j] for x in elems})
+        if len(values) < 2:
+            raise NotASubgrid(f"recovered chain {j} is trivial")
+        chains.append(tuple(canonical[k] for k in values))
+    if prod(map(len, chains)) != len(elems):
+        raise NotASubgrid("membership formula does not reproduce the subset")
+    return tuple(chains)
+
+
+def test_recover_subgrid_chains_matches_the_coordinate_reference():
+    """Every subset of five small grids and of the 11-element chain, and
+    every product of subchains of the 11x2 grid: there "10,0" sorts before
+    "2,0", so index order is not chain order."""
+    cases = []
+    for sizes in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (11,)]:
+        grid = make_grid(sizes)
+        elems = grid.lattice.elements
+        cases += [
+            (grid, {x for k, x in enumerate(elems) if bits >> k & 1}) for bits in range(1 << len(elems))
+        ]
+    grid = make_grid((11, 2))
+    cases += [
+        (grid, {grid.id_of((i, k)) for i in chain for k in (0, 1)})
+        for size in range(2, 12)
+        for chain in combinations(range(11), size)
+    ]
+    assert len(cases) == 16 + 64 + 512 + 256 + 4096 + 2048 + 2036
+    outcomes = Counter()
+    for grid, subset in cases:
+        expected = _outcome(_coordinate_recover_subgrid_chains, grid, subset)
+        assert _outcome(recover_subgrid_chains, grid, subset) == expected, (grid, subset)
+        outcomes[expected[1].split()[0] if expected[0] is NotASubgrid else "chains"] += 1
+    # both successes and each of the three errors occur
+    assert set(outcomes) == {"chains", "subset", "recovered", "membership"}, outcomes
 
 
 def test_dimension_bump_c3():

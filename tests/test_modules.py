@@ -3,8 +3,8 @@ sibling from inside a function, every exported name is bound, every
 imported name is used, every definition is used somewhere and, outside
 the tests and the export lists, by the package or the benchmark, every
 finlat name the benchmark tracer wraps still resolves, every grid the
-package builds goes through the intern table of `make_grid`, and only
-`core` names `_sub_jmask`."""
+package builds goes through the intern table of `make_grid`, only `core`
+names `_sub_jmask`, and only `core` and `morphisms` name `_induced`."""
 
 import ast
 import importlib
@@ -109,17 +109,28 @@ def test_grids_are_built_only_by_make_grid():
     assert bypasses == []
 
 
+def _named_outside(name, allowed):
+    """Each place where a module outside ``allowed`` names ``name``."""
+    return [
+        f"{module}.py:{node.lineno}"
+        for module in sorted(MODULES - allowed)
+        for node in ast.walk(_parse(module))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+
+
 def test_only_core_names_sub_jmask():
     """A sublattice's boolean or grid shape is decided by `core._grid_shape`
     alone, so no other module calls `_sub_jmask` to decide it again."""
-    readers = [
-        f"{name}.py:{node.lineno}"
-        for name in sorted(MODULES - {"core"})
-        for node in ast.walk(_parse(name))
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-        and "_sub_jmask" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-    ]
-    assert readers == []
+    assert _named_outside("_sub_jmask", {"core"}) == []
+
+
+def test_only_core_and_morphisms_name_induced():
+    """Beyond `core.induced_lattice`, a sublattice is built from its mask
+    only where a homomorphism's target is read; every other reader,
+    `checks` included, works on the mask."""
+    assert _named_outside("_induced", {"core", "morphisms"}) == []
 
 
 def _used_names(tree):

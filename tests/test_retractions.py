@@ -97,6 +97,8 @@ def test_check_cover01_c2_into_c3(c2, c3):
 
 
 def test_check_cover01_rejects_nonsemimodular(c2):
+    from finlat import checks
+
     n5 = build_lattice(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "c"), ("0", "b"), ("c", "1"), ("b", "1")],
@@ -104,6 +106,8 @@ def test_check_cover01_rejects_nonsemimodular(c2):
     hom = Homomorphism(c2, n5, {"0": "0", "1": "1"})
     with pytest.raises(NotSemimodular):
         check_cover01(hom)
+    with pytest.raises(NotSemimodular):
+        checks.cover01([c2, n5])
 
 
 # -- chain, grid and boolean targets of `retract_onto`, each in a class it qualifies for
@@ -246,10 +250,29 @@ def test_cover01_check_names_the_pair_that_breaks_the_lemma(monkeypatch):
     yet never of equal length: the check fails and names the pair."""
     from finlat import checks
 
-    monkeypatch.setattr(morphisms, "lattice_length", len)
+    # every member but the top has an upper cover within the mask
+    monkeypatch.setattr(core, "_length_on", lambda lattice, ucov: sum(map(bool, ucov)) + 1)
     [result] = checks.cover01(enumerate_small_lattices(5, filters=("semimodular",)))
     assert not result.passed
     assert "first failure: sublattice ['0', '2', '3'] of the 4-element lattice" in result.detail
+
+
+def test_cover01_and_subgrid_checks_build_no_lattice(monkeypatch):
+    """Both checks read each sublattice off its closed mask: with the
+    ambients and grids built beforehand, neither builds a lattice."""
+    from finlat import checks
+
+    ambients = list(enumerate_small_lattices(6, filters=("semimodular",)))
+    held = [make_grid(sizes) for sizes in ((2, 2), (2, 3), (3, 3), (2, 2, 2))]
+    built = []
+    real = core.FiniteLattice.__init__
+    monkeypatch.setattr(
+        core.FiniteLattice, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    [cover01] = checks.cover01(ambients)
+    [subgrid] = checks.subgrid([grid.factor_sizes for grid in held])
+    assert cover01.passed and subgrid.passed
+    assert built == []
 
 
 def test_negative_verdicts_bump_or_keep_the_dimension():
