@@ -69,7 +69,6 @@ from .oracle import (
     build_equation_system,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
-    exists_retraction,
     find_embedding,
     induced_homomorphism,
     is_isomorphic,

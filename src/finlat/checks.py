@@ -5,8 +5,10 @@ generator, or the ambient lattices or grid sizes to sweep) and returns a
 list of `Result` triples.  A failing result's detail names the first input
 that broke it.  `SUITES` binds every check to the bounds of ``finlat
 oracle-verify --suite NAME --max-size N``; the acceptance tests call the
-same functions with their own bounds.  `cover01` and `subgrid` read each
-sublattice as a closed mask: ids appear only in a failure line or a search.
+same functions with their own bounds.  Every sweep over sublattices reads
+each one as a closed mask from `oracle._sublattice_masks` and passes it
+straight to the retraction search and the equation system, which check no
+closure again: ids appear only in a failure line or a kernel's argument.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def _show(lattice: core.FiniteLattice) -> str:
     return f"the {len(lattice)}-element lattice [{covers}]"
 
 
-def _pair(lattice: core.FiniteLattice, sub) -> str:
-    return f"sublattice {sorted(sub)} of {_show(lattice)}"
+def _pair(lattice: core.FiniteLattice, mask: int) -> str:
+    return f"sublattice {sorted(oracle._mask_to_set(lattice, mask))} of {_show(lattice)}"
 
 
 def proposition(size: int) -> list[Result]:
@@ -53,18 +55,18 @@ def proposition(size: int) -> list[Result]:
     pairs = 0
     bad: list[str] = []
     for big in oracle.enumerate_small_lattices(size):
-        for sub in oracle.all_sublattices(big):
-            if sub == frozenset(big.elements):
+        for mask in oracle._sublattice_masks(big):
+            if mask.bit_count() == len(big):
                 continue
             pairs += 1
-            system = oracle.build_equation_system(big, sub)
+            system = oracle._equation_system(big, mask)
             solved = oracle.solve_equation_system(system)
-            hom = oracle.exists_retraction(big, sub)
+            hom = oracle._search(big, mask, count_all=False)[0]
             if (solved is None) != (hom is None) or (
                 solved is not None
                 and not oracle.induced_homomorphism(system, solved).is_retraction()
             ):
-                bad.append(_pair(big, sub))
+                bad.append(_pair(big, mask))
     detail = f"{pairs} proper sublattice pairs up to size {size}, {len(bad)} disagreements"
     return [_result("equation-system-vs-retraction", bad, detail)]
 
@@ -133,12 +135,11 @@ def cover01(ambients) -> list[Result]:
                 continue
             is_cover01, lengths_equal = _inclusion_flags(big, mask, ucov, length)
             if is_cover01 != lengths_equal:
-                bad.append(_pair(big, oracle._mask_to_set(big, mask)))
+                bad.append(_pair(big, mask))
             if is_cover01 and mask.bit_count() < len(big):
                 searched += 1
-                sub = oracle._mask_to_set(big, mask)
-                if oracle.exists_retraction(big, sub) is not None:
-                    bad.append(_pair(big, sub))
+                if oracle._search(big, mask, count_all=False)[0] is not None:
+                    bad.append(_pair(big, mask))
     detail = f"inclusion flags consistent; {searched} proper cover-01 extensions admit no retraction"
     return [_result("cover01-lemma", bad, detail)]
 
@@ -268,13 +269,13 @@ def retraction_kernels(size: int) -> list[Result]:
     total = 0
     bad: list[str] = []
     for big in oracle.enumerate_small_lattices(size):
-        for sub in oracle.all_sublattices(big):
-            hom = oracle.exists_retraction(big, sub)
+        for mask in oracle._sublattice_masks(big):
+            hom = oracle._search(big, mask, count_all=False)[0]
             if hom is None:
                 continue
             total += 1
-            if not hom.kernel().is_diagonal_on(sub):
-                bad.append(_pair(big, sub))
+            if not hom.kernel().is_diagonal_on(oracle._mask_to_set(big, mask)):
+                bad.append(_pair(big, mask))
     detail = f"{total} retraction kernels are congruences with diagonal restriction"
     return [_result("retraction-kernels", bad, detail)]
 

@@ -11,8 +11,10 @@ element ids only in the values they return.  An equation system is kept
 in one form, the solver's index, each unknown's codes read off its own
 join and meet rows; a solution is checked once, by the homomorphism it
 induces.  Each public entry checks its subset once, through `core`, and
-builds its target from that mask (an equation system keeps it for the
-retraction a solution induces).
+passes the mask to `_search` or `_equation_system`, which take a closed
+mask and check it no more; `checks` calls those two straight on the masks
+of `_sublattice_masks`.  The target of a retraction is built from that
+mask (an equation system keeps it for the retraction a solution induces).
 One driver, `_backtrack`, runs the retraction search, the solver and
 `find_embedding` on an explicit stack, and one join/meet forcing
 propagator, `_forcing`, serves the retraction search and `find_embedding`.
@@ -55,7 +57,6 @@ from .morphisms import Homomorphism, NotAHomomorphism, congruence_generated_by
 __all__ = [
     "NotProper",
     "CeilingExceeded",
-    "exists_retraction",
     "search_retraction",
     "EquationSystem",
     "Assignment",
@@ -177,16 +178,16 @@ def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injectiv
     return propagate
 
 
-def _search(lattice: FiniteLattice, sub, count_all: bool):
-    """Backtracking over maps from the new elements into the sublattice.
+def _search(lattice: FiniteLattice, mask: int, count_all: bool):
+    """Backtracking over maps from the new elements into a closed mask.
 
-    Raises `NotASublattice` unless ``sub`` is a sublattice.  Assignments are
-    propagated by `_forcing` within the lattice.  Variables are taken in
-    decreasing cover-degree order, values in canonical element order.
-    Returns (sublattice mask, first map as element indices or None, count,
-    nodes).
+    ``mask`` must be closed under join and meet; it is not checked again.
+    Assignments are propagated by `_forcing` within the lattice.  Variables
+    are taken in decreasing cover-degree order, values in canonical element
+    order.  Returns (first retraction or None, count, nodes); the first map
+    is checked on the lattice's own tables, as a map onto the mask, and its
+    target and id mapping are built on first read.
     """
-    mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
     sub_idx = list(_bits(mask))
     f = [-1] * n
@@ -211,32 +212,18 @@ def _search(lattice: FiniteLattice, sub, count_all: bool):
 
     propagate = _forcing(lattice, lattice, f, assigned, injective=False)
     nodes = _backtrack(variables, sub_idx, f, assigned, propagate, leaf)
-    return mask, first, count, nodes
+    if first is None:
+        return None, count, nodes
+    return Homomorphism._onto_sublattice(lattice, first, mask), count, nodes
 
 
 def search_retraction(lattice: FiniteLattice, sub) -> tuple[Homomorphism | None, int]:
     """First retraction onto a sublattice (verified) plus nodes explored.
 
-    The map found is checked on the lattice's own tables, as a map onto the
-    sublattice's mask; its target and id mapping are built on first read.
+    Raises `NotASublattice` unless ``sub`` is a sublattice.
     """
-    mask, first, _, nodes = _search(lattice, sub, count_all=False)
-    if first is None:
-        return None, nodes
-    return Homomorphism._onto_sublattice(lattice, first, mask), nodes
-
-
-def exists_retraction(lattice: FiniteLattice, sub, mode: str = "first"):
-    """Search for retractions onto a sublattice.
-
-    mode="first" returns a verified Homomorphism or None; mode="count"
-    returns the exact number of retractions.
-    """
-    if mode == "first":
-        return search_retraction(lattice, sub)[0]
-    if mode != "count":
-        raise ValueError(f"unknown mode {mode!r}")
-    return _search(lattice, sub, count_all=True)[2]
+    hom, _, nodes = _search(lattice, _sublattice_mask(lattice, sub), count_all=False)
+    return hom, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +244,8 @@ class EquationSystem:
     slot n + index(x), so a value array starting as
     ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
     ``(table, left, right, result)`` with the ambient's join or meet table.
-    Only `build_equation_system` builds one, from the sublattice mask it
-    has checked.  ``unknowns`` is read off that mask in index order.
+    Only `_equation_system` builds one, from a closed sublattice mask.
+    ``unknowns`` is read off that mask in index order.
     ``_by_unknown`` is the system's one form, the index the solver reads:
     under each unknown slot, the codes with ``left <= right`` that have it
     as an operand, in system order; a code with ``left > right`` says what
@@ -284,19 +271,25 @@ def _slots(n: int, mask: int) -> list[int]:
 
 
 def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
+    """The equation system of a sublattice, checked once; see `_equation_system`."""
+    return _equation_system(lattice, _sublattice_mask(lattice, sub))
+
+
+def _equation_system(lattice: FiniteLattice, mask: int) -> EquationSystem:
     """Emit the equations for all ordered pairs touching a new element.
 
-    They go straight onto integer slots from the join and meet rows, so
-    with every slot holding its own element each code reads a table entry
-    against itself and holds; the tests assert it.  Only the solver's
-    index is built: for the unknown u at index i, its join and meet rows
-    are read once through the slots, giving (slot k, u) for k < i, then
-    (u, slot k) for each unknown k >= i, then (slot k, u) for each
-    parameter k > i.  That is the order in which the codes with
-    ``left <= right`` touching u come in system order, so the forcing
-    order of the solver does not depend on how the index was built.
+    ``mask`` must be closed under join and meet; it is not checked again,
+    and `NotProper` is raised when it is full.  The equations go straight
+    onto integer slots from the join and meet rows, so with every slot
+    holding its own element each code reads a table entry against itself
+    and holds; the tests assert it.  Only the solver's index is built: for
+    the unknown u at index i, its join and meet rows are read once through
+    the slots, giving (slot k, u) for k < i, then (u, slot k) for each
+    unknown k >= i, then (slot k, u) for each parameter k > i.  That is the
+    order in which the codes with ``left <= right`` touching u come in
+    system order, so the forcing order of the solver does not depend on how
+    the index was built.
     """
-    mask = _sublattice_mask(lattice, sub)
     n = len(lattice)
     if mask == (1 << n) - 1:
         raise NotProper("the sublattice must be proper")

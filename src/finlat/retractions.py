@@ -164,9 +164,9 @@ class ClassId:
 
     @classmethod
     def parse(cls, text: str) -> "ClassId":
-        kind, _, arg = text.partition(":")
+        kind, colon, arg = text.partition(":")
         if kind == "sps":
-            if arg:
+            if colon:  # "sps:" too, which would print back as "sps"
                 raise LatticeError(f"class {kind!r} takes no argument")
             return cls(kind)
         if kind in ("dfin", "dcov"):

@@ -1,6 +1,8 @@
 import pytest
 
 from finlat import build_lattice, make_grid
+from finlat.core import _sublattice_mask
+from finlat.oracle import _search
 
 # Grids whose every sublattice the closed-form retractions and subgrid
 # recovery are compared on against their congruence-built references.
@@ -21,6 +23,11 @@ def homomorphism_fields(hom):
         hom.kernel().blocks,
         repr(hom),
     )
+
+
+def count_retractions(lattice, sub):
+    """The exact number of retractions onto a sublattice, by the oracle's search."""
+    return _search(lattice, _sublattice_mask(lattice, sub), count_all=True)[1]
 
 
 S7_ELEMENTS = ["0", "u", "v", "l", "m", "r", "1"]

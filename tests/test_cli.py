@@ -210,10 +210,10 @@ def test_classify_command_witness_reverifies(tmp_path):
     cert = report["witness"]["certificate"]
     assert cert["proper"] and cert["is_cover01"] and cert["oracle_confirmed"]
     # refutation re-runs to the same verdict through the oracle
-    from finlat import exists_retraction
+    from finlat import search_retraction
 
     image = set(report["witness"]["embedding"].values())
-    assert exists_retraction(witness.lattice, image) is None
+    assert search_retraction(witness.lattice, image)[0] is None
 
 
 def test_witness_sps_command(tmp_path):
@@ -366,7 +366,7 @@ def test_oracle_verify_matches_golden(case, capsys):
 
 
 def test_oracle_verify_names_the_first_failure(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "exists_retraction", lambda lattice, sub: None)
+    monkeypatch.setattr(oracle, "_search", lambda lattice, mask, count_all: (None, 0, 0))
     report, code = run(["oracle-verify", "--suite", "proposition", "--max-size", "3"])
     assert code == 2 and report["passed"] is False
     (check,) = report["checks"]
@@ -457,6 +457,15 @@ def test_class_dimension_takes_only_ascii_digits(b2_path, text):
         "error": f"LatticeError: bad dimension {dimension!r} in class {text!r}",
     }
     assert run(["classify", b2_path, "--class", "dfin:3"])[1] == 0
+
+
+@pytest.mark.parametrize("text", ["sps:", "sps:1"])
+def test_sps_class_takes_no_colon(b2_path, text):
+    """`sps:` would otherwise be read as `sps` and printed back without the colon."""
+    report, code = run(["classify", b2_path, "--class", text])
+    assert code == 1
+    assert report == {"command": "classify", "error": "LatticeError: class 'sps' takes no argument"}
+    assert run(["classify", b2_path, "--class", "sps"])[1] == 0
 
 
 _JSON_VALUES = st.recursive(

@@ -133,6 +133,12 @@ def test_only_core_and_morphisms_name_induced():
     assert _named_outside("_induced", {"core", "morphisms"}) == []
 
 
+def test_only_oracle_names_all_sublattices():
+    """Package modules walk sublattices as the closed masks of
+    `oracle._sublattice_masks`; the id sets are for callers outside it."""
+    assert _named_outside("all_sublattices", {"oracle", "__init__"}) == []
+
+
 def _used_names(tree):
     """Every name, attribute, import alias and string constant in a tree."""
     for node in ast.walk(tree):

@@ -23,7 +23,6 @@ from finlat import (
     congruence_generated_by,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
-    exists_retraction,
     find_embedding,
     induced_homomorphism,
     induced_lattice,
@@ -40,7 +39,7 @@ from finlat.oracle import (
     _digraph_canonical_key,
     canonical_key,
 )
-from tests.conftest import S7_COVERS, S7_ELEMENTS, homomorphism_fields
+from tests.conftest import S7_COVERS, S7_ELEMENTS, count_retractions, homomorphism_fields
 
 
 def brute_force_retractions(lattice, sub):
@@ -68,33 +67,31 @@ def brute_force_retractions(lattice, sub):
 
 
 def test_exists_retraction_chain_counts(c3):
-    assert exists_retraction(c3, {"0", "1"}, mode="count") == 2
+    assert count_retractions(c3, {"0", "1"}) == 2
     assert len(brute_force_retractions(c3, {"0", "1"})) == 2
 
 
 def test_exists_retraction_none_on_square(b2):
     chain = {"0,0", "1,0", "1,1"}
-    assert exists_retraction(b2, chain) is None
+    assert search_retraction(b2, chain)[0] is None
     assert brute_force_retractions(b2, chain) == []
 
 
 def test_exists_retraction_identity(b2):
-    assert exists_retraction(b2, set(b2.elements), mode="count") == 1
+    assert count_retractions(b2, set(b2.elements)) == 1
 
 
 def test_exists_retraction_matches_brute_force_everywhere():
     for lattice in enumerate_small_lattices(5):
         for sub in all_sublattices(lattice):
             expected = len(brute_force_retractions(lattice, sub))
-            assert exists_retraction(lattice, sub, mode="count") == expected
+            assert count_retractions(lattice, sub) == expected
 
 
 def test_exists_retraction_rejects_non_sublattice(b2):
     subset = ["0,1", "1,0", "0,0"]
     message = "['0,0', '0,1', '1,0'] is not a sublattice"
     for call in (
-        exists_retraction,
-        lambda lat, sub: exists_retraction(lat, sub, mode="count"),
         search_retraction,
         build_equation_system,
         induced_lattice,
@@ -176,7 +173,7 @@ def test_proposition_equivalence_small():
                 continue
             system = build_equation_system(lattice, sub)
             solution = solve_equation_system(system)
-            retraction = exists_retraction(lattice, sub)
+            retraction = search_retraction(lattice, sub)[0]
             assert (solution is None) == (retraction is None)
             if solution is not None:
                 assert induced_homomorphism(system, solution).is_retraction()
@@ -213,7 +210,7 @@ def test_kernel_of_retraction_is_diagonal(b2, grid33):
         (b2, {"0,0", "1,1"}),
         (grid33.lattice, {"0,0", "2,0", "0,2", "2,2"}),
     ]:
-        hom = exists_retraction(lattice, sub)
+        hom = search_retraction(lattice, sub)[0]
         assert hom is not None
         kernel = hom.kernel()
         assert kernel.is_diagonal_on(sub)
@@ -488,7 +485,7 @@ def test_congruence_blocks_are_convex_sublattices(case):
     congruences = [theta1, theta1.intersect(theta2)]
     a, b = pair2
     interval = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
-    retraction = exists_retraction(lattice, interval)
+    retraction = search_retraction(lattice, interval)[0]
     if retraction is not None:
         congruences.append(retraction.kernel())
     for theta in congruences:
@@ -886,7 +883,7 @@ def test_equation_systems_match_reference():
                 assert list(solution.values.items()) == list(expected.items())
             count = solve_equation_system(system, mode="count")
             assert count == _reference_solve_equation_system(reference, mode="count")
-            assert count == exists_retraction(lattice, sub, mode="count")
+            assert count == count_retractions(lattice, sub)
             pairs += 1
     assert pairs == 767
 

@@ -20,7 +20,6 @@ from finlat import (
     dimension_bump,
     enumerate_distributive_lattices,
     enumerate_small_lattices,
-    exists_retraction,
     grid_embed,
     grid_factor_sizes,
     induced_lattice,
@@ -34,6 +33,7 @@ from finlat import (
     make_grid,
     recover_subgrid_chains,
     retract_onto,
+    search_retraction,
 )
 import finlat.chains as chains
 import finlat.core as core
@@ -275,6 +275,24 @@ def test_cover01_and_subgrid_checks_build_no_lattice(monkeypatch):
     assert built == []
 
 
+def test_sublattice_checks_test_no_closure_again(monkeypatch):
+    """The proposition, retraction-kernel and cover-{0,1} checks walk closed
+    masks and pass them straight to the equation system and the retraction
+    search, so with every input built beforehand no subset is tested for
+    closure."""
+    from finlat import checks
+
+    ambients = list(enumerate_small_lattices(6, filters=("semimodular",)))
+    calls = []
+    real = core._closed_mask
+    monkeypatch.setattr(
+        core, "_closed_mask", lambda *args: calls.append(args) or real(*args)
+    )
+    results = checks.proposition(5) + checks.retraction_kernels(5) + checks.cover01(ambients)
+    assert all(result.passed for result in results)
+    assert calls == []
+
+
 def test_negative_verdicts_bump_or_keep_the_dimension():
     """The grid target of a distributive lattice is boolean only when the
     lattice is, and boolean lattices are positive, so every refutation is a
@@ -377,7 +395,7 @@ def test_classify_c3_in_dimension_two(c3, b2):
     assert verdict.certificate.oracle_confirmed is True
     # independent exhaustive proof: every map of the missing atom fails
     image = {verdict.embedding[x] for x in c3.elements}
-    assert exists_retraction(verdict.witness, image) is None
+    assert search_retraction(verdict.witness, image)[0] is None
 
 
 def test_classify_d5_same_dimension(d5, grid32):
@@ -420,7 +438,7 @@ def test_classify_sps_negative(c2):
     assert not verdict.is_absolute_retract
     assert verdict.witness is not None
     image = set(verdict.embedding.values())
-    assert exists_retraction(verdict.witness, image) is None
+    assert search_retraction(verdict.witness, image)[0] is None
 
 
 def test_retraction_composition_is_idempotent(grid33):
