@@ -19,15 +19,20 @@ map between semimodular lattices, and `Cover01Report.all_hold` is the
 one place their conjunction is written.  Element ids appear only at the
 API edge: every check runs on index arrays, the map as a list of target
 (or, onto a sublattice, source) indices and a partition as the block
-index of each element, compared row by row against the lattice's integer
-`_join`/`_meet` tables and cover masks.  The module depends on `core`
-only, so every other module can build and verify maps and certify them.
+index of each element, compared against the lattice's integer
+`_join`/`_meet` tables and cover masks.  A map's check gathers through
+its index list once per call and compares each table in one streamed
+pass; it walks the rows only when a pass fails, to name the first failing
+pair.  The module depends on `core` only, so every other module can build
+and verify maps and certify them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq, itemgetter
 
 from .core import (
     FiniteLattice,
@@ -197,24 +202,24 @@ def _check_rows(source: FiniteLattice, target: FiniteLattice, f) -> None:
 
     f[i] is the target index of the i-th source element; row i of the
     source tables, read through f, must equal row f[i] of the target
-    tables read at f.
+    tables read at f.  One gather of f serves every row, and each table is
+    compared in one streamed pass; a one-element source always passes.
+    Only a failing pass walks the rows, to name the first failing pair.
     """
-    image = f.__getitem__
+    image, at_f, flat = f.__getitem__, itemgetter(*f), chain.from_iterable
+    if len(f) == 1 or all(
+        all(map(eq, map(image, flat(s)), flat(map(at_f, map(t.__getitem__, f)))))
+        for s, t in ((source._join, target._join), (source._meet, target._meet))
+    ):
+        return
+    ids = source.elements
     for i, (s_join, s_meet) in enumerate(zip(source._join, source._meet)):
         t_join, t_meet = target._join[f[i]], target._meet[f[i]]
-        joins = list(map(image, s_join))
-        meets = list(map(image, s_meet))
-        if joins == list(map(t_join.__getitem__, f)) and meets == list(
-            map(t_meet.__getitem__, f)
-        ):
-            continue
-        x = source.elements[i]
         for j, fj in enumerate(f):
-            y = source.elements[j]
-            if joins[j] != t_join[fj]:
-                raise NotAHomomorphism(f"join of ({x!r}, {y!r}) is not preserved")
-            if meets[j] != t_meet[fj]:
-                raise NotAHomomorphism(f"meet of ({x!r}, {y!r}) is not preserved")
+            if f[s_join[j]] != t_join[fj]:
+                raise NotAHomomorphism(f"join of ({ids[i]!r}, {ids[j]!r}) is not preserved")
+            if f[s_meet[j]] != t_meet[fj]:
+                raise NotAHomomorphism(f"meet of ({ids[i]!r}, {ids[j]!r}) is not preserved")
 
 
 @dataclass(frozen=True)

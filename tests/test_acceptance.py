@@ -13,7 +13,6 @@ import pytest
 
 from finlat import (
     ClassId,
-    all_sublattices,
     build_lattice,
     build_witness,
     checks,
@@ -21,13 +20,14 @@ from finlat import (
     enumerate_distributive_lattices,
     enumerate_small_lattices,
     grid_factor_sizes,
-    induced_lattice,
-    is_boolean,
     order_dimension,
     retract_onto,
     s7_family,
     search_retraction,
 )
+from finlat.core import _grid_shape
+from finlat.oracle import _mask_to_set, _sublattice_masks
+from finlat.retractions import _qualifies
 
 CLASSES = [ClassId.dfin(1), ClassId.dfin(2), ClassId.dfin(3), ClassId.dfin(None)]
 
@@ -52,16 +52,6 @@ def _dimension(lattice):
     return 0 if len(lattice) == 1 else order_dimension(lattice)
 
 
-def _qualifies(sub_lat, n):
-    """Positive side of the classification: boolean, or a grid of dimension n."""
-    if is_boolean(sub_lat):
-        return True
-    if n is None:
-        return False
-    factors = grid_factor_sizes(sub_lat)
-    return factors is not None and len(factors) == n
-
-
 def test_criterion_1_equation_system_matches_retractions():
     _assert_passed("criterion 1", checks.proposition(6))  # |B| <= 6
 
@@ -70,14 +60,15 @@ def test_criterion_2_positive_direction(distributive_upto_10):
     built = 0
     for ambient in distributive_upto_10:
         ambient_dim = _dimension(ambient)
-        for sub in all_sublattices(ambient):
-            if len(sub) > 8:
+        for mask in _sublattice_masks(ambient):
+            if mask.bit_count() > 8:
                 continue
-            sub_lat = induced_lattice(ambient, sub)
+            shape = _grid_shape(ambient, mask)  # the eligibility retract_onto decides
+            sub = _mask_to_set(ambient, mask)
             for cls in CLASSES:
                 if cls.n is not None and ambient_dim > cls.n:
                     continue  # the extension is not in the class
-                if not _qualifies(sub_lat, cls.n):
+                if not _qualifies(cls, shape):
                     continue
                 hom = retract_onto(ambient, sub, cls)
                 assert hom.is_retraction(), (ambient, sub, cls)
@@ -97,7 +88,7 @@ def test_criterion_3_negative_direction():
         for cls in CLASSES:
             if cls.n is not None and lattice_dim > cls.n:
                 continue
-            if _qualifies(lattice, cls.n):
+            if _qualifies(cls, grid_factor_sizes(lattice)):
                 continue
             verdict = classify_absolute_retract(lattice, cls)
             assert not verdict.is_absolute_retract

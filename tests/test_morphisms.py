@@ -2,6 +2,7 @@
 string implementations, kept here as `_reference_*`."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -361,6 +362,22 @@ def test_found_retractions_equal_the_eager_route():
             eager = Homomorphism(lattice, induced_lattice(lattice, sub), hom.mapping)
             assert homomorphism_fields(hom) == homomorphism_fields(eager), (lattice.covers, sub)
     assert (pairs, found) == (4449, 2251)
+
+
+def test_check_holds_no_table_copy():
+    """Checking the identity of the 500-element chain, whose tables hold
+    250,000 entries each, stays under 1 MB of memory above those tables;
+    a check that copied both tables into lists would need about 4 MB."""
+    ids = [f"{i:03d}" for i in range(500)]
+    chain = build_lattice(ids, list(zip(ids, ids[1:])))
+    identity = {x: x for x in ids}
+    tracemalloc.start()
+    try:
+        Homomorphism(chain, chain, identity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _index_maps(lattice):
