@@ -24,13 +24,14 @@ degrees that order both searches' variables are memoised per lattice.
 Every search here keeps its choices on a stack, so its depth is not
 bounded by the interpreter's recursion limit and a call leaves no
 reference cycles.
-Isomorphism is decided by individualisation–refinement on the two cover
-digraphs, and every positive answer is checked as an explicit bijection.
-Small lattices are enumerated over canonical posets from one generator,
-which carries each poset's down-sets for the Birkhoff-dual enumerator of
-distributive lattices to prune by and build from.  Both are ordered by
-`canonical_key`, an exact key found by branch and bound over the classes of
-the `_refine` the isomorphism test uses; it is their order, not that test.
+Isomorphism is decided by individualisation–refinement on the `_twins`
+quotients of the two cover digraphs, and every positive answer is checked
+as an explicit bijection.  Small lattices are enumerated over canonical
+posets from one generator, which carries each poset's down-sets for the
+Birkhoff-dual enumerator of distributive lattices to prune by, key and
+build from.  Both are ordered by `canonical_key`, an exact key found by
+branch and bound over the classes of the `_refine` the isomorphism test
+uses; it is their order, not that test.
 """
 
 from __future__ import annotations
@@ -482,6 +483,19 @@ def find_embedding(small: FiniteLattice, big: FiniteLattice) -> dict[str, str] |
 # ---------------------------------------------------------------------------
 
 
+def _twins(up, down) -> list[int]:
+    """Twin class of each vertex, numbered in order of first member.
+
+    ``up`` and ``down`` are out- and in-neighbour masks.  Two vertices are
+    twins when they have the same out- and in-neighbours besides themselves
+    and the same self-loop bit: twins are never adjacent, and swapping two of
+    them is an automorphism that fixes every other vertex.
+    """
+    number: dict[tuple[int, int, int], int] = {}
+    keys = ((u & ~(1 << v), d & ~(1 << v), u >> v & 1) for v, (u, d) in enumerate(zip(up, down)))
+    return [number.setdefault(k, len(number)) for k in keys]
+
+
 def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     """Minimum adjacency encoding over invariant-respecting permutations.
 
@@ -492,17 +506,21 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     and the least encoding wins.  It is found by branch and bound on an
     explicit stack (McKay & Piperno, arXiv:1301.1493): a vertex alone in its
     class has a fixed position; the others are filled in order, least
-    partial row first.  A row with m unplaced out-neighbours, all due at or
-    after the next open position q, is at least
+    partial row first, trying only the least free member of each `_twins`
+    class (twins share a colour, and the subtrees of two free twins are
+    mirror images under their swap).  A row with m unplaced out-neighbours,
+    all due at or after the next open position q, is at least
     ``partial + ((1 << m) - 1 << q)``; a branch whose rows before q bound a
     tuple above the best so far is cut.  Leading rows exact and equal to the
     best are not compared again.
     """
     up = [list(_bits(adj[v])) for v in range(n)]
     down: list[list[int]] = [[] for _ in range(n)]
+    into = [0] * n  # in-neighbour masks
     for v in range(n):
         for w in up[v]:
             down[w].append(v)
+            into[w] |= 1 << v
     degrees = [(len(ups), len(downs)) for ups, downs in zip(up, down)]
     rank = {d: r for r, d in enumerate(sorted(set(degrees)))}
     colour = _refine(up, down, [rank[d] for d in degrees])
@@ -520,14 +538,19 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
     slots = [p for p, v in enumerate(at) if v < 0]  # the open positions, filled in order
     if not slots:
         return (n, tuple([row[v] for v in at]))
+    twin = _twins(adj, into)
+    after = [n] * n  # by vertex: its next twin in index order, n after the last
+    first: dict[int, int] = {}  # by twin class: its least member
+    for v in range(n - 1, -1, -1):
+        after[v], first[twin[v]] = first.get(twin[v], n), v
+    ready = [first[c] == v for v, c in enumerate(twin)] + [False]  # free, earlier twins placed
 
     degree = [len(up[cls[0]]) for cls in order]  # by position: a class shares its out-degree
     best = (1 << n,) * n  # above every encoding
     limit = slots[1:] + [n]  # the next open position after each
     exact = [0] * (len(slots) + 1)  # leading rows known exact and equal to best
-    free = [True] * n
     rank_of = row.__getitem__  # candidates are tried smallest partial row first
-    untried = [sorted(order[slots[0]], key=rank_of, reverse=True)]
+    untried = [sorted(filter(ready.__getitem__, order[slots[0]]), key=rank_of, reverse=True)]
     untried += [[] for _ in slots[1:]]
     t = 0
     while t >= 0:
@@ -536,12 +559,12 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
         if v >= 0:
             for u in down[v]:
                 row[u] ^= 1 << p
-            at[p], free[v] = -1, True
+            at[p], ready[v], ready[after[v]] = -1, True, False
         if not untried[t]:
             t -= 1
             continue
         v = at[p] = untried[t].pop()
-        free[v] = False
+        ready[v], ready[after[v]] = False, True
         for u in down[v]:
             row[u] |= 1 << p
         q, i = limit[t], exact[t]
@@ -558,7 +581,7 @@ def _digraph_canonical_key(n: int, adj: tuple[int, ...]) -> tuple:
             continue
         if t + 1 < len(slots):
             t += 1
-            untried[t] = sorted(filter(free.__getitem__, order[slots[t]]), key=rank_of, reverse=True)
+            untried[t] = sorted(filter(ready.__getitem__, order[slots[t]]), key=rank_of, reverse=True)
         elif i < q:
             best = tuple([row[v] for v in at])
     return (n, best)
@@ -569,10 +592,10 @@ def canonical_key(lattice: FiniteLattice) -> tuple:
 
     The minimum adjacency encoding over all orderings that respect the
     refined vertex colours, found by `_digraph_canonical_key`'s branch and
-    bound.  Orderings that differ by an automorphism tie and are not cut, so
-    M_k still visits k! of them.  It fixes the output order of both
-    enumerators, so its values must never change.  Isomorphism tests go
-    through `is_isomorphic` instead.
+    bound.  Orderings that differ by a swap of twins tie and are tried once,
+    so M_k visits one leaf; other automorphic ties are not cut.  It fixes the
+    output order of both enumerators, so its values must never change.
+    Isomorphism tests go through `is_isomorphic` instead.
     """
     return _digraph_canonical_key(len(lattice), tuple(lattice._ucov))
 
@@ -606,46 +629,59 @@ def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
     """Whether the cover digraphs of a and b are isomorphic.
 
     Individualisation–refinement in the style of McKay & Piperno,
-    "Practical graph isomorphism II" (2014), run directly on the two graphs:
-    vertices 0..n-1 are a's elements and n..2n-1 are b's, coloured with one
-    shared numbering.  After refinement, differing colour histograms refute
-    the branch; an all-singleton colouring gives the only candidate
-    bijection, which is checked cover by cover, so a True is always
-    certified.  Otherwise one vertex of a in the smallest non-singleton cell
-    (lowest colour first) is given a fresh colour together with each vertex
-    of b in that cell in turn.  The search runs on an explicit stack, so its
-    depth is not bounded by the interpreter's recursion limit.
+    "Practical graph isomorphism II" (2014), run on the twin quotients of
+    the two graphs: one vertex per `_twins` class, coloured by the class
+    size, with vertices 0..m-1 for a's classes and m..2m-1 for b's and one
+    shared numbering; without twins these are the two graphs themselves.
+    After refinement, differing colour histograms refute the branch; an
+    all-singleton colouring gives the only candidate class bijection, which
+    is lifted to elements, the members of each class in index order, and
+    checked cover by cover, so a True is always certified.  Otherwise one
+    vertex of a in the smallest non-singleton cell (lowest colour first) is
+    given a fresh colour together with each vertex of b in that cell in
+    turn.  The search runs on an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     n = len(a)
     if n != len(b) or len(a.covers) != len(b.covers):
         return False
+    members: list[list[int]] = []  # by quotient vertex: its elements, in index order
     up: list[list[int]] = []
     down: list[list[int]] = []
-    for offset, lattice in ((0, a), (n, b)):
-        up += [[w + offset for w in _bits(m)] for m in lattice._ucov]
-        down += [[w + offset for w in _bits(m)] for m in lattice._lcov]
+    for lattice in (a, b):
+        twin = _twins(lattice._ucov, lattice._lcov)
+        offset, classes = len(members), [[] for _ in range(max(twin) + 1)]
+        for v, c in enumerate(twin):
+            classes[c].append(v)
+        members += classes
+        firsts = [cls[0] for cls in classes]
+        mask = sum(1 << v for v in firsts)  # each neighbour class once, by its first member
+        up += [[twin[w] + offset for w in _bits(lattice._ucov[v] & mask)] for v in firsts]
+        down += [[twin[w] + offset for w in _bits(lattice._lcov[v] & mask)] for v in firsts]
+    m = len(classes)  # b's class count; a's is the offset of b's first class
+    if offset != m:
+        return False
 
-    colour = _refine(up, down, [0] * (2 * n))
+    sizes = sorted({len(cls) for cls in members})
+    colour = _refine(up, down, [sizes.index(len(cls)) for cls in members])
     # frames: (colouring, individualised vertex of a, untried vertices of b)
     stack: list[tuple[list[int], int, list[int]]] = []
     while True:
-        if sorted(colour[:n]) == sorted(colour[n:]):
+        if sorted(colour[:m]) == sorted(colour[m:]):
             size = [0] * (max(colour) + 1)
-            for c in colour[:n]:
+            for c in colour[:m]:
                 size[c] += 1
             cells = [(s, c) for c, s in enumerate(size) if s > 1]
             if not cells:
-                image = {colour[w]: w - n for w in range(n, 2 * n)}
-                phi = [image[colour[v]] for v in range(n)]
-                if all(
-                    {phi[w] for w in up[v]} == {w - n for w in up[n + phi[v]]}
-                    for v in range(n)
-                ):
+                image = {colour[w]: members[w] for w in range(m, 2 * m)}
+                phi = {v: w for c in range(m) for v, w in zip(members[c], image[colour[c]])}
+                b_up = b._ucov  # b has as many covers as a, so it has no others
+                if all(b_up[phi[v]] >> phi[w] & 1 for v, ups in enumerate(a._ucov) for w in _bits(ups)):
                     return True
             else:
                 target = min(cells)[1]
                 v = colour.index(target)
-                candidates = [w for w in range(2 * n - 1, n - 1, -1) if colour[w] == target]
+                candidates = [w for w in range(2 * m - 1, m - 1, -1) if colour[w] == target]
                 stack.append((colour, v, candidates))
         while stack and not stack[-1][2]:
             stack.pop()
@@ -781,18 +817,22 @@ def enumerate_distributive_lattices(max_size: int):
     Takes the canonical posets with at most max_size down-sets (so at most
     max_size - 1 elements) and emits the lattice of down-sets of each.
     Distinct posets give non-isomorphic lattices, so no lattice-level
-    isomorph rejection is needed.
+    isomorph rejection is needed.  Only each lattice's cover masks and
+    `canonical_key`, taken on them, are kept (the ids are zero-padded
+    positions, so the masks are in its index order); it is built when yielded.
     """
     if max_size < 1:
         return
-    produced = []
+    entries = []
     posets = chain.from_iterable(_canonical_posets_upto(max_size - 1, max_downsets=max_size))
     for poset, downsets in posets:
         masks = sorted(downsets, key=lambda m: (m.bit_count(), m))
-        width = len(str(len(masks)))
-        ids = {m: f"{i:0{width}d}" for i, m in enumerate(masks)}
-        singletons = [1 << i for i in range(len(poset))]
-        covers = [(ids[m], ids[m | b]) for m in masks for b in singletons if not m & b and m | b in ids]
-        produced.append(build_lattice(list(ids.values()), covers))
-    produced.sort(key=lambda lat: (len(lat), canonical_key(lat)))
-    yield from produced
+        index = {m: i for i, m in enumerate(masks)}
+        bits = [1 << b for b in range(len(poset))]
+        ucov = [sum(1 << index[m | b] for b in bits if not m & b and m | b in index) for m in masks]
+        entries.append((_digraph_canonical_key(len(masks), tuple(ucov)), ucov))
+    entries.sort(key=lambda entry: entry[0])
+    for (size, _), ucov in entries:
+        width = len(str(size))
+        ids = [f"{i:0{width}d}" for i in range(size)]
+        yield build_lattice(ids, [(ids[i], ids[j]) for i, up in enumerate(ucov) for j in _bits(up)])

@@ -542,15 +542,17 @@ def test_is_isomorphic_agrees_with_canonical_key():
             assert is_isomorphic(first, second) == same_key, (first, second)
 
 
+def _cover_digraph(lattice):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(lattice.elements)
+    graph.add_edges_from(lattice.covers)
+    return graph
+
+
 def _vf2_isomorphic(a, b):
     nx = pytest.importorskip("networkx")
-    graphs = []
-    for lattice in (a, b):
-        graph = nx.DiGraph()
-        graph.add_nodes_from(lattice.elements)
-        graph.add_edges_from(lattice.covers)
-        graphs.append(graph)
-    return nx.is_isomorphic(*graphs)
+    return nx.is_isomorphic(_cover_digraph(a), _cover_digraph(b))
 
 
 def test_is_isomorphic_agrees_with_vf2_on_relabelled_witnesses():
@@ -579,6 +581,39 @@ def test_is_isomorphic_agrees_with_vf2_on_lookalike_pairs():
             assert is_isomorphic(first, second) == _vf2_isomorphic(first, second)
             pairs += 1
     assert pairs > 1000
+
+
+def _blow_up(lattice, x, copies):
+    """The lattice with x, which has one lower and one upper cover, replaced by that many twins."""
+    twins = [f"{x}.{i}" for i in range(copies)]
+    (low,) = [lo for lo, hi in lattice.covers if hi == x]
+    (high,) = [hi for lo, hi in lattice.covers if lo == x]
+    covers = [cover for cover in lattice.covers if x not in cover]
+    covers += [(low, t) for t in twins] + [(t, high) for t in twins]
+    return build_lattice([e for e in lattice.elements if e != x] + twins, covers)
+
+
+def test_is_isomorphic_agrees_with_vf2_on_twin_blow_ups():
+    """Blow-ups of one lattice at different elements share a twin quotient, so
+    only the class sizes and the lifted bijection can tell them apart."""
+    nx = pytest.importorskip("networkx")
+    groups: dict[tuple[int, int], list] = {}
+    for lattice in enumerate_small_lattices(7):
+        for i, x in enumerate(lattice.elements):
+            if lattice._ucov[i].bit_count() == lattice._lcov[i].bit_count() == 1:
+                for copies in (2, 3):
+                    blown = _blow_up(lattice, x, copies)
+                    groups.setdefault((len(blown), len(blown.covers)), []).append(blown)
+    pairs = isomorphic = 0
+    for group in groups.values():
+        graphs = [_cover_digraph(lattice) for lattice in group]
+        for (first, g), (second, h) in combinations(zip(group, graphs), 2):
+            same = nx.is_isomorphic(g, h)
+            assert is_isomorphic(first, second) == same, (first.covers, second.covers)
+            pairs += 1
+            isomorphic += same
+    assert sum(map(len, groups.values())) == 520
+    assert (pairs, isomorphic) == (16560, 413)
 
 
 def _reference_digraph_canonical_key(n, adj):
@@ -650,9 +685,42 @@ def test_digraph_canonical_key_matches_reference_on_larger_classes():
         assert _digraph_canonical_key(n, adj) == _reference_digraph_canonical_key(n, adj), lattice
 
 
+def _permuted(adj, perm):
+    """The digraph with vertex v renamed perm[v]."""
+    moved = [0] * len(adj)
+    for v, out in enumerate(adj):
+        moved[perm[v]] = _union(1 << perm[w] for w in _bits(out))
+    return tuple(moved)
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        (21, 42, 4, 8, 16, 32),  # up-set masks of the poset 0 < 2, 4 and 1 < 3, 5
+        (6, 40, 80, 128, 128, 128, 128, 0),  # covers of 0 < 1, 2; 1 < 3, 5; 2 < 4, 6; 3, 4, 5, 6 < 7
+    ],
+)
+def test_digraph_canonical_key_tries_one_of_twins_only(adj):
+    """Vertices 2 to 5 of the poset (3 to 6 of the lattice) share their colour and
+    their out-neighbours, but only pairs of them share their in-neighbours too."""
+    n = len(adj)
+    key = _reference_digraph_canonical_key(n, adj)
+    for perm in permutations(range(1, n - 1)):
+        assert _digraph_canonical_key(n, _permuted(adj, (0, *perm, n - 1))) == key, perm
+
+
 # canonical_key(B4), computed once by the former search over all 4!·6!·4!
 # orderings of its colour classes; the reference is too slow to run on it in a test.
 B4_KEY = (16, (0, 1, 1, 1, 1, 6, 10, 12, 18, 20, 24, 224, 800, 1344, 1664, 30720))
+
+
+@pytest.mark.parametrize("k", [3, 50, 1000])
+def test_canonical_key_of_m_k_has_its_closed_form(k):
+    """The top's row comes first, then the k atoms' and the bottom's; the atoms are twins."""
+    lattice = m_lattice(k)
+    key = (k + 2, (0,) + (1,) * k + (((1 << k) - 1) << 1,))
+    assert canonical_key(lattice) == key
+    assert canonical_key(relabelled(lattice, random.Random(k))) == key
 
 
 def test_canonical_key_of_b4_is_pinned_and_b5_is_reached():
@@ -696,9 +764,35 @@ def test_digraph_canonical_key_is_invariant_and_matches_reference(case):
 
 
 def test_is_isomorphic_deep_search_has_no_recursion_limit():
-    """M_1000 needs about a thousand individualisations."""
+    """M_1000's atoms are twins, so its search runs on a three-vertex quotient."""
     lattice = m_lattice(1000)
     assert is_isomorphic(lattice, relabelled(lattice, random.Random(4)))
+
+
+def petals(k):
+    """0 < a_i < b_i < 1 for each of k petals: no two elements are twins."""
+    covers = [c for i in range(k) for c in (("0", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", "1"))]
+    return build_lattice(["0", "1", *(f"{x}{i}" for i in range(k) for x in "ab")], covers)
+
+
+def _depth() -> int:
+    """Number of frames on the stack, the caller's included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_is_isomorphic_deep_twin_free_search_has_no_recursion_limit():
+    """100 twin-free petals need about a hundred nested individualisations."""
+    lattice = petals(100)
+    copy = relabelled(lattice, random.Random(6))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 50)
+    try:
+        assert is_isomorphic(lattice, copy)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def leq_down(leq: tuple[int, ...], i: int) -> int:
@@ -997,13 +1091,8 @@ def test_searches_run_under_a_low_recursion_limit():
     """A 150-element chain needs 148 nested choices; the searches keep no frames for them."""
     chain = _chain(150)
     ends = {chain.bottom, chain.top}
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 60)
+    sys.setrecursionlimit(_depth() + 60)
     try:
         solution = solve_equation_system(build_equation_system(chain, ends))
         hom, nodes = search_retraction(chain, ends)
