@@ -6,9 +6,9 @@ built here.  Element identifiers are opaque strings; internal indices are
 assigned by sorted identifier order, so all derived structure is
 reproducible across runs.  Lattice values are immutable after construction
 and safe for concurrent reads.  The order comes from Kahn's topological
-sort and the join/meet tables from one up-/down-mask lookup per pair; the
-tables take O(n²) memory, so a lattice has at most `MAX_ELEMENTS` (1,024)
-elements.  Covers are kept as index masks; `upper_covers` and
+sort, and `_rows` builds the join and meet tables row by row from the
+rows of covers; the tables take O(n²) memory, so a lattice has at most
+`MAX_ELEMENTS` (1,024) elements.  Covers are index masks; `upper_covers` and
 `lower_covers` read the ids off them on demand.  Whether a subset is a
 sublattice is decided here alone, by `_closed_mask`, so a caller checks a
 subset once, and `_induced` builds the sublattice from that mask only
@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import prod
+from operator import and_, itemgetter
 
 __all__ = [
     "MAX_ELEMENTS",
@@ -119,15 +120,69 @@ def _covers_within(up, mask: int) -> list[int]:
     return ucov
 
 
+def _rows(order, lower, upper, up, down) -> list[tuple[int, ...]] | None:
+    """The join table, one row per element, or None if some join is missing.
+
+    ``order`` lists each element after its lower covers; the meet table is
+    this with order, covers and masks reversed.  The bottom's row is the
+    identity.  If x has lower covers a ≠ b, then x = a ∨ b and row_x =
+    row_a ∘ row_b.  If x has one lower cover c, then x ∨ y = x ∨ (c ∨ y):
+    row_x = t ∘ row_c, t(w) = x ∨ w looked up by mask for the w ≥ c not
+    above x.  Where those are many, x ∨ y is the least member of up(x)
+    above y if up(x) is a chain over few elements, else looked up.  By
+    induction along ``order`` every join exists iff no lookup misses, and a
+    finite poset with a least element and all joins is a lattice (Davey &
+    Priestley, *Introduction to Lattices and Order*, ch. 2).
+    """
+    n = len(up)
+    ident = tuple(range(n))
+    by_up = dict(zip(up, ident))
+    rows = [ident] * n
+    for x in order:
+        lc = lower[x]
+        if lc & (lc - 1):
+            a = lc.bit_length() - 1
+            rows[x] = itemgetter(*rows[(lc ^ 1 << a).bit_length() - 1])(rows[a])
+        elif lc:
+            c, up_x = lc.bit_length() - 1, up[x]
+            rest = up[c] & ~up_x
+            if rest.bit_count() * 2 <= n:
+                t = list(ident)
+                while rest:
+                    w = rest.bit_length() - 1
+                    rest ^= 1 << w
+                    t[w] = by_up.get(up_x & up[w])
+                    if t[w] is None:
+                        return None
+                rows[x] = itemgetter(*rows[c])(t)
+                continue
+            chain, z, cost = [], x, 0
+            while upper[z] and not upper[z] & (upper[z] - 1) and cost * 2 <= n:
+                chain.append(z)
+                cost += down[z].bit_count()
+                z = upper[z].bit_length() - 1
+            if upper[z] or cost * 2 > n:
+                row = tuple(map(by_up.get, map(and_, repeat(up_x), up)))
+                if None in row:
+                    return None
+            else:
+                row = [z] * n
+                for u in reversed(chain):
+                    for y in _bits(down[u]):
+                        row[y] = u
+            rows[x] = tuple(row)
+    return rows
+
+
 class FiniteLattice:
     """A finite lattice given by its covering relation.
 
     The order is the reflexive-transitive closure of the covers.  Join and
-    meet tables are materialized eagerly, so at most `MAX_ELEMENTS`
-    elements are accepted, and construction fails unless every pair of
-    elements has a unique least upper bound and a unique greatest lower
-    bound.  Declared covers must be transitively reduced; malformed input
-    is rejected rather than repaired.
+    meet tables are materialized eagerly, row by row in topological order,
+    so at most `MAX_ELEMENTS` elements are accepted, and construction fails
+    unless every pair has a unique least upper and greatest lower bound.
+    Declared covers must be transitively reduced; malformed input is
+    rejected rather than repaired.
     """
 
     __slots__ = (
@@ -158,78 +213,73 @@ class FiniteLattice:
         n = len(self.elements)
 
         cover_pairs = set()
+        ucov = [0] * n
+        lcov = [0] * n
         for lo, hi in covers:
             if lo not in index or hi not in index:
                 raise LatticeError(f"cover ({lo!r}, {hi!r}) mentions an undeclared element")
             if lo == hi:
                 raise CycleDetected(f"cover ({lo!r}, {hi!r}) is a self-loop")
             cover_pairs.add((lo, hi))
-        self.covers = frozenset(cover_pairs)
-
-        ucov = [0] * n
-        lcov = [0] * n
-        for lo, hi in cover_pairs:
             ucov[index[lo]] |= 1 << index[hi]
             lcov[index[hi]] |= 1 << index[lo]
+        self.covers = frozenset(cover_pairs)
         self._ucov = tuple(ucov)
         self._lcov = tuple(lcov)
 
-        # Kahn's topological order: lower-cover counts are the in-degrees.
-        indegree = [lc.bit_count() for lc in lcov]
-        order = [i for i in range(n) if not indegree[i]]
+        # Kahn's order, lower-cover counts being the in-degrees, reaches each element
+        # with its down-set whole; i ≺ j is implied if another lower cover of j is above i.
+        indegree = list(map(int.bit_count, lcov))
+        order = [i for i in range(n) if not lcov[i]]
+        down = [1 << i for i in range(n)]
+        implied = 0
         for i in order:
-            for j in _bits(ucov[i]):
+            uc, down_i = ucov[i], down[i]
+            while uc:
+                j = uc.bit_length() - 1
+                uc ^= 1 << j
+                implied |= down_i & lcov[j] ^ 1 << i
+                down[j] |= down_i
                 indegree[j] -= 1
                 if not indegree[j]:
                     order.append(j)
         if len(order) < n:
             raise CycleDetected("cover relation contains a cycle")
         up = [1 << i for i in range(n)]
-        down = up[:]
         for i in reversed(order):
-            for j in _bits(ucov[i]):
-                up[i] |= up[j]
-        for i in order:
-            for j in _bits(lcov[i]):
-                down[i] |= down[j]
+            uc, up_i = ucov[i], up[i]
+            while uc:
+                j = uc.bit_length() - 1
+                uc ^= 1 << j
+                up_i |= up[j]
+            up[i] = up_i
         self._up = tuple(up)
         self._down = tuple(down)
 
         # Declared covers must be exactly the transitive reduction.
-        for lo, hi in cover_pairs:
-            i, j = index[lo], index[hi]
-            between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-            if between:
-                raise NonReducedCovers(f"cover ({lo!r}, {hi!r}) is implied transitively")
+        if implied:
+            for lo, hi in cover_pairs:
+                i, j = index[lo], index[hi]
+                if up[i] & down[j] & ~(1 << i) & ~(1 << j):
+                    raise NonReducedCovers(f"cover ({lo!r}, {hi!r}) is implied transitively")
 
-        bottoms = [i for i in range(n) if down[i] == 1 << i]
-        tops = [i for i in range(n) if up[i] == 1 << i]
-        if len(bottoms) > 1:
-            raise NotALattice((self.elements[bottoms[0]], self.elements[bottoms[1]]))
-        if len(tops) > 1:
-            raise NotALattice((self.elements[tops[0]], self.elements[tops[1]]))
-        self.bottom = self.elements[bottoms[0]]
-        self.top = self.elements[tops[0]]
+        for masks in (lcov, ucov):  # the sources, then the sinks
+            extremes = [i for i in range(n) if not masks[i]][:2]
+            if len(extremes) > 1:
+                raise NotALattice((self.elements[extremes[0]], self.elements[extremes[1]]))
+        self.bottom, self.top = self.elements[order[0]], self.elements[order[-1]]
 
-        # In a lattice up(i) & up(j) == up(i ∨ j) and down(i) & down(j) ==
-        # down(i ∧ j), so each table entry is one lookup; a miss means the
-        # pair has no least upper or greatest lower bound.
-        by_up = {m: k for k, m in enumerate(up)}
-        by_down = {m: k for k, m in enumerate(down)}
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        for i in range(n):
-            join[i][i] = meet[i][i] = i
-            up_i, down_i = up[i], down[i]
-            for j in range(i + 1, n):
-                k = by_up.get(up_i & up[j])
-                m = by_down.get(down_i & down[j])
-                if k is None or m is None:
+        # up(i ∨ j) == up(i) & up(j) and down(i ∧ j) == down(i) & down(j) where
+        # these exist.  On a miss in `_rows`, the pair scan names the first pair.
+        join = _rows(order, lcov, ucov, up, down)
+        meet = join and _rows(order[::-1], ucov, lcov, down, up)
+        if not meet:
+            ups, downs = set(up), set(down)
+            for i, j in combinations(range(n), 2):
+                if up[i] & up[j] not in ups or down[i] & down[j] not in downs:
                     raise NotALattice((self.elements[i], self.elements[j]))
-                join[i][j] = join[j][i] = k
-                meet[i][j] = meet[j][i] = m
-        self._join = tuple(tuple(row) for row in join)
-        self._meet = tuple(tuple(row) for row in meet)
+        self._join = tuple(join)
+        self._meet = tuple(meet)
         self._memo = {}
 
     # -- structural accessors -------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +393,107 @@ def test_kernel_matches_former_constructor_on_lattices():
         rename = dict(zip(lat.elements, names))
         covers = [(rename[lo], rename[hi]) for lo, hi in sorted(lat.covers)]
         assert _kernel_tables(names, covers) == _reference_tables(names, covers)
+
+
+def _m_k(k):
+    atoms = [f"a{i}" for i in range(k)]
+    return ["0", "1", *atoms], [c for a in atoms for c in (("0", a), (a, "1"))]
+
+
+def _petals(k):
+    """0 < a_i < b_i < 1 for each of k petals."""
+    covers = [c for i in range(k) for c in (("0", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", "1"))]
+    return ["0", "1", *(f"{x}{i}" for i in range(k) for x in "ab")], covers
+
+
+def _chain(n):
+    ids = [f"c{i}" for i in range(n)]
+    return ids, list(zip(ids, ids[1:]))
+
+
+def _presentation(lattice):
+    return list(lattice.elements), sorted(lattice.covers)
+
+
+def _product(first, second):
+    (xs, x_covers), (ys, y_covers) = first, second
+    covers = [(f"{lo}|{y}", f"{hi}|{y}") for lo, hi in x_covers for y in ys]
+    covers += [(f"{x}|{lo}", f"{x}|{hi}") for x in xs for lo, hi in y_covers]
+    return [f"{x}|{y}" for x in xs for y in ys], covers
+
+
+def _row_rule_shapes():
+    """The shapes the row rules of `core._rows` branch on: M_k (wide rows under the
+    top), petals (wide rows under a chain), chains (one lookup per row), grids whose
+    sorted ids are not a linear extension, S7 members and M_4 × C_3."""
+    shapes = [_m_k(k) for k in (1, 2, 3, 5, 13, 40)]
+    shapes += [_petals(k) for k in (1, 2, 7, 20)]
+    shapes += [_chain(n) for n in (9, 17, 40)]
+    shapes += [_presentation(make_grid(sizes).lattice) for sizes in ((2, 12), (3, 11))]
+    shapes += [_presentation(s7_family(i).lattice) for i in range(1, 7)]
+    shapes.append(_product(_m_k(4), _chain(3)))
+    return shapes
+
+
+def test_kernel_matches_former_constructor_on_row_rule_shapes():
+    """Each shape relabelled, and non-lattices made from it: one extra cover to a new
+    element (a second maximal, then a second minimal element) and, where two
+    incomparable elements join below the top, a new element over both under the top,
+    so that their join is missing and the pair scan names the first failing pair."""
+    rng = random.Random(31)
+    misses = 0
+    for elements, covers in _row_rule_shapes():
+        names = [f"x{i}" for i in range(len(elements))]
+        rng.shuffle(names)
+        rename = dict(zip(elements, names))
+        covers = [(rename[lo], rename[hi]) for lo, hi in covers]
+        assert _kernel_tables(names, covers) == _reference_tables(names, covers), names
+        lat = build_lattice(names, covers)
+        extended = names + ["x"]
+        non_lattices = [
+            covers + [(rng.choice([x for x in names if x != lat.top]), "x")],
+            covers + [("x", rng.choice([x for x in names if x != lat.bottom]))],
+        ]
+        pairs = [
+            (p, q) for p, q in combinations(names, 2)
+            if not lat.leq(p, q) and not lat.leq(q, p) and lat.join(p, q) != lat.top
+        ]
+        if pairs:
+            p, q = rng.choice(pairs)
+            non_lattices.append(covers + [(p, "x"), (q, "x"), ("x", lat.top)])
+            misses += 1
+        for broken in non_lattices:
+            expected = _outcome(_reference_tables, extended, broken)
+            assert expected[0] is NotALattice, expected
+            assert _outcome(_kernel_tables, extended, broken) == expected
+    assert misses == 9  # the grids, the S7 members and M_4 × C_3
+    for k in (3, 10):  # a bowtie a, b < c, d among k more atoms: the rows of a and b are looked up whole
+        names, covers = _m_k(k)
+        names += ["a", "b", "c", "d"]
+        covers += [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+        expected = _outcome(_reference_tables, names, covers)
+        assert expected[0] is NotALattice, expected
+        assert _outcome(_kernel_tables, names, covers) == expected
+
+
+def test_tables_at_the_element_cap_match_closed_forms():
+    """B10 (1,024 elements) and the 1,000-element chain, with ids whose sorted order is
+    not a linear extension: joins and meets are bitwise or and and of the subsets, and
+    the max and min of the chain positions."""
+    flip = tuple(m ^ 1 for m in range(1024))  # the subset m has index m ^ 1, and back
+    ids = [format(i, "010b") for i in flip]
+    covers = [(ids[m], ids[m | 1 << b]) for m in range(1024) for b in range(10) if not m >> b & 1]
+    lat = build_lattice(ids, covers)
+    assert (lat.index(lat.bottom), lat.index(lat.top)) == (flip[0], flip[1023])
+    assert lat._join == tuple(itemgetter(*map(flip[i].__or__, flip))(flip) for i in range(1024))
+    assert lat._meet == tuple(itemgetter(*map(flip[i].__and__, flip))(flip) for i in range(1024))
+
+    n = 1000
+    ids = [f"{n - 1 - p:04d}" for p in range(n)]  # position p has index n - 1 - p
+    lat = build_lattice(ids, list(zip(ids, ids[1:])))
+    assert (lat.bottom, lat.top) == ("0999", "0000")
+    assert lat._join == tuple(tuple(range(i)) + (i,) * (n - i) for i in range(n))
+    assert lat._meet == tuple((i,) * i + tuple(range(i, n)) for i in range(n))
 
 
 def _reference_induced_covers(lattice, subset):
