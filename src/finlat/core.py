@@ -25,15 +25,20 @@ upper-cover masks that `_covers_within` reads within a closed mask.
 Derived invariants (distributivity, semimodularity, slimness, the join-
 and meet-irreducibles, the length, the grid factor sizes, in
 `chains` the order dimension and the grid embedding, in `grids` the
-dimension bump, and in `oracle` the cover degrees) are memoised per
-lattice in its private ``_memo`` dict.  An entry is computed from the
-immutable tables, so a second writer stores an equal value: the writes
-are idempotent and reads stay safe.  Entries are immutable or copied at
-the API edge, and none references its lattice, so a lattice sits in no
-reference cycle.  The grid embedding of a lattice that is a grid's own
-presentation targets a grid holding that very lattice, so for it `chains`
-keeps the factor sizes and looks the grid up again on each call, adopting
-the lattice into a new grid if the old one has gone.
+dimension bump, in `retractions` the certified bump witness and in
+`oracle` the cover degrees) are memoised per lattice in its private
+``_memo`` dict.  An entry is computed from the immutable tables, so a
+second writer stores an equal value: the writes are idempotent and reads
+stay safe.  Entries are immutable or copied at the API edge, and none
+references its lattice, so a lattice sits in no reference cycle.  One
+entry grows: `retractions.retract_onto` keeps a dict from each closed
+mask asked of the lattice to the target's shape and its checked
+retraction as an index tuple, so it holds ints and tuples only, at most
+one item per distinct closed mask asked.  The grid embedding of a lattice
+that is a grid's own presentation targets a grid holding that very
+lattice, so for it `chains` keeps the factor sizes and looks the grid up
+again on each call, adopting the lattice into a new grid if the old one
+has gone.
 """
 
 from __future__ import annotations
@@ -356,7 +361,9 @@ def _memoised(fn):
     """Compute ``fn(lattice)`` once per lattice and keep it in ``lattice._memo``.
 
     The value must not reference the lattice and must be immutable, or be
-    copied by the caller before it leaves the package.
+    copied by the caller before it leaves the package.  The one exception
+    is not made here: `retractions.retract_onto` keeps a growing dict, at
+    most one item per distinct closed mask asked of that lattice.
     """
 
     @functools.wraps(fn)

@@ -3,11 +3,13 @@
 A `Homomorphism` checks join and meet preservation over all pairs when it
 is built, on the target's tables; one onto a sublattice of its own source
 (a found or constructed retraction) is built from a closed index mask and
-an index map, checked on the source's tables, which on a closed mask hold
-the sublattice's joins and meets, and builds its target, id mapping and
-target-index map only when they are first read.  A `Congruence` checks
-that its partition is compatible with join and meet over all columns,
-except a homomorphism's kernel, which is one by theorem and is built by
+an index map that `_check_onto` has checked on the source's tables, which
+on a closed mask hold the sublattice's joins and meets, and builds its
+target, id mapping and target-index map only when they are first read.
+The check and the wrapper are apart, so `retractions` checks a map once
+and wraps it again on every call.  A `Congruence` checks that its
+partition is compatible with join and meet over all columns, except a
+homomorphism's kernel, which is one by theorem and is built by
 `Congruence._of_labels` unchecked.
 `_congruence_labels` closes a set of index pairs under translations by
 the join- and meet-irreducibles only, which generate all translations,
@@ -21,18 +23,17 @@ API edge: every check runs on index arrays, the map as a list of target
 (or, onto a sublattice, source) indices and a partition as the block
 index of each element, compared against the lattice's integer
 `_join`/`_meet` tables and cover masks.  A map's check gathers through
-its index list once per call and compares each table in one streamed
-pass; it walks the rows only when a pass fails, to name the first failing
-pair.  The module depends on `core` only, so every other module can build
-and verify maps and certify them.
+its index list once per call and compares each row whole; it walks the
+rows pair by pair only when a row fails, to name the first failing pair.
+The module depends on `core` only, so every other module can build and
+verify maps and certify them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .core import (
     FiniteLattice,
@@ -78,13 +79,13 @@ class Homomorphism:
     preservation, injectivity) are read off the same index map on demand
     and cached.
 
-    `_onto_sublattice` builds a homomorphism onto a sublattice of its own
-    source from a closed index mask and the source index of each image, and
-    checks it on the source's tables, which on a closed mask hold the
-    sublattice's joins and meets.  Such a homomorphism builds ``target``,
-    ``mapping`` and the target-index map only when they are first read;
-    `is_retraction`, `fixes`, `kernel` and the repr answer from the mask and
-    the index map alone.
+    `_onto_sublattice` wraps a homomorphism onto a sublattice of its own
+    source from a closed index mask and the source index of each image,
+    once `_check_onto` has checked them on the source's tables, which on a
+    closed mask hold the sublattice's joins and meets.  Such a homomorphism
+    builds ``target``, ``mapping`` and the target-index map only when they
+    are first read; `is_retraction`, `fixes`, `kernel` and the repr answer
+    from the mask and the index map alone.
     """
 
     # The closed mask of the target inside the source, and each element's
@@ -106,19 +107,11 @@ class Homomorphism:
 
     @classmethod
     def _onto_sublattice(cls, source: FiniteLattice, g, mask: int) -> "Homomorphism":
-        """The homomorphism onto the sublattice on ``mask``, sending i to g[i].
+        """The homomorphism onto the sublattice on ``mask``, sending i to g[i], unchecked.
 
-        ``mask`` must be closed under the source's join and meet.  The
-        checks are the constructor's, on source indices: every image lies
-        in the mask, and every join and meet row is preserved.
+        ``g`` must have passed `_check_onto` for ``mask``; it is kept, not
+        copied, so a caller that keeps ``g`` passes a tuple.
         """
-        ids = source.elements
-        if len(g) != len(ids):
-            raise NotAHomomorphism("mapping is not total on the source")
-        for v in g:
-            if not mask >> v & 1:
-                raise NotAHomomorphism(f"image {ids[v]!r} is outside the target")
-        _check_rows(source, source, g)
         hom = cls.__new__(cls)
         hom.source = source
         hom._mask = mask
@@ -197,19 +190,39 @@ class Homomorphism:
         return f"<Homomorphism {len(self.source)}->{size}>"
 
 
+def _check_onto(source: FiniteLattice, g, mask: int) -> None:
+    """Raise `NotAHomomorphism` unless i ↦ g[i] is a homomorphism onto the mask.
+
+    ``mask`` must be closed under the source's join and meet.  The checks
+    are the constructor's, on source indices: every image lies in the
+    mask, and every join and meet row is preserved.
+    """
+    ids = source.elements
+    if len(g) != len(ids):
+        raise NotAHomomorphism("mapping is not total on the source")
+    for v in g:
+        if not mask >> v & 1:
+            raise NotAHomomorphism(f"image {ids[v]!r} is outside the target")
+    _check_rows(source, source, g)
+
+
 def _check_rows(source: FiniteLattice, target: FiniteLattice, f) -> None:
     """Raise `NotAHomomorphism` unless f preserves every join and meet.
 
     f[i] is the target index of the i-th source element; row i of the
     source tables, read through f, must equal row f[i] of the target
-    tables read at f.  One gather of f serves every row, and each table is
-    compared in one streamed pass; a one-element source always passes.
-    Only a failing pass walks the rows, to name the first failing pair.
+    tables read at f.  One gather of f serves every row, and each row is
+    compared whole, as a list: a tuple built from a map is over-allocated
+    and shrunk, and CPython keeps up to 2,000 freed tuples of each length,
+    so shrunk tuples would stay held.  A one-element source always
+    passes.  Only a failing comparison walks the rows, to name the first
+    failing pair.
     """
-    image, at_f, flat = f.__getitem__, itemgetter(*f), chain.from_iterable
+    image, at_f = f.__getitem__, itemgetter(*f)
     if len(f) == 1 or all(
-        all(map(eq, map(image, flat(s)), flat(map(at_f, map(t.__getitem__, f)))))
+        list(map(image, s_row)) == list(at_f(t_row))
         for s, t in ((source._join, target._join), (source._meet, target._meet))
+        for s_row, t_row in zip(s, map(t.__getitem__, f))
     ):
         return
     ids = source.elements

@@ -53,7 +53,7 @@ from .core import (
     is_slim,
     lattice_length,
 )
-from .morphisms import Homomorphism, NotAHomomorphism, congruence_generated_by
+from .morphisms import Homomorphism, NotAHomomorphism, _check_onto, congruence_generated_by
 
 __all__ = [
     "NotProper",
@@ -215,6 +215,7 @@ def _search(lattice: FiniteLattice, mask: int, count_all: bool):
     nodes = _backtrack(variables, sub_idx, f, assigned, propagate, leaf)
     if first is None:
         return None, count, nodes
+    _check_onto(lattice, first, mask)
     return Homomorphism._onto_sublattice(lattice, first, mask), count, nodes
 
 
@@ -394,9 +395,10 @@ def induced_homomorphism(system: EquationSystem, assignment: Assignment) -> Homo
     try:
         if None in g:
             raise NotAHomomorphism("an image is not an element")
-        return Homomorphism._onto_sublattice(lat, g, system._mask)
+        _check_onto(lat, g, system._mask)
     except NotAHomomorphism as exc:
         raise LatticeError("assignment does not satisfy the system") from exc
+    return Homomorphism._onto_sublattice(lat, g, system._mask)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,19 @@ entry to both; the tests compare each map with a reference built from
 those congruences.  It reads the target's shape once off its closed mask
 (`core._grid_shape`), both to decide eligibility and to choose the map,
 and builds both maps on the ambient's tables, so no sublattice is built
-unless the result's target is read.  A classifier decides whether
-a lattice is an absolute retract for the class of finite distributive
-lattices of bounded dimension, and in the negative case builds a proper
-cover-preserving {0,1}-extension of equal length as a refutation
-witness, certified by `check_cover01` and optionally confirmed by
-exhaustive search.  A witness one dimension up is the grid embedding
-followed by the dimension bump, composed on grid coordinates: only the
-bumped grid is built, only the composite map is checked, and the pair is
-memoised on the input.  The cover-{0,1} report lives in `morphisms`; this
+unless the result's target is read.  A map depends on the lattice and the
+target's mask only, never on the class, so each checked map is kept in the
+lattice's memo by mask, while eligibility is decided again on every call.
+A classifier decides whether a lattice is an absolute retract for the
+class of finite distributive lattices of bounded dimension, and in the
+negative case builds a proper cover-preserving {0,1}-extension of equal
+length as a refutation witness, certified by `check_cover01` and
+optionally confirmed by exhaustive search.  A witness one dimension up is
+the grid embedding followed by the dimension bump, composed on grid
+coordinates: only the bumped grid is built, only the composite map is
+certified, and the witness, its certificate and its search count are
+memoised on the input, so every class that bumps the same lattice reads
+one certified witness.  The cover-{0,1} report lives in `morphisms`; this
 module re-exports it with `NotSemimodular`.
 """
 
@@ -54,6 +58,7 @@ from .morphisms import (
     NotACongruence,
     NotAHomomorphism,
     NotSemimodular,
+    _check_onto,
     check_cover01,
 )
 from .oracle import search_retraction
@@ -89,7 +94,7 @@ class NotInClass(LatticeError):
     pass
 
 
-def _upper_map(lattice: FiniteLattice, mask: int) -> list[int]:
+def _upper_map(lattice: FiniteLattice, mask: int) -> tuple[int, ...]:
     """x ↦ the least member of the sublattice S at or above x ∧ t, t = top of S.
 
     S is given by its index mask, and so is the image of each element index.
@@ -98,12 +103,12 @@ def _upper_map(lattice: FiniteLattice, mask: int) -> list[int]:
     """
     join, meet, up = lattice._join, lattice._meet, lattice._up
     t = reduce(lambda a, b: join[a][b], _bits(mask))
-    return [
+    return tuple(
         reduce(lambda a, b: meet[a][b], _bits(up[meet[i][t]] & mask)) for i in range(len(lattice))
-    ]
+    )
 
 
-def _prime_map(lattice: FiniteLattice, mask: int) -> list[int]:
+def _prime_map(lattice: FiniteLattice, mask: int) -> tuple[int, ...]:
     """Schmid's prime-ideal map of a distributive lattice onto a boolean sublattice.
 
     The boolean sublattice S is given by its closed index mask.  Walks a
@@ -134,7 +139,7 @@ def _prime_map(lattice: FiniteLattice, mask: int) -> list[int]:
         candidates = down[upper] & ~down[lower] & jmask
         primes |= candidates & -candidates
     rep = {down[i] & primes: i for i in _bits(mask)}
-    return [rep[dx & primes] for dx in down]
+    return tuple(rep[dx & primes] for dx in down)
 
 
 @dataclass(frozen=True)
@@ -210,27 +215,33 @@ def retract_onto(lattice: FiniteLattice, subset, cls: ClassId) -> Homomorphism:
     target gets the prime map, every other target the upper map
     x ↦ least member at or above x ∧ t, both computed in the ambient
     lattice.  One `core._grid_shape` of the target's closed mask decides
-    eligibility and the map; both maps are index arrays checked on the
+    eligibility and the map; both maps are index tuples checked on the
     ambient's tables, and the result builds its target lattice only when it
-    is first read.
+    is first read.  The map depends on the lattice and the mask alone, so
+    the shape and the checked map are kept in the lattice's memo, keyed by
+    the mask; every call still checks membership, closure and eligibility
+    for its own class, and wraps the kept map in a new result.
     """
     _check_membership(lattice, cls)
     mask = _sublattice_mask(lattice, subset)
     size = mask.bit_count()
-    g = None
-    if size < len(lattice):
-        if cls.kind == "sps":
-            if size != 1:
-                raise NotEligible("only one-element sublattices are eligible in this class")
-        else:
-            shape = _grid_shape(lattice, mask)
-            if not _qualifies(cls, shape):
-                raise NotEligible("target is neither boolean nor a grid of the class dimension")
-            if not shape or shape[0] == 2:
-                g = _prime_map(lattice, mask)
-    result = Homomorphism._onto_sublattice(lattice, g or _upper_map(lattice, mask), mask)
+    proper = size < len(lattice)
+    if cls.kind == "sps" and proper and size != 1:
+        raise NotEligible("only one-element sublattices are eligible in this class")
+    made = lattice._memo.setdefault(retract_onto, {})
+    shape, g = made.get(mask) or (_grid_shape(lattice, mask), None)
+    if cls.kind != "sps" and proper and not _qualifies(cls, shape):
+        raise NotEligible("target is neither boolean nor a grid of the class dimension")
+    if g is not None:
+        return Homomorphism._onto_sublattice(lattice, g, mask)
+    # A one-element target is boolean: both maps are the constant map.
+    boolean = proper and (not shape or shape[0] == 2)
+    g = (_prime_map if boolean else _upper_map)(lattice, mask)
+    _check_onto(lattice, g, mask)
+    result = Homomorphism._onto_sublattice(lattice, g, mask)
     if not result.is_retraction():  # pragma: no cover - verified construction
         raise LatticeError("constructed map is not a retraction")
+    made[mask] = shape, g
     return result
 
 
@@ -263,18 +274,48 @@ class Verdict:
     search_nodes: int | None = None
 
 
-@_memoised
-def _bump_witness(lattice: FiniteLattice) -> tuple[Grid, dict[str, str]]:
-    """(bumped grid B, map L → B): the grid embedding followed by the bump.
+def _certify(
+    lattice: FiniteLattice, witness: FiniteLattice, mapping: dict[str, str]
+) -> tuple[WitnessCertificate, int | None]:
+    """The certificate of the inclusion L → witness, and the nodes of its search.
 
-    The bump rule is applied to the embedding's coordinates, so the grid
-    of L's own dimension is never built; B is larger than L, so it never
-    references L.  Unverified: the caller certifies the map.
+    The certificate is returned only when the inclusion is proper,
+    cover-{0,1}, injective and of equal length; for witnesses of at most
+    `_ORACLE_BOUND` elements an exhaustive search for a retraction onto the
+    image is run as confirmation, and its node count is returned.
+    """
+    report = check_cover01(Homomorphism(lattice, witness, mapping))
+    proper = len(witness) > len(lattice)
+    if not (proper and report.all_hold):  # pragma: no cover
+        raise LatticeError("witness construction failed to be a proper cover-{0,1} extension")
+    confirmed: bool | None = None
+    nodes: int | None = None
+    if len(witness) <= _ORACLE_BOUND:
+        image = {mapping[x] for x in lattice.elements}
+        found, nodes = search_retraction(witness, image)
+        confirmed = found is None
+        if not confirmed:  # pragma: no cover - impossible mathematically
+            raise LatticeError("oracle found a retraction onto a refuted witness")
+    return WitnessCertificate(proper, report, confirmed), nodes
+
+
+@_memoised
+def _bump_witness(
+    lattice: FiniteLattice,
+) -> tuple[Grid, dict[str, str], WitnessCertificate, int | None]:
+    """(bumped grid B, map L → B, its certificate, its search nodes).
+
+    The map is the grid embedding followed by the bump.  The bump rule is
+    applied to the embedding's coordinates, so the grid of L's own
+    dimension is never built, and only the composite map is certified, by
+    `_certify`.  B is larger than L and the certificate holds flags only,
+    so the memoised value never references L; the caller copies the map.
     """
     e_plus, coords = _grid_coordinates(lattice)
     _, _, sizes, bumped_coords = _bump_coords(tuple(map(len, e_plus)), coords)
     bumped = make_grid(sizes)
-    return bumped, {x: bumped.id_of(c) for x, c in zip(lattice.elements, bumped_coords)}
+    mapping = {x: bumped.id_of(c) for x, c in zip(lattice.elements, bumped_coords)}
+    return bumped, mapping, *_certify(lattice, bumped.lattice, mapping)
 
 
 def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
@@ -284,12 +325,11 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     finite dimension n, for n-dimensional grids.  Otherwise a proper
     extension witness is built: the grid embedding target when dimensions
     already agree, or else a dimension bump of that target.  (A boolean
-    grid target would make the lattice boolean, which is positive.)  The
-    bump is applied to the embedding's coordinates, so only the final map
-    is checked: the certificate is returned only when that inclusion is
-    proper, cover-{0,1}, injective and of equal length; for witnesses of
-    at most `_ORACLE_BOUND` elements an exhaustive search is run as
-    confirmation.
+    grid target would make the lattice boolean, which is positive.)
+    `_certify` certifies the inclusion.  The bump witness does not depend
+    on the class, so it is built and certified once per lattice: every
+    class that bumps the lattice reads the same witness, certificate and
+    search nodes.
     """
     _check_membership(lattice, cls)
 
@@ -315,7 +355,7 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     n = cls.n
     if n is None or order_dimension(lattice) < n:
         case = "dimension-bump"
-        bumped, bump_map = _bump_witness(lattice)
+        bumped, bump_map, certificate, nodes = _bump_witness(lattice)
         witness_lattice = bumped.lattice
         mapping = dict(bump_map)
     else:
@@ -323,20 +363,7 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
         emb = grid_embed(lattice)
         witness_lattice = emb.target.lattice
         mapping = emb.mapping
-
-    inclusion = Homomorphism(lattice, witness_lattice, mapping)
-    cert_report = check_cover01(inclusion)
-    proper = len(witness_lattice) > len(lattice)
-    if not (proper and cert_report.all_hold):  # pragma: no cover
-        raise LatticeError("witness construction failed to be a proper cover-{0,1} extension")
-    confirmed: bool | None = None
-    nodes: int | None = None
-    if len(witness_lattice) <= _ORACLE_BOUND:
-        image = {mapping[x] for x in lattice.elements}
-        found, nodes = search_retraction(witness_lattice, image)
-        confirmed = found is None
-        if not confirmed:  # pragma: no cover - impossible mathematically
-            raise LatticeError("oracle found a retraction onto a refuted witness")
+        certificate, nodes = _certify(lattice, witness_lattice, mapping)
     return Verdict(
         lattice,
         cls,
@@ -344,6 +371,6 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
         case=case,
         witness=witness_lattice,
         embedding=mapping,
-        certificate=WitnessCertificate(proper, cert_report, confirmed),
+        certificate=certificate,
         search_nodes=nodes,
     )

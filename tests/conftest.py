@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from finlat import build_lattice, make_grid
@@ -28,6 +30,21 @@ def homomorphism_fields(hom):
 def count_retractions(lattice, sub):
     """The exact number of retractions onto a sublattice, by the oracle's search."""
     return _search(lattice, _sublattice_mask(lattice, sub), count_all=True)[1]
+
+
+def _leaves_no_cycles(call) -> int:
+    """Objects the collector finds unreachable after one call, run with the collector off.
+
+    One call first warms any lazy set-up, so the count is that of every later call.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 S7_ELEMENTS = ["0", "u", "v", "l", "m", "r", "1"]

@@ -31,7 +31,7 @@ from finlat import (
 )
 from finlat.checks import retraction_kernels
 from finlat.core import _sublattice_mask
-from finlat.morphisms import NotACongruence, NotAHomomorphism, _congruence_labels
+from finlat.morphisms import NotACongruence, NotAHomomorphism, _check_onto, _congruence_labels
 from tests.conftest import homomorphism_fields
 
 LATTICES = list(enumerate_small_lattices(6))
@@ -385,10 +385,16 @@ def _index_maps(lattice):
     return product(range(len(lattice)), repeat=len(lattice))
 
 
+def _checked_onto(lattice, g, mask):
+    _check_onto(lattice, g, mask)
+    return Homomorphism._onto_sublattice(lattice, g, mask)
+
+
 def test_onto_sublattice_refuses_and_accepts_as_the_constructor():
     """Every map of a lattice with at most 4 elements into itself, against
-    every sublattice: the private entry refuses with the constructor's error
-    or accepts with its fields, `fixes` and `is_retraction` included."""
+    every sublattice: the private check refuses with the constructor's error,
+    or accepts and the private wrapper has the constructor's fields, `fixes`
+    and `is_retraction` included."""
     outcomes = Counter()
     for lattice in enumerate_small_lattices(4):
         ids = lattice.elements
@@ -398,7 +404,7 @@ def test_onto_sublattice_refuses_and_accepts_as_the_constructor():
             for g in _index_maps(lattice):
                 mapping = {x: ids[v] for x, v in zip(ids, g)}
                 expected = _outcome(lambda: Homomorphism(lattice, target, mapping))
-                got = _outcome(lambda: Homomorphism._onto_sublattice(lattice, list(g), mask))
+                got = _outcome(lambda: _checked_onto(lattice, g, mask))
                 assert got[0] == expected[0] and (got[0] == "ok" or got == expected), (ids, sub, g)
                 if got[0] == "ok":
                     hom, eager = got[1], expected[1]

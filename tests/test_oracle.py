@@ -1,4 +1,3 @@
-import gc
 import random
 import sys
 import types
@@ -39,7 +38,13 @@ from finlat.oracle import (
     _digraph_canonical_key,
     canonical_key,
 )
-from tests.conftest import S7_COVERS, S7_ELEMENTS, count_retractions, homomorphism_fields
+from tests.conftest import (
+    S7_COVERS,
+    S7_ELEMENTS,
+    _leaves_no_cycles,
+    count_retractions,
+    homomorphism_fields,
+)
 
 
 def brute_force_retractions(lattice, sub):
@@ -1101,21 +1106,6 @@ def test_searches_run_under_a_low_recursion_limit():
     assert solution is not None and set(solution.values.values()) <= ends
     assert hom is not None and hom.is_retraction()
     assert nodes == 148
-
-
-def _leaves_no_cycles(call) -> int:
-    """Objects the collector finds unreachable after one call, run with the collector off.
-
-    One call first warms any lazy set-up, so the count is that of every later call.
-    """
-    call()
-    gc.collect()
-    gc.disable()
-    try:
-        call()
-        return gc.collect()
-    finally:
-        gc.enable()
 
 
 def _largest_slim_case():

@@ -1,3 +1,5 @@
+import gc
+import random
 import weakref
 from collections import Counter
 from itertools import combinations, product
@@ -48,7 +50,7 @@ from finlat.retractions import (
     _prime_map,
     _upper_map,
 )
-from tests.conftest import REFERENCE_GRID_SIZES
+from tests.conftest import REFERENCE_GRID_SIZES, _leaves_no_cycles
 
 
 def test_homomorphism_verifies_pairs(c3, b2):
@@ -735,3 +737,141 @@ def test_retract_onto_builds_no_lattice_until_the_target_is_read(monkeypatch, c4
         target = hom.target
         assert len(built) == 1 and hom.target is target and len(built) == 1
         assert target == induced_lattice(lattice, subset)
+
+
+# -- the per-lattice memos of `retract_onto` and `classify_absolute_retract`
+
+_MEMO_CLASSES = [
+    ClassId.parse(text)
+    for text in (
+        "dfin:1", "dfin:2", "dfin:3", "dfin:omega", "dcov:1", "dcov:2", "dcov:3", "dcov:omega",
+        "sps",
+    )
+]
+
+
+def _fresh(lattice):
+    """An equal lattice with an empty memo."""
+    return build_lattice(lattice.elements, lattice.covers)
+
+
+def _retraction(lattice, sub, cls):
+    """The retraction's id map, which fixes its target, or the refusal's type and text."""
+    try:
+        hom = retract_onto(lattice, sub, cls)
+    except LatticeError as error:
+        return type(error), str(error)
+    assert hom.is_retraction()
+    return list(hom.mapping.items())
+
+
+def test_retract_onto_decides_eligibility_on_every_call():
+    """One lattice asked for every closed mask in every class, in a shuffled
+    class order per mask, answers as a copy whose memo is emptied before
+    each call does: a kept map never carries one class's eligibility into
+    another."""
+    rng = random.Random(32)
+    counts = Counter()
+    for lattice in enumerate_distributive_lattices(8):
+        cold = _fresh(lattice)
+        for sub in all_sublattices(lattice):
+            for cls in rng.sample(_MEMO_CLASSES, len(_MEMO_CLASSES)):
+                got = _retraction(lattice, sub, cls)
+                cold._memo.clear()
+                where = (lattice.elements, sorted(lattice.covers), sorted(sub), str(cls))
+                assert got == _retraction(cold, sub, cls), where
+                counts[got[0].__name__ if isinstance(got, tuple) else "retraction"] += 1
+    assert counts == {"retraction": 7075, "NotEligible": 19491, "NotInClass": 6581}
+
+    # A 3x2 grid is eligible in dimension 2 and not in dimension 3, after
+    # its map is kept; asked again in dimension 2, it is the same map.
+    lattice = _fresh(make_grid((4, 2)).lattice)
+    target = {f"{i},{j}" for i in range(3) for j in range(2)}
+    first = retract_onto(lattice, target, ClassId.dfin(2))
+    assert core._grid_shape(lattice, _sublattice_mask(lattice, target)) == (3, 2)
+    assert _sublattice_mask(lattice, target) in lattice._memo[retract_onto]
+    with pytest.raises(NotEligible, match="neither boolean nor a grid of the class dimension"):
+        retract_onto(lattice, target, ClassId.dfin(3))
+    again = retract_onto(lattice, target, ClassId.dfin(2))
+    assert again is not first and again.mapping == first.mapping and again.is_retraction()
+
+
+def _verdict_fields(lattice, cls):
+    """Every field a verdict certifies, or the refusal's type and text."""
+    try:
+        verdict = classify_absolute_retract(lattice, cls)
+    except LatticeError as error:
+        return type(error), str(error)
+    witness, cert = verdict.witness, verdict.certificate
+    return (
+        verdict.is_absolute_retract,
+        verdict.case,
+        witness and (witness.elements, witness.covers),
+        verdict.embedding,
+        cert and (cert.proper, cert.cover01, cert.oracle_confirmed),
+        verdict.search_nodes,
+    )
+
+
+def test_warm_verdicts_equal_cold_ones():
+    """Every class of every distributive lattice with at most 8 elements,
+    asked twice of one lattice, gets the verdict of a fresh copy: the
+    witness kept for one class is certified as if built for each."""
+    counts = Counter()
+    for lattice in enumerate_distributive_lattices(8):
+        for _ in range(2):
+            for cls in _MEMO_CLASSES:
+                warm = _verdict_fields(lattice, cls)
+                assert warm == _verdict_fields(_fresh(lattice), cls), (lattice.elements, str(cls))
+                counts[warm[1] if isinstance(warm[0], bool) else warm[0].__name__] += 1
+    # Each of the two passes: 42 positive, 140 bumps, 48 same-dimension
+    # witnesses, 34 slim semimodular witnesses and one singleton.
+    assert counts == {
+        None: 84,
+        "dimension-bump": 280,
+        "same-dimension": 96,
+        "sps-witness": 68,
+        "singleton": 2,
+        "NotInClass": 118,
+    }
+
+
+class _Referable(core.FiniteLattice):
+    """A lattice a weak reference can point to."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _fill_memos(lattice):
+    """Ask every closed mask and every verdict of the lattice in every class."""
+    for sub in all_sublattices(lattice):
+        for cls in _MEMO_CLASSES:
+            try:
+                retract_onto(lattice, sub, cls)
+            except LatticeError:
+                pass
+    for cls in _MEMO_CLASSES:
+        try:
+            classify_absolute_retract(lattice, cls)
+        except NotInClass:
+            pass
+
+
+@pytest.mark.parametrize("sizes", [(4,), (3, 2), (4, 2), (2, 2, 2)])
+def test_filled_memos_leave_no_cycles_and_free_the_lattice(sizes):
+    """The kept maps and witnesses hold no reference to their lattice: calls
+    that fill the memos of a fresh lattice leave nothing to the collector,
+    and the lattice goes with its last reference."""
+    grid = make_grid(sizes).lattice
+    assert _leaves_no_cycles(lambda: _fill_memos(_fresh(grid))) == 0
+    lattice = _Referable(grid.elements, grid.covers)
+    _fill_memos(lattice)
+    assert lattice._memo[retract_onto]
+    assert sizes == (2, 2, 2) or retractions._bump_witness.__wrapped__ in lattice._memo
+    ref = weakref.ref(lattice)
+    gc.disable()
+    try:
+        del lattice
+        assert ref() is None
+    finally:
+        gc.enable()
