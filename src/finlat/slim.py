@@ -20,9 +20,11 @@ distinct coatoms c, d join to the top, so θ(c, d) = θ(c ∧ d, 1), and
 θ(x, 1) ⊆ θ(y, 1) whenever y ≤ x: a closure for one pair per maximal
 pairwise meet covers every pair.
 
-Oriented lattices are read-only: each keeps the oriented 4-cells found
-when it was validated.  S7 family members are built once per process,
-each by one fork of the member before it, and shared by every witness.
+Oriented lattices are read-only and keep their oriented 4-cells.  Grids
+and forks are not validated again: a fork on an oriented 4-cell of a slim
+semimodular lattice gives one again, one unit longer (Czédli and Schmidt,
+2012).  S7 family members are built once per process, each by one fork of
+the member before it, and shared by every witness.
 """
 
 from __future__ import annotations
@@ -94,44 +96,54 @@ class OrientedLattice:
 
     ``up[x]`` and ``down[x]`` list the covers of x from left to right.  Each
     pair of neighbouring upper covers spans a 4-cell, and those cells are
-    exactly the cover-preserving boolean quadruples of the lattice; this is
-    revalidated whenever an instance is built, and the oriented cells found
-    then are what `cells` returns.  Instances are read-only.
+    exactly the cover-preserving boolean quadruples of the lattice, faces
+    oriented alike by the lower covers of their tops.  The constructor
+    checks all of this; grids and forks are built by `_trusted`, unchecked.
+    `cells` returns the oriented cells.  Instances are read-only.
     """
 
     def __init__(self, lattice, up, down, fresh: int = 0, last_fork: ForkRecord | None = None):
+        self._keep(lattice, up, down, fresh, last_fork)
+        self._cells = self._validate()
+
+    @classmethod
+    def _trusted(cls, lattice, up, down, fresh: int = 0, last_fork: ForkRecord | None = None):
+        """An instance on cover orders that a construction keeps valid, unchecked."""
+        ol = cls.__new__(cls)
+        ol._keep(lattice, up, down, fresh, last_fork)
+        ol._cells = ol._cells_from_up()
+        return ol
+
+    def _keep(self, lattice, up, down, fresh, last_fork) -> None:
         self.lattice = lattice
         self.up = {x: tuple(v) for x, v in up.items()}
         self.down = {x: tuple(v) for x, v in down.items()}
         self._fresh = fresh
         self.last_fork = last_fork
-        self._cells = self._validate()
 
     def _validate(self) -> tuple[Cell, ...]:
         lat = self.lattice
         if set(self.up) != set(lat.elements) or set(self.down) != set(lat.elements):
             raise ValidationFailed("cover orders do not match the element set")
         for x in lat.elements:
-            if set(self.up[x]) != set(lat.upper_covers(x)) or len(self.up[x]) != len(
-                lat.upper_covers(x)
-            ):
-                raise ValidationFailed(f"upper covers of {x!r} disagree with the lattice")
-            if set(self.down[x]) != set(lat.lower_covers(x)) or len(self.down[x]) != len(
-                lat.lower_covers(x)
-            ):
-                raise ValidationFailed(f"lower covers of {x!r} disagree with the lattice")
+            for side, order, covers in (("upper", self.up[x], lat.upper_covers(x)),
+                                        ("lower", self.down[x], lat.lower_covers(x))):
+                if set(order) != set(covers) or len(order) != len(covers):
+                    raise ValidationFailed(f"{side} covers of {x!r} disagree with the lattice")
         if not is_slim(lat):
             raise ValidationFailed("lattice is not slim")
         if not is_semimodular(lat):
             raise ValidationFailed("lattice is not semimodular")
         cells = self._cells_from_up()
-        from_up = set(cells)
-        from_down = set(self._cells_from_down())
         plain = {(c.bottom, frozenset((c.left, c.right)), c.top) for c in four_cells(lat)}
-        for cell_set in (from_up, from_down):
-            keyed = {(c.bottom, frozenset((c.left, c.right)), c.top) for c in cell_set}
-            if keyed != plain:
-                raise ValidationFailed("planar cells disagree with the 4-cells")
+        if {(c.bottom, frozenset((c.left, c.right)), c.top) for c in cells} != plain:
+            raise ValidationFailed("planar cells disagree with the 4-cells")
+        if set(cells) != set(self._cells_from_down()):
+            raise ValidationFailed("cells read off upper and lower covers are oriented apart")
+        for c in cells:  # a face: its sides are the innermost covers of its left and right
+            for x, i in ((c.left, -1), (c.right, 0)):
+                if (self.down[x][i], self.up[x][i]) != (c.bottom, c.top):
+                    raise ValidationFailed(f"{c!r} is not a face of the planar order")
         return cells
 
     def cells(self) -> tuple[Cell, ...]:
@@ -183,7 +195,7 @@ class OrientedLattice:
 
 
 def oriented_grid(m: int, n: int) -> OrientedLattice:
-    """The m-by-n grid with its planar orientation.
+    """The m-by-n grid with its planar orientation, built without validation.
 
     Drawn with the first coordinate ascending to the upper left, so the
     left element of each cell is the one with the larger first coordinate.
@@ -207,7 +219,7 @@ def oriented_grid(m: int, n: int) -> OrientedLattice:
             downs.append(grid.id_of((i - 1, j)))
         up[x] = ups
         down[x] = downs
-    return OrientedLattice(grid.lattice, up, down)
+    return OrientedLattice._trusted(grid.lattice, up, down)
 
 
 def _walk(ol: OrientedLattice, cell: Cell, side: int) -> list[tuple[str, str]]:
@@ -236,14 +248,14 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
 
     The new middle element is covered by the cell's top; each leg inserts
     one new element on every edge of the descending cell sequence on its
-    side, each covered by the previously added one.  The result is
-    revalidated (slim, semimodular, planar consistency) and must gain
-    exactly one unit of length.
+    side, each covered by the previously added one.  The result is slim,
+    semimodular and one unit longer, and so it is not validated again:
+    only the cell, the cell walks, the new lattice and its element count
+    are checked.
     """
     lat = ol.lattice
     a, b, c, d = cell.bottom, cell.left, cell.right, cell.top
-    cells = ol.cells()
-    if cell not in cells:
+    if cell not in ol.cells():
         raise NotA4Cell(f"{cell!r} is not an oriented 4-cell of the lattice")
     lows = ol.down[d]
     if b not in lows or c not in lows or lows.index(c) != lows.index(b) + 1:
@@ -282,24 +294,12 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
     covers = [(x, y) for x, ups in up.items() for y in ups]
     try:
         new_lattice = build_lattice(list(up), covers)
-        result = OrientedLattice(
-            new_lattice,
-            up,
-            down,
-            fresh=fresh,
-            last_fork=ForkRecord(mid, tuple(left_names), tuple(right_names)),
-        )
     except LatticeError as exc:
-        if isinstance(exc, ValidationFailed):
-            raise
         raise ValidationFailed(f"fork produced an invalid lattice: {exc}") from exc
-
-    if lattice_length(new_lattice) != lattice_length(lat) + 1:
-        raise ValidationFailed("fork did not increase the length by one")
-    expected = len(lat) + 1 + len(left_edges) + len(right_edges)
-    if len(new_lattice) != expected:
+    if len(new_lattice) != len(lat) + 1 + len(all_edges):
         raise ValidationFailed("fork produced an unexpected element count")
-    return result
+    record = ForkRecord(mid, tuple(left_names), tuple(right_names))
+    return OrientedLattice._trusted(new_lattice, up, down, fresh, record)
 
 
 def inner_coatoms(ol: OrientedLattice) -> tuple[str, ...]:

@@ -4,7 +4,8 @@ imported name is used, every definition is used somewhere and, outside
 the tests and the export lists, by the package or the benchmark, every
 finlat name the benchmark tracer wraps still resolves, every grid the
 package builds goes through the intern table of `make_grid`, only `core`
-names `_sub_jmask`, and only `core` and `morphisms` name `_induced`."""
+names `_sub_jmask`, only `core` and `morphisms` name `_induced`, and only
+`slim` names `_trusted`."""
 
 import ast
 import importlib
@@ -131,6 +132,13 @@ def test_only_core_and_morphisms_name_induced():
     only where a homomorphism's target is read; every other reader,
     `checks` included, works on the mask."""
     assert _named_outside("_induced", {"core", "morphisms"}) == []
+
+
+def test_only_slim_names_trusted():
+    """`OrientedLattice._trusted` skips validation on the strength of the
+    fork theorem, so only the grids and forks of `slim` build through it;
+    every other caller goes through the validating constructor."""
+    assert _named_outside("_trusted", {"slim"}) == []
 
 
 def test_only_oracle_names_all_sublattices():

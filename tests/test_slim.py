@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 
 import pytest
@@ -147,6 +148,134 @@ def test_oriented_cells_are_kept_from_validation():
     for ol in (oriented_grid(2, 1), s7_family(3), build_slim_rectangular(ForkScript((3, 2), (("2,1", "2,0"),)))):
         assert ol.cells() is ol.cells()
         assert ol.cells() == ol._cells_from_up()
+
+
+def _orders(ol):
+    return {x: list(v) for x, v in ol.up.items()}, {x: list(v) for x, v in ol.down.items()}
+
+
+def _reverse_up_1_1(up, down):
+    up["1,1"].reverse()
+
+
+def _reverse_up_0_0(up, down):
+    up["0,0"].reverse()
+
+
+def _reverse_top_cell(up, down):
+    up["1,1"].reverse()
+    down["2,2"].reverse()
+
+
+@pytest.mark.parametrize(
+    "reverse, message",
+    [
+        (_reverse_up_1_1, "oriented apart"),
+        (_reverse_up_0_0, "oriented apart"),
+        # upper and lower covers agree on the top cell, but it is no face
+        (_reverse_top_cell, "not a face"),
+    ],
+)
+def test_constructor_refuses_a_reversed_cover_order(reverse, message):
+    grid = oriented_grid(2, 2)
+    up, down = _orders(grid)
+    slim.OrientedLattice(grid.lattice, up, down)
+    reverse(up, down)
+    with pytest.raises(ValidationFailed, match=message):
+        slim.OrientedLattice(grid.lattice, up, down)
+
+
+def _orientations(lattice):
+    """Every choice of a left-to-right order on the upper and on the lower covers of each element."""
+    slots = [(x, side) for x in lattice.elements for side in ("up", "down")]
+    orders = [
+        itertools.permutations(lattice.upper_covers(x) if side == "up" else lattice.lower_covers(x))
+        for x, side in slots
+    ]
+    for choice in itertools.product(*orders):
+        up, down = {}, {}
+        for (x, side), order in zip(slots, choice):
+            (up if side == "up" else down)[x] = order
+        yield up, down
+
+
+def test_every_orientation_the_constructor_accepts_forks_soundly():
+    """Of all cover orders on each slim semimodular lattice with 2-7
+    elements and on `oriented_grid(2, 2)`, the constructor accepts those of
+    a planar diagram, and a fork on any cell of an accepted one is one unit
+    longer and accepted again with the same cells."""
+    lattices = [lat for lat in enumerate_small_lattices(7, filters=("slim", "semimodular")) if len(lat) >= 2]
+    accepted = {}
+    for lattice in [*lattices, oriented_grid(2, 2).lattice]:
+        oriented = []
+        for up, down in _orientations(lattice):
+            try:
+                oriented.append(slim.OrientedLattice(lattice, up, down))
+            except ValidationFailed:
+                pass
+        accepted[lattice] = len(oriented)
+        for ol in oriented:
+            for cell in ol.cells():
+                forked = add_fork(ol, cell)
+                assert lattice_length(forked.lattice) == lattice_length(lattice) + 1
+                checked = slim.OrientedLattice(forked.lattice, forked.up, forked.down)
+                assert checked.cells() == forked.cells()
+    # A chain has one orientation, and a diagram and its mirror image are
+    # two.  The glued sum of two squares has two diagrams, one per flip of
+    # the upper square.
+    assert sorted(accepted.values()) == [1] * 6 + [2] * 15 + [4]
+    assert accepted[oriented_grid(2, 2).lattice] == 2
+
+
+def _trusted_corpus(monkeypatch):
+    """Every grid and fork built, unvalidated, for a fixed corpus, as (parent, result) pairs:
+    `oriented_grid(m, n)` for m, n <= 4, every fork two deep over those with
+    m, n <= 3, S7 members 1-12, and every candidate `find_rectangular_extension`
+    pops for the slim semimodular lattices with 2-7 elements."""
+    built = []
+    real_grid, real_fork = slim.oriented_grid, slim.add_fork
+
+    def grid(m, n):
+        built.append((None, real_grid(m, n)))
+        return built[-1][1]
+
+    def fork(ol, cell):
+        built.append((ol, real_fork(ol, cell)))
+        return built[-1][1]
+
+    monkeypatch.setattr(slim, "oriented_grid", grid)
+    monkeypatch.setattr(slim, "add_fork", fork)
+    monkeypatch.setattr(slim, "_S7", {})
+    for m in range(1, 5):
+        for n in range(1, 5):
+            base = grid(m, n)
+            for cell in base.cells() if m <= 3 and n <= 3 else ():
+                once = fork(base, cell)
+                for again in once.cells():
+                    fork(once, again)
+    slim.s7_family(12)
+    for lattice in enumerate_small_lattices(7, filters=("slim", "semimodular")):
+        if len(lattice) >= 2:
+            slim.find_rectangular_extension(lattice)
+    return built
+
+
+def test_grids_and_forks_pass_the_constructor_they_skip(monkeypatch):
+    """Grids and forks are built without `_validate`, on the strength of the
+    fork theorem; here each one of a fixed corpus is put through the public
+    constructor, which must find the same oriented cells, and each fork
+    must add one unit of length and the elements its legs name."""
+    built = _trusted_corpus(monkeypatch)
+    forks = 0
+    for parent, ol in built:
+        checked = slim.OrientedLattice(ol.lattice, ol.up, ol.down, ol._fresh, ol.last_fork)
+        assert checked.cells() == ol.cells()
+        if parent is not None:
+            forks += 1
+            record = ol.last_fork
+            assert lattice_length(ol.lattice) == lattice_length(parent.lattice) + 1
+            assert len(ol.lattice) == len(parent.lattice) + 1 + len(record.left_leg) + len(record.right_leg)
+    assert (len(built) - forks, forks) == (105, 419)
 
 
 def test_s7_family_coatom_meet_below_all():
