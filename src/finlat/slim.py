@@ -1,12 +1,12 @@
 """Slim semimodular lattices: planar structure, forks, and non-retract witnesses.
 
 A slim semimodular lattice is carried together with a left-to-right order
-on the covers of every element, which is what a planar diagram contributes
-combinatorially.  Forks are added to 4-cells: a new element is hung under
-the cell's top and two legs descend through the maximal sequences of cells
-to the lower left and lower right, inserting one new element on each
-traversed edge.  Slim rectangular lattices are replayed from fork scripts
-over grids.
+on the upper covers of every element, which is what a planar diagram
+contributes combinatorially; the order of lower covers is read off the
+4-cells.  Forks are added to 4-cells: a new element is hung under the
+cell's top and two legs descend through the maximal sequences of cells to
+the lower left and lower right, inserting one new element on each traversed
+edge.  Slim rectangular lattices are replayed from fork scripts over grids.
 
 The witness construction shows a slim semimodular lattice with at least
 two elements is never an absolute retract: it embeds the lattice into a
@@ -20,17 +20,18 @@ distinct coatoms c, d join to the top, so θ(c, d) = θ(c ∧ d, 1), and
 θ(x, 1) ⊆ θ(y, 1) whenever y ≤ x: a closure for one pair per maximal
 pairwise meet covers every pair.
 
-Oriented lattices are read-only and keep their oriented 4-cells.  Grids
-and forks are not validated again: a fork on an oriented 4-cell of a slim
-semimodular lattice gives one again, one unit longer (Czédli and Schmidt,
-2012).  S7 family members are built once per process, each by one fork of
-the member before it, and shared by every witness.
+Oriented lattices are read-only and keep their oriented 4-cells, indexed by
+top and side.  Grids and forks are not validated again: a fork on an oriented
+4-cell of a slim semimodular lattice gives one again, one unit longer (Czédli
+and Schmidt, 2012).  S7 family members are built once per process, each by
+one fork of the member before it, and shared by every witness.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     MAX_ELEMENTS,
@@ -94,40 +95,51 @@ class ForkRecord:
 class OrientedLattice:
     """A slim semimodular lattice with a planar left-to-right cover order.
 
-    ``up[x]`` and ``down[x]`` list the covers of x from left to right.  Each
-    pair of neighbouring upper covers spans a 4-cell, and those cells are
-    exactly the cover-preserving boolean quadruples of the lattice, faces
-    oriented alike by the lower covers of their tops.  The constructor
-    checks all of this; grids and forks are built by `_trusted`, unchecked.
-    `cells` returns the oriented cells.  Instances are read-only.
+    ``up[x]`` lists the upper covers of x from left to right, the one stored
+    orientation.  Each pair of neighbouring upper covers spans a 4-cell, and
+    those cells are exactly the cover-preserving boolean quadruples of the
+    lattice, each a face.  So does each pair of neighbouring lower covers
+    (Grätzer and Knapp, 2007): ``down[x]``, the lower covers of x from left
+    to right, is read off the cells under x, which are indexed by (top,
+    left side) and (top, right side).  The constructor checks all of this,
+    and that a given ``down`` is that order; grids and forks are built by
+    `_trusted`, unchecked.  `cells` returns the oriented cells.  Instances
+    are read-only.
     """
 
-    def __init__(self, lattice, up, down, fresh: int = 0, last_fork: ForkRecord | None = None):
-        self._keep(lattice, up, down, fresh, last_fork)
-        self._cells = self._validate()
+    def __init__(self, lattice, up, down, fresh: int | None = None, last_fork: ForkRecord | None = None):
+        if fresh is None:  # fork names start past every f<k> among the ids
+            ids = lattice.elements
+            fresh = max((int(x[1:]) + 1 for x in ids if x[:1] == "f" and x[1:].isdecimal()), default=0)
+        self._keep(lattice, up, fresh, last_fork)
+        self._validate(down)
 
     @classmethod
-    def _trusted(cls, lattice, up, down, fresh: int = 0, last_fork: ForkRecord | None = None):
-        """An instance on cover orders that a construction keeps valid, unchecked."""
+    def _trusted(cls, lattice, up, fresh: int = 0, last_fork: ForkRecord | None = None):
+        """An instance on upper cover orders that a construction keeps valid, unchecked."""
         ol = cls.__new__(cls)
-        ol._keep(lattice, up, down, fresh, last_fork)
-        ol._cells = ol._cells_from_up()
+        ol._keep(lattice, up, fresh, last_fork)
+        ol._index(ol._cells_from_up())
         return ol
 
-    def _keep(self, lattice, up, down, fresh, last_fork) -> None:
+    def _keep(self, lattice, up, fresh, last_fork) -> None:
         self.lattice = lattice
         self.up = {x: tuple(v) for x, v in up.items()}
-        self.down = {x: tuple(v) for x, v in down.items()}
         self._fresh = fresh
         self.last_fork = last_fork
 
-    def _validate(self) -> tuple[Cell, ...]:
+    def _index(self, cells: tuple[Cell, ...]) -> None:
+        self._cells = cells
+        self._by_left = {(c.top, c.left): c for c in cells}
+        self._by_right = {(c.top, c.right): c for c in cells}
+
+    def _validate(self, down) -> None:
         lat = self.lattice
-        if set(self.up) != set(lat.elements) or set(self.down) != set(lat.elements):
+        if set(self.up) != set(lat.elements) or set(down) != set(lat.elements):
             raise ValidationFailed("cover orders do not match the element set")
         for x in lat.elements:
             for side, order, covers in (("upper", self.up[x], lat.upper_covers(x)),
-                                        ("lower", self.down[x], lat.lower_covers(x))):
+                                        ("lower", down[x], lat.lower_covers(x))):
                 if set(order) != set(covers) or len(order) != len(covers):
                     raise ValidationFailed(f"{side} covers of {x!r} disagree with the lattice")
         if not is_slim(lat):
@@ -138,13 +150,13 @@ class OrientedLattice:
         plain = {(c.bottom, frozenset((c.left, c.right)), c.top) for c in four_cells(lat)}
         if {(c.bottom, frozenset((c.left, c.right)), c.top) for c in cells} != plain:
             raise ValidationFailed("planar cells disagree with the 4-cells")
-        if set(cells) != set(self._cells_from_down()):
+        self._index(cells)  # the cells under each x are now a path on its lower covers
+        if self.down != {x: tuple(v) for x, v in down.items()}:
             raise ValidationFailed("cells read off upper and lower covers are oriented apart")
         for c in cells:  # a face: its sides are the innermost covers of its left and right
             for x, i in ((c.left, -1), (c.right, 0)):
                 if (self.down[x][i], self.up[x][i]) != (c.bottom, c.top):
                     raise ValidationFailed(f"{c!r} is not a face of the planar order")
-        return cells
 
     def cells(self) -> tuple[Cell, ...]:
         """All 4-cells, oriented: neighbouring upper covers span left and right."""
@@ -161,34 +173,39 @@ class OrientedLattice:
                     out.append(Cell(a, b, c, d))
         return tuple(out)
 
-    def _cells_from_down(self) -> tuple[Cell, ...]:
-        lat = self.lattice
-        out = []
-        for d in lat.elements:
-            lows = self.down[d]
-            for b, c in zip(lows, lows[1:]):
-                a = lat.meet(b, c)
-                if lat.covered_by(a, b) and lat.covered_by(a, c) and lat.join(b, c) == d:
-                    out.append(Cell(a, b, c, d))
-        return tuple(out)
+    @cached_property
+    def down(self) -> dict[str, tuple[str, ...]]:
+        """The lower covers of each element from left to right, read off the cells."""
+        return {x: self._lower(x) for x in self.up}
+
+    def _lower(self, x: str) -> tuple[str, ...]:
+        """The lower covers of x from left to right: from the one that is no
+        cell's right side, step to the right side of the cell it is left of."""
+        lows = self.lattice.lower_covers(x)
+        if len(lows) < 2:
+            return lows
+        order = [next(b for b in lows if (x, b) not in self._by_right)]
+        while (cell := self._by_left.get((x, order[-1]))) is not None:
+            order.append(cell.right)
+        return tuple(order)
 
     def cell_at(self, top: str, left: str) -> Cell:
-        for cell in self.cells():
-            if cell.top == top and cell.left == left:
-                return cell
-        raise NotA4Cell(f"no 4-cell with top {top!r} and left {left!r}")
+        cell = self._by_left.get((top, left))
+        if cell is None:
+            raise NotA4Cell(f"no 4-cell with top {top!r} and left {left!r}")
+        return cell
+
+    def _boundary(self, i: int) -> tuple[str, ...]:
+        chain = [self.lattice.bottom]
+        while chain[-1] != self.lattice.top:
+            chain.append(self.up[chain[-1]][i])
+        return tuple(chain)
 
     def left_boundary(self) -> tuple[str, ...]:
-        chain = [self.lattice.bottom]
-        while chain[-1] != self.lattice.top:
-            chain.append(self.up[chain[-1]][0])
-        return tuple(chain)
+        return self._boundary(0)
 
     def right_boundary(self) -> tuple[str, ...]:
-        chain = [self.lattice.bottom]
-        while chain[-1] != self.lattice.top:
-            chain.append(self.up[chain[-1]][-1])
-        return tuple(chain)
+        return self._boundary(-1)
 
     def __repr__(self) -> str:
         return f"<OrientedLattice |L|={len(self.lattice)}>"
@@ -199,48 +216,32 @@ def oriented_grid(m: int, n: int) -> OrientedLattice:
 
     Drawn with the first coordinate ascending to the upper left, so the
     left element of each cell is the one with the larger first coordinate.
+    Only the upper covers are ordered here; the lower orders follow from
+    the cells, with (i, j - 1) left of (i - 1, j) under (i, j).
     """
     if m < 1 or n < 1:
         raise LatticeError("grid parameters must be at least 1")
     grid = make_grid((m + 1, n + 1))
     up: dict[str, list[str]] = {}
-    down: dict[str, list[str]] = {}
     for x in grid.lattice.elements:
         i, j = grid.coords(x)
-        ups = []
-        if i + 1 <= m:
-            ups.append(grid.id_of((i + 1, j)))
-        if j + 1 <= n:
-            ups.append(grid.id_of((i, j + 1)))
-        downs = []
-        if j - 1 >= 0:
-            downs.append(grid.id_of((i, j - 1)))
-        if i - 1 >= 0:
-            downs.append(grid.id_of((i - 1, j)))
-        up[x] = ups
-        down[x] = downs
-    return OrientedLattice._trusted(grid.lattice, up, down)
+        up[x] = [grid.id_of((k, l)) for k, l in ((i + 1, j), (i, j + 1)) if k <= m and l <= n]
+    return OrientedLattice._trusted(grid.lattice, up)
 
 
 def _walk(ol: OrientedLattice, cell: Cell, side: int) -> list[tuple[str, str]]:
-    """Edges of the maximal descending cell sequence to the lower left (side -1) or right (+1)."""
-    lat = ol.lattice
+    """Edges of the maximal descending cell sequence to the lower left (side -1) or right (+1).
+
+    The next cell on the left is the one under the current left side whose
+    right side is the current bottom, and dually on the right.
+    """
     edges = []
-    cur = cell
-    while True:
+    cur: Cell | None = cell
+    while cur is not None:
         upper = cur.left if side < 0 else cur.right
         edges.append((cur.bottom, upper))
-        lows = ol.down[upper]
-        pos = lows.index(cur.bottom) + side
-        if not 0 <= pos < len(lows):
-            return edges
-        neighbour = lows[pos]
-        a2 = lat.meet(neighbour, cur.bottom)
-        if not (lat.covered_by(a2, neighbour) and lat.covered_by(a2, cur.bottom)):
-            where = "left" if side < 0 else "right"
-            raise ValidationFailed(f"descending cell sequence broke on the {where}")
-        pair = (neighbour, cur.bottom) if side < 0 else (cur.bottom, neighbour)
-        cur = Cell(a2, *pair, upper)
+        cur = (ol._by_right if side < 0 else ol._by_left).get((upper, cur.bottom))
+    return edges
 
 
 def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
@@ -248,18 +249,15 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
 
     The new middle element is covered by the cell's top; each leg inserts
     one new element on every edge of the descending cell sequence on its
-    side, each covered by the previously added one.  The result is slim,
-    semimodular and one unit longer, and so it is not validated again:
-    only the cell, the cell walks, the new lattice and its element count
-    are checked.
+    side, each covered by the previously added one.  Only the upper cover
+    orders are edited; the lower orders follow from the new cells.  The
+    result is slim, semimodular and one unit longer, and so it is not
+    validated again: only the cell (looked up in the cell index), the legs
+    (which may not cross), the new lattice and its element count are
+    checked.
     """
-    lat = ol.lattice
-    a, b, c, d = cell.bottom, cell.left, cell.right, cell.top
-    if cell not in ol.cells():
+    if ol._by_left.get((cell.top, cell.left)) != cell:
         raise NotA4Cell(f"{cell!r} is not an oriented 4-cell of the lattice")
-    lows = ol.down[d]
-    if b not in lows or c not in lows or lows.index(c) != lows.index(b) + 1:
-        raise ValidationFailed("cell sides are not adjacent below the top")
 
     left_edges = _walk(ol, cell, -1)
     right_edges = _walk(ol, cell, 1)
@@ -273,22 +271,12 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
     left_names, right_names = names[: len(left_edges)], names[len(left_edges):]
 
     up = {x: list(v) for x, v in ol.up.items()}
-    down = {x: list(v) for x, v in ol.down.items()}
-
-    down[d].insert(lows.index(c), mid)
-    up[mid] = [d]
-    down[mid] = [left_names[0], right_names[0]]
-
+    up[mid] = [cell.top]
     for leg, edges, left in ((left_names, left_edges, True), (right_names, right_edges, False)):
         prev = mid
         for name, (p, q) in zip(leg, edges):
             up[p][up[p].index(q)] = name
-            down[q][down[q].index(p)] = name
             up[name] = [q, prev] if left else [prev, q]
-            down[name] = [p]
-            if prev != mid:
-                # down[prev] is [its own p]: the new element goes on the leg's side
-                down[prev].insert(0 if left else 1, name)
             prev = name
 
     covers = [(x, y) for x, ups in up.items() for y in ups]
@@ -296,16 +284,16 @@ def add_fork(ol: OrientedLattice, cell: Cell) -> OrientedLattice:
         new_lattice = build_lattice(list(up), covers)
     except LatticeError as exc:
         raise ValidationFailed(f"fork produced an invalid lattice: {exc}") from exc
-    if len(new_lattice) != len(lat) + 1 + len(all_edges):
+    if len(new_lattice) != len(ol.lattice) + 1 + len(all_edges):
         raise ValidationFailed("fork produced an unexpected element count")
     record = ForkRecord(mid, tuple(left_names), tuple(right_names))
-    return OrientedLattice._trusted(new_lattice, up, down, fresh, record)
+    return OrientedLattice._trusted(new_lattice, up, fresh, record)
 
 
 def inner_coatoms(ol: OrientedLattice) -> tuple[str, ...]:
     """Coatoms off the boundary chains, from left to right."""
     boundary = set(ol.left_boundary()) | set(ol.right_boundary())
-    return tuple(c for c in ol.down[ol.lattice.top] if c not in boundary)
+    return tuple(c for c in ol._lower(ol.lattice.top) if c not in boundary)
 
 
 # Members of the S7 family by index, each built once per process.
@@ -489,9 +477,7 @@ def _check_interval_iso(
     mirrored: bool,
 ) -> bool:
     members = set(ambient.lattice.interval(lo, hi))
-    if set(mapping) != set(src.lattice.elements):
-        return False
-    if set(mapping.values()) != members:
+    if set(mapping) != set(src.lattice.elements) or set(mapping.values()) != members:
         return False
     try:
         Homomorphism(src.lattice, ambient.lattice, mapping)
@@ -592,14 +578,8 @@ def build_witness(
     extension = ambient
     for top, left in script.steps:
         cell = current_rect.cell_at(top, left)
-        if mirrored:
-            target_cell = Cell(
-                psi[cell.bottom], psi[cell.right], psi[cell.left], psi[cell.top]
-            )
-        else:
-            target_cell = Cell(
-                psi[cell.bottom], psi[cell.left], psi[cell.right], psi[cell.top]
-            )
+        sides = (cell.right, cell.left) if mirrored else (cell.left, cell.right)
+        target_cell = Cell(psi[cell.bottom], *(psi[x] for x in sides), psi[cell.top])
         new_rect = add_fork(current_rect, cell)
         new_ext = add_fork(extension, target_cell)
         rec_r = new_rect.last_fork

@@ -6,6 +6,7 @@ import pytest
 
 from finlat import (
     MAX_ELEMENTS,
+    Cell,
     LatticeError,
     ForkScript,
     NoRectangularExtensionFound,
@@ -65,8 +66,6 @@ def test_fork_preserves_structure_and_increases_cells():
 
 
 def test_fork_rejects_non_cell():
-    from finlat import Cell
-
     base = oriented_grid(1, 1)
     with pytest.raises(NotA4Cell):
         add_fork(base, Cell("0,0", "1,0", "0,1", "0,1"))
@@ -212,12 +211,15 @@ def test_every_orientation_the_constructor_accepts_forks_soundly():
             try:
                 oriented.append(slim.OrientedLattice(lattice, up, down))
             except ValidationFailed:
-                pass
+                continue
+            # the lower orders read off the cells are the ones given
+            assert oriented[-1].down == down
         accepted[lattice] = len(oriented)
         for ol in oriented:
             for cell in ol.cells():
                 forked = add_fork(ol, cell)
                 assert lattice_length(forked.lattice) == lattice_length(lattice) + 1
+                assert forked.down == _reference_fork_down(ol, ol.down, cell, forked.last_fork)
                 checked = slim.OrientedLattice(forked.lattice, forked.up, forked.down)
                 assert checked.cells() == forked.cells()
     # A chain has one orientation, and a diagram and its mirror image are
@@ -228,20 +230,21 @@ def test_every_orientation_the_constructor_accepts_forks_soundly():
 
 
 def _trusted_corpus(monkeypatch):
-    """Every grid and fork built, unvalidated, for a fixed corpus, as (parent, result) pairs:
-    `oriented_grid(m, n)` for m, n <= 4, every fork two deep over those with
-    m, n <= 3, S7 members 1-12, and every candidate `find_rectangular_extension`
-    pops for the slim semimodular lattices with 2-7 elements."""
+    """Every grid and fork built, unvalidated, for a fixed corpus, as
+    (parent, grid sizes or forked cell, result) triples: `oriented_grid(m, n)`
+    for m, n <= 4, every fork two deep over those with m, n <= 3, S7 members
+    1-12, and every candidate `find_rectangular_extension` pops for the slim
+    semimodular lattices with 2-7 elements."""
     built = []
     real_grid, real_fork = slim.oriented_grid, slim.add_fork
 
     def grid(m, n):
-        built.append((None, real_grid(m, n)))
-        return built[-1][1]
+        built.append((None, (m, n), real_grid(m, n)))
+        return built[-1][2]
 
     def fork(ol, cell):
-        built.append((ol, real_fork(ol, cell)))
-        return built[-1][1]
+        built.append((ol, cell, real_fork(ol, cell)))
+        return built[-1][2]
 
     monkeypatch.setattr(slim, "oriented_grid", grid)
     monkeypatch.setattr(slim, "add_fork", fork)
@@ -260,14 +263,20 @@ def _trusted_corpus(monkeypatch):
     return built
 
 
-def test_grids_and_forks_pass_the_constructor_they_skip(monkeypatch):
+@pytest.fixture(scope="module")
+def trusted_corpus():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _trusted_corpus(monkeypatch)
+
+
+def test_grids_and_forks_pass_the_constructor_they_skip(trusted_corpus):
     """Grids and forks are built without `_validate`, on the strength of the
     fork theorem; here each one of a fixed corpus is put through the public
     constructor, which must find the same oriented cells, and each fork
     must add one unit of length and the elements its legs name."""
-    built = _trusted_corpus(monkeypatch)
+    built = trusted_corpus
     forks = 0
-    for parent, ol in built:
+    for parent, _, ol in built:
         checked = slim.OrientedLattice(ol.lattice, ol.up, ol.down, ol._fresh, ol.last_fork)
         assert checked.cells() == ol.cells()
         if parent is not None:
@@ -276,6 +285,103 @@ def test_grids_and_forks_pass_the_constructor_they_skip(monkeypatch):
             assert lattice_length(ol.lattice) == lattice_length(parent.lattice) + 1
             assert len(ol.lattice) == len(parent.lattice) + 1 + len(record.left_leg) + len(record.right_leg)
     assert (len(built) - forks, forks) == (105, 419)
+
+
+def _reference_grid_down(m, n):
+    """The grid rule for lower orders: under (i, j), (i, j - 1) is left of (i - 1, j)."""
+    grid = make_grid((m + 1, n + 1))
+    down = {}
+    for x in grid.lattice.elements:
+        i, j = grid.coords(x)
+        down[x] = tuple(grid.id_of(y) for y in ((i, j - 1), (i - 1, j)) if min(y) >= 0)
+    return down
+
+
+def _reference_walk(lattice, down, cell, side):
+    """A descending cell walk by lower orders: the next cell on the left is
+    spanned by the current bottom and its left neighbour under the current
+    left side, and dually on the right."""
+    edges, cur = [], cell
+    while True:
+        upper = cur.left if side < 0 else cur.right
+        edges.append((cur.bottom, upper))
+        lows = down[upper]
+        pos = lows.index(cur.bottom) + side
+        if not 0 <= pos < len(lows):
+            return edges
+        pair = (lows[pos], cur.bottom) if side < 0 else (cur.bottom, lows[pos])
+        cur = Cell(lattice.meet(*pair), *pair, upper)
+
+
+def _reference_fork_down(parent, parent_down, cell, record):
+    """The fork rule for lower orders: the middle element goes between the
+    cell's sides under its top and has the two first leg elements below it;
+    each leg element takes the place of its edge's bottom under the edge's
+    top, has that bottom below it, and goes below the leg element above it
+    on the leg's side."""
+    down = {x: list(v) for x, v in parent_down.items()}
+    down[cell.top].insert(down[cell.top].index(cell.right), record.mid)
+    down[record.mid] = [record.left_leg[0], record.right_leg[0]]
+    for leg, side in ((record.left_leg, -1), (record.right_leg, 1)):
+        edges = _reference_walk(parent.lattice, parent_down, cell, side)
+        assert len(edges) == len(leg)
+        prev = record.mid
+        for name, (p, q) in zip(leg, edges):
+            down[q][down[q].index(p)] = name
+            down[name] = [p]
+            if prev != record.mid:
+                down[prev].insert(0 if side < 0 else 1, name)
+            prev = name
+    return {x: tuple(v) for x, v in down.items()}
+
+
+def test_lower_orders_follow_the_grid_and_fork_rules(trusted_corpus):
+    """Only upper cover orders are stored; the lower orders read off the
+    cells, on first use, are those the grid and fork rules give, on every
+    grid and fork of the corpus."""
+    grid = oriented_grid(3, 2)
+    forked = add_fork(grid, grid.cells()[-1])
+    for ol in (grid, forked, add_fork(forked, forked.cells()[0])):
+        inner_coatoms(ol)
+        assert "down" not in vars(ol)
+        assert ol.down is ol.down and "down" in vars(ol)
+    reference = {}
+    for parent, how, ol in trusted_corpus:
+        if parent is None:
+            reference[id(ol)] = _reference_grid_down(*how)
+        else:
+            reference[id(ol)] = _reference_fork_down(parent, reference[id(parent)], how, ol.last_fork)
+        assert ol.down == reference[id(ol)]
+        assert list(ol.down) == list(ol.up)
+
+
+def _rebuilt(ol, names):
+    """`ol` through the public constructor, with its ids renamed and the default `fresh`."""
+    def name(x):
+        return names.get(x, x)
+
+    lattice = build_lattice([name(x) for x in ol.lattice.elements], [(name(x), name(y)) for x, y in ol.lattice.covers])
+    up, down = ({name(x): [name(y) for y in v] for x, v in order.items()} for order in (ol.up, ol.down))
+    return slim.OrientedLattice(lattice, up, down)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_public_lattices_with_fork_names_fork_past_them(i):
+    """An S7 member's own ids are `f0`, `f1`, ...; rebuilt through the
+    public constructor, every cell forks, one unit longer, into a lattice
+    the constructor accepts again."""
+    ol = _rebuilt(s7_family(i), {})
+    for cell in ol.cells():
+        forked = add_fork(ol, cell)
+        assert lattice_length(forked.lattice) == lattice_length(ol.lattice) + 1
+        assert slim.OrientedLattice(forked.lattice, forked.up, forked.down).cells() == forked.cells()
+
+
+def test_fork_names_start_past_every_f_id():
+    ol = _rebuilt(oriented_grid(1, 1), {"0,0": "f007", "1,0": "f2", "0,1": "f²", "1,1": "f"})
+    forked = add_fork(ol, ol.cells()[0])
+    assert forked.last_fork == slim.ForkRecord("f8", ("f9",), ("f10",))
+    assert len(forked.lattice) == 7
 
 
 def test_s7_family_coatom_meet_below_all():
