@@ -9,16 +9,15 @@ turns into a maximum antichain certifying optimality.  Ids appear only in
 the order dimension is the width of its join-irreducibles, and the chains
 of a minimum cover of them, each with the bottom prepended, give a
 cover-preserving {0,1}-embedding of equal length into a grid, read off
-the down-set masks.  Both are memoised on the lattice (see `core`), and
-they share one memoised cover of the join-irreducibles.  The matching
-reads successors off the up-masks only as it needs them, so a long chain
-costs about one successor per element, not every comparable pair.  The
-embedding is validated once, on the first call, and each call returns a
-fresh `GridEmbedding`.  An input that already is the grid's presentation
-(its elements and covers) is adopted as the target's lattice, not built a
-second time; for it the memo keeps the factor sizes, not the grid, so no
-grid sits in a reference cycle through its lattice's memo.  The elements' grid coordinates have a memo of their
-own, which `retractions` bumps without building the embedding's grid.
+the down-set masks.  The dimension and the elements' grid coordinates are
+memoised on the lattice (see `core`) and share one memoised cover of the
+join-irreducibles; `retractions` builds its witnesses off the coordinates.
+The matching reads successors off the up-masks only as it needs them, so
+a long chain costs about one successor per element, not every comparable
+pair.  Each `grid_embed` call certifies its own map by
+`morphisms._cover01_embedding`.  An input that already is the grid's
+presentation (its elements and covers) is adopted as the target's
+lattice, not built a second time.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .core import (
     is_distributive,
 )
 from .grids import Grid, make_grid
-from .morphisms import Homomorphism, check_cover01
+from .morphisms import _cover01_embedding
 
 __all__ = [
     "NotDistributive",
@@ -229,24 +228,26 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
 
     The map sends x to (x_1, ..., x_n) where x_i is the largest element of
     E_i^+ ∩ ↓x; it is injective, preserves joins, meets, bottom, top, and
-    covers, and the target has the same length as the source.
+    covers, and the target has the same length as the source.  Each call
+    checks the join law and the cover-{0,1} certificate of its own map.
+    An input that already is the grid's presentation becomes the target's
+    lattice, not a second equal copy.
     """
     if len(lattice) < 2:
         raise TrivialLattice("cannot embed the one-element lattice")
     if not is_distributive(lattice):
         raise NotDistributive("grid embedding needs a distributive lattice")
-    memo = lattice._memo
-    if _grid_embedding_parts in memo:
-        target, mapping, e_plus = memo[_grid_embedding_parts]
-        if isinstance(target, tuple):
-            target = make_grid(target, lattice)
-    else:
-        target, mapping, e_plus = _grid_embedding_parts(lattice)
-        kept = target.factor_sizes if target.lattice is lattice else target
-        memo[_grid_embedding_parts] = kept, mapping, e_plus
-    return GridEmbedding(
-        source=lattice, target=target, mapping=dict(mapping), coordinate_chains=e_plus
-    )
+    ids, join = lattice.elements, lattice._join
+    e_plus, coords = _grid_coordinates(lattice)
+    for x, c in enumerate(coords):
+        # x is recovered as the join of its coordinates, taken in the source.
+        if reduce(lambda a, b: join[a][b], [chain[k] for chain, k in zip(e_plus, c)]) != x:
+            raise LatticeError("coordinate join law failed")
+    target = make_grid(tuple(map(len, e_plus)), lattice)
+    mapping = {x: target.id_of(c) for x, c in zip(ids, coords)}
+    _cover01_embedding(lattice, target.lattice, mapping)
+    chains = tuple(tuple(ids[i] for i in chain) for chain in e_plus)
+    return GridEmbedding(source=lattice, target=target, mapping=mapping, coordinate_chains=chains)
 
 
 @_memoised
@@ -267,30 +268,3 @@ def _grid_coordinates(lattice: FiniteLattice):
     )
     return e_plus, coords
 
-
-def _grid_embedding_parts(lattice: FiniteLattice):
-    """(target grid, mapping, coordinate chains), validated.
-
-    An input that already is the grid's presentation becomes the target's
-    lattice, not a second equal copy.  `grid_embed` memoises the parts; for
-    such an input the grid would reference its own lattice's memo, so its
-    factor sizes stand in for it there, and the grid is looked up again,
-    adopting the input once more if that grid has gone.
-    """
-    ids = lattice.elements
-    e_plus, coords = _grid_coordinates(lattice)
-    target = make_grid(tuple(len(chain) for chain in e_plus), lattice)
-    mapping = {x: target.id_of(c) for x, c in zip(ids, coords)}
-    _validate_embedding(lattice, target, mapping, e_plus, coords)
-    return target, mapping, tuple(tuple(ids[i] for i in chain) for chain in e_plus)
-
-
-def _validate_embedding(lattice, target, mapping, e_plus, coords):
-    join = lattice._join
-    for x, c in enumerate(coords):
-        # x is recovered as the join of its coordinates, taken in the source.
-        if reduce(lambda a, b: join[a][b], [chain[k] for chain, k in zip(e_plus, c)]) != x:
-            raise LatticeError("coordinate join law failed")
-    embedding = Homomorphism(lattice, target.lattice, mapping)  # checks joins and meets
-    if not check_cover01(embedding).all_hold:
-        raise LatticeError("grid embedding is not a cover-{0,1} embedding of equal length")

@@ -23,22 +23,18 @@ eligibility and `checks.subgrid` share that one decision.  Likewise
 upper-cover masks that `_covers_within` reads within a closed mask.
 
 Derived invariants (distributivity, semimodularity, slimness, the join-
-and meet-irreducibles, the length, the grid factor sizes, in
-`chains` the order dimension and the grid embedding, in `grids` the
-dimension bump, in `retractions` the certified bump witness and in
-`oracle` the cover degrees) are memoised per lattice in its private
-``_memo`` dict.  An entry is computed from the immutable tables, so a
-second writer stores an equal value: the writes are idempotent and reads
-stay safe.  Entries are immutable or copied at the API edge, and none
-references its lattice, so a lattice sits in no reference cycle.  One
-entry grows: `retractions.retract_onto` keeps a dict from each closed
-mask asked of the lattice to the target's shape and its checked
-retraction as an index tuple, so it holds ints and tuples only, at most
-one item per distinct closed mask asked.  The grid embedding of a lattice
-that is a grid's own presentation targets a grid holding that very
-lattice, so for it `chains` keeps the factor sizes and looks the grid up
-again on each call, adopting the lattice into a new grid if the old one
-has gone.
+and meet-irreducibles, the length, the grid factor sizes, in `chains`
+the order dimension and the grid coordinates, in `retractions` the
+certified same-dimension and bump witnesses and in `oracle` the cover
+degrees) are memoised per lattice in its private ``_memo`` dict.  An
+entry is computed from the immutable tables, so a second writer stores
+an equal value: the writes are idempotent and reads stay safe.  Entries
+are immutable or copied at the API edge, and none references its
+lattice, so a lattice sits in no reference cycle.  One entry grows:
+`retractions.retract_onto` keeps a dict from each closed mask asked of
+the lattice to the target's shape and its checked retraction as an index
+tuple, so it holds ints and tuples only, at most one item per distinct
+closed mask asked.
 """
 
 from __future__ import annotations
@@ -325,12 +321,6 @@ class FiniteLattice:
 
     def lower_covers(self, x: str) -> tuple[str, ...]:
         return tuple(self.elements[j] for j in _bits(self._lcov[self._index[x]]))
-
-    def up_set(self, x: str) -> frozenset[str]:
-        return frozenset(self.elements[j] for j in _bits(self._up[self._index[x]]))
-
-    def down_set(self, x: str) -> frozenset[str]:
-        return frozenset(self.elements[j] for j in _bits(self._down[self._index[x]]))
 
     def interval(self, lo: str, hi: str) -> tuple[str, ...]:
         mask = self._up[self._index[lo]] & self._down[self._index[hi]]

@@ -13,13 +13,11 @@ lattices of one grid shape share one witness lattice and its memoised
 invariants.  A grid leaves the table when its last holder drops it, so
 the table never outgrows what callers keep alive.  The grid embedding
 passes its input along, and a grid adopts it as its lattice when it has
-the grid's own elements and covers, rather than build an equal copy.  The dimension bump is
-memoised per grid in its lattice's ``_memo``, as `chains` memoises the
-grid embedding, so a bumped grid lives at least as long as its source.
-The bump rule itself acts on coordinate tuples and is written once:
-`dimension_bump` applies it to a grid's own points and validates the
-result, and the classifier in `retractions` applies it to the coordinates
-of a grid embedding.
+the grid's own elements and covers, rather than build an equal copy.  The
+bump rule acts on coordinate tuples and is written once: `dimension_bump`
+applies it to a grid's own points and certifies each call's map, and the
+classifier in `retractions` applies it to the coordinates of a grid
+embedding.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .core import (
     _closed_mask,
     build_lattice,
 )
-from .morphisms import Homomorphism, check_cover01
+from .morphisms import _cover01_embedding
 
 __all__ = [
     "TrivialFactor",
@@ -207,19 +205,20 @@ def dimension_bump(grid: Grid) -> tuple[Grid, dict[str, str]]:
     sends elements with small split-coordinate via (x, ...) ↦ (q, x, ...) and
     the rest via (x, ...) ↦ (x, q, ...), and the two parts agree on the
     overlap.  The image is the union of the ideal below (q, q, 1, ..., 1)
-    and the filter above (q, q, 0, ..., 0) inside the larger grid.  The
-    bump is built and validated once per grid; each call gets its own
-    mapping.
+    and the filter above (q, q, 0, ..., 0) inside the larger grid, which the
+    tests check.  Each call certifies its own map by
+    `morphisms._cover01_embedding`; the bumped grid is interned by `make_grid`.
     """
-    memo = grid.lattice._memo
-    if _bump_parts not in memo:
-        memo[_bump_parts] = _bump_parts(grid)
-    bumped, mapping = memo[_bump_parts]
-    return bumped, dict(mapping)
+    ids = grid.lattice.elements
+    sizes, coords = _bump_coords(grid.factor_sizes, map(grid.coords, ids))
+    bumped = make_grid(sizes)
+    mapping = {x: bumped.id_of(c) for x, c in zip(ids, coords)}
+    _cover01_embedding(grid.lattice, bumped.lattice, mapping)
+    return bumped, mapping
 
 
 def _bump_coords(sizes: tuple[int, ...], coords):
-    """(split axis, q, bumped factor sizes, bumped coordinates) of the bump rule.
+    """(bumped factor sizes, bumped coordinates) of the bump rule.
 
     The split axis is the first factor of size at least three and q the
     index of its coatom; each coordinate tuple of ``coords``, a point of the
@@ -235,36 +234,4 @@ def _bump_coords(sizes: tuple[int, ...], coords):
         c[:split] + ((0, c[split]) if c[split] <= q else (1, q)) + c[split + 1 :]
         for c in coords
     ]
-    return split, q, new_sizes, bumped
-
-
-def _bump_parts(grid: Grid) -> tuple[Grid, dict[str, str]]:
-    """(bumped grid, mapping), validated; never the source grid or its lattice."""
-    ids = grid.lattice.elements
-    split, q, new_sizes, coords = _bump_coords(grid.factor_sizes, map(grid.coords, ids))
-    bumped = make_grid(new_sizes)
-    mapping = {x: bumped.id_of(c) for x, c in zip(ids, coords)}
-    _validate_bump(grid, bumped, mapping, split, q)
-    return bumped, mapping
-
-
-def _validate_bump(grid: Grid, bumped: Grid, mapping: dict[str, str], split: int, q: int):
-    src = grid.lattice
-    dst = bumped.lattice
-    embedding = Homomorphism(src, dst, mapping)  # checks joins and meets
-    if not check_cover01(embedding).all_hold:
-        raise LatticeError("bump embedding is not a cover-{0,1} embedding of equal length")
-    # The image decomposes as ideal-below ∪ filter-above the two overlap corners.
-    n = bumped.dimension
-    hi_corner = bumped.id_of(
-        tuple(
-            0 if i == split else (q if i == split + 1 else bumped.factor_sizes[i] - 1)
-            for i in range(n)
-        )
-    )
-    lo_corner = bumped.id_of(
-        tuple(0 if i == split else (q if i == split + 1 else 0) for i in range(n))
-    )
-    expected = dst.down_set(hi_corner) | dst.up_set(lo_corner)
-    if set(mapping.values()) != expected:
-        raise LatticeError("bump image is not the expected ideal-filter union")
+    return new_sizes, bumped

@@ -17,8 +17,9 @@ and returns the block label of each element; `congruence_generated_by`
 turns those labels into a validated `Congruence` for `checks` and the
 public API, while `slim`'s congruence trace reads the labels directly.
 `check_cover01` reports the three flags of the cover-{0,1} lemma for a
-map between semimodular lattices, and `Cover01Report.all_hold` is the
-one place their conjunction is written.  Element ids appear only at the
+map between semimodular lattices, `Cover01Report.all_hold` is the one
+place their conjunction is written, and `_cover01_embedding` the one
+certificate check that raises on it.  Element ids appear only at the
 API edge: every check runs on index arrays, the map as a list of target
 (or, onto a sublattice, source) indices and a partition as the block
 index of each element, compared against the lattice's integer
@@ -267,6 +268,18 @@ def check_cover01(f: Homomorphism) -> Cover01Report:
         is_embedding=f.injective,
         lengths_equal=lattice_length(f.source) == lattice_length(f.target),
     )
+
+
+def _cover01_embedding(source: FiniteLattice, target: FiniteLattice, mapping) -> Cover01Report:
+    """The report of the map, which must be a cover-{0,1} embedding of equal length.
+
+    The one certificate check of the grid embedding, the dimension bump and
+    the classifier's witnesses; raises `LatticeError` when a flag fails.
+    """
+    report = check_cover01(Homomorphism(source, target, mapping))
+    if not report.all_hold:
+        raise LatticeError("map is not a cover-{0,1} embedding of equal length")
+    return report
 
 
 class Congruence:

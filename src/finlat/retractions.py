@@ -21,12 +21,12 @@ lattice's memo by mask, while eligibility is decided again on every call.
 A classifier decides whether a lattice is an absolute retract for the
 class of finite distributive lattices of bounded dimension, and in the
 negative case builds a proper cover-preserving {0,1}-extension of equal
-length as a refutation witness, certified by `check_cover01` and
-optionally confirmed by exhaustive search.  A witness one dimension up is
-the grid embedding followed by the dimension bump, composed on grid
-coordinates: only the bumped grid is built, only the composite map is
-certified, and the witness, its certificate and its search count are
-memoised on the input, so every class that bumps the same lattice reads
+length as a refutation witness, certified by `morphisms._cover01_embedding`
+and optionally confirmed by exhaustive search.  The witness is the grid
+of the lattice's grid coordinates, or one dimension up, the grid their
+bump gives: only that grid is built, only its map is certified, and the
+witness, its certificate and its search count are memoised on the input,
+so every class that asks the same lattice for the same witness reads
 one certified witness.  The cover-{0,1} report lives in `morphisms`; this
 module re-exports it with `NotSemimodular`.
 """
@@ -49,8 +49,8 @@ from .core import (
     is_semimodular,
     is_slim,
 )
-from .chains import _grid_coordinates, grid_embed, order_dimension
-from .grids import Grid, _bump_coords, make_grid
+from .chains import _grid_coordinates, order_dimension
+from .grids import _bump_coords, make_grid
 from .morphisms import (
     Congruence,
     Cover01Report,
@@ -59,6 +59,7 @@ from .morphisms import (
     NotAHomomorphism,
     NotSemimodular,
     _check_onto,
+    _cover01_embedding,
     check_cover01,
 )
 from .oracle import search_retraction
@@ -284,9 +285,8 @@ def _certify(
     `_ORACLE_BOUND` elements an exhaustive search for a retraction onto the
     image is run as confirmation, and its node count is returned.
     """
-    report = check_cover01(Homomorphism(lattice, witness, mapping))
-    proper = len(witness) > len(lattice)
-    if not (proper and report.all_hold):  # pragma: no cover
+    report = _cover01_embedding(lattice, witness, mapping)
+    if len(witness) <= len(lattice):  # pragma: no cover
         raise LatticeError("witness construction failed to be a proper cover-{0,1} extension")
     confirmed: bool | None = None
     nodes: int | None = None
@@ -296,26 +296,41 @@ def _certify(
         confirmed = found is None
         if not confirmed:  # pragma: no cover - impossible mathematically
             raise LatticeError("oracle found a retraction onto a refuted witness")
-    return WitnessCertificate(proper, report, confirmed), nodes
+    return WitnessCertificate(True, report, confirmed), nodes
+
+
+def _grid_witness(lattice: FiniteLattice, sizes, coords):
+    """(grid G of the given sizes, the map of L's elements to coords in G,
+    its certificate, its search nodes).
+
+    G is larger than L and the certificate holds flags only, so the value
+    never references L; `classify_absolute_retract` copies the map.
+    """
+    grid = make_grid(sizes)
+    mapping = {x: grid.id_of(c) for x, c in zip(lattice.elements, coords)}
+    return grid, mapping, *_certify(lattice, grid.lattice, mapping)
 
 
 @_memoised
-def _bump_witness(
-    lattice: FiniteLattice,
-) -> tuple[Grid, dict[str, str], WitnessCertificate, int | None]:
-    """(bumped grid B, map L → B, its certificate, its search nodes).
+def _same_dimension_witness(lattice: FiniteLattice):
+    """`_grid_witness` on the grid embedding's own coordinates.
 
-    The map is the grid embedding followed by the bump.  The bump rule is
-    applied to the embedding's coordinates, so the grid of L's own
-    dimension is never built, and only the composite map is certified, by
-    `_certify`.  B is larger than L and the certificate holds flags only,
-    so the memoised value never references L; the caller copies the map.
+    The grid never holds L: an L that is a grid of the class dimension is
+    positive and gets no witness.
     """
     e_plus, coords = _grid_coordinates(lattice)
-    _, _, sizes, bumped_coords = _bump_coords(tuple(map(len, e_plus)), coords)
-    bumped = make_grid(sizes)
-    mapping = {x: bumped.id_of(c) for x, c in zip(lattice.elements, bumped_coords)}
-    return bumped, mapping, *_certify(lattice, bumped.lattice, mapping)
+    return _grid_witness(lattice, tuple(map(len, e_plus)), coords)
+
+
+@_memoised
+def _bump_witness(lattice: FiniteLattice):
+    """`_grid_witness` on the grid embedding's coordinates after the bump.
+
+    The bump rule is applied to the coordinates, so the grid of L's own
+    dimension is never built, and only the composite map is certified.
+    """
+    e_plus, coords = _grid_coordinates(lattice)
+    return _grid_witness(lattice, *_bump_coords(tuple(map(len, e_plus)), coords))
 
 
 def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
@@ -326,10 +341,9 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     extension witness is built: the grid embedding target when dimensions
     already agree, or else a dimension bump of that target.  (A boolean
     grid target would make the lattice boolean, which is positive.)
-    `_certify` certifies the inclusion.  The bump witness does not depend
-    on the class, so it is built and certified once per lattice: every
-    class that bumps the lattice reads the same witness, certificate and
-    search nodes.
+    `_certify` certifies the inclusion.  Neither witness depends on the
+    class, so each is built and certified once per lattice: every class
+    that asks for it reads the same witness, certificate and search nodes.
     """
     _check_membership(lattice, cls)
 
@@ -354,23 +368,17 @@ def classify_absolute_retract(lattice: FiniteLattice, cls: ClassId) -> Verdict:
     # |lattice| >= 2 here: the singleton is boolean and already returned.
     n = cls.n
     if n is None or order_dimension(lattice) < n:
-        case = "dimension-bump"
-        bumped, bump_map, certificate, nodes = _bump_witness(lattice)
-        witness_lattice = bumped.lattice
-        mapping = dict(bump_map)
+        case, witness = "dimension-bump", _bump_witness
     else:
-        case = "same-dimension"
-        emb = grid_embed(lattice)
-        witness_lattice = emb.target.lattice
-        mapping = emb.mapping
-        certificate, nodes = _certify(lattice, witness_lattice, mapping)
+        case, witness = "same-dimension", _same_dimension_witness
+    grid, mapping, certificate, nodes = witness(lattice)
     return Verdict(
         lattice,
         cls,
         False,
         case=case,
-        witness=witness_lattice,
-        embedding=mapping,
+        witness=grid.lattice,
+        embedding=dict(mapping),
         certificate=certificate,
         search_nodes=nodes,
     )

@@ -81,19 +81,20 @@ def test_grid_embed_memo_is_isolated_from_callers(d5):
     assert again.source is d5
 
 
-def test_grid_embed_validates_once_per_lattice(monkeypatch):
+def test_grid_embed_validates_once_per_call(monkeypatch):
+    """`grid_embed` keeps no memo: each call certifies its own map once, and
+    the calls return equal mappings that are each their own dict."""
     calls = []
-    validate = chains._validate_embedding
-    monkeypatch.setattr(
-        chains, "_validate_embedding", lambda *args: calls.append(args) or validate(*args)
-    )
+    real = chains._cover01_embedding
+    monkeypatch.setattr(chains, "_cover01_embedding", lambda *args: calls.append(args) or real(*args))
     fresh = build_lattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     results = [grid_embed(fresh) for _ in range(3)]
-    assert len(calls) == 1
+    assert len(calls) == 3
     assert all(r.mapping == results[0].mapping for r in results)
+    assert len({id(r.mapping) for r in results}) == 3
     twin = build_lattice(fresh.elements, fresh.covers)  # equal, but its own memo
     assert grid_embed(twin).mapping == results[0].mapping
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def _reference_max_matching(elems, lt):

@@ -33,7 +33,7 @@ from finlat import (
     recover_subgrid_chains,
 )
 import finlat.grids as grids
-from finlat.grids import Grid, _validate_bump
+from finlat.grids import Grid
 from tests.conftest import REFERENCE_GRID_SIZES
 
 
@@ -253,8 +253,11 @@ def test_dimension_bump_rejects_boolean():
         dimension_bump(make_grid((2, 2)))
 
 
+_BUMP_SHAPES = [(3,), (4,), (3, 2), (4, 3), (3, 2, 2), (2, 3)]
+
+
 def test_dimension_bump_cover01_and_size():
-    for sizes in [(3,), (4,), (3, 2), (4, 3), (3, 2, 2), (2, 3)]:
+    for sizes in _BUMP_SHAPES:
         grid = make_grid(sizes)
         bumped, mapping = dimension_bump(grid)
         hom = Homomorphism(grid.lattice, bumped.lattice, mapping)
@@ -269,14 +272,25 @@ def test_dimension_bump_cover01_and_size():
 
 
 def test_dimension_bump_image_is_ideal_filter_gluing():
-    # the embedded copy is the union of an ideal and a filter of the big grid
-    grid = make_grid((3,))
-    bumped, mapping = dimension_bump(grid)
-    lat = bumped.lattice
-    ideal_part = lat.down_set("0,1")
-    filter_part = lat.up_set("0,1")
-    image = set(mapping.values())
-    assert image == ideal_part | filter_part
+    """The embedded copy is the union of an ideal and a filter of the big
+    grid: the ideal below and the filter above the two corners that are 0
+    on the split axis, the split factor's coatom index q on the next axis,
+    and every other coordinate at its top or at its bottom."""
+    for sizes in _BUMP_SHAPES:
+        bumped, mapping = dimension_bump(make_grid(sizes))
+        lat = bumped.lattice
+        split = next(j for j, s in enumerate(sizes) if s >= 3)
+        q = sizes[split] - 2
+
+        def corner(rest):
+            return bumped.id_of(
+                0 if i == split else q if i == split + 1 else rest(s)
+                for i, s in enumerate(bumped.factor_sizes)
+            )
+
+        ideal_part = set(lat.interval(lat.bottom, corner(lambda s: s - 1)))
+        filter_part = set(lat.interval(corner(lambda s: 0), lat.top))
+        assert set(mapping.values()) == ideal_part | filter_part, sizes
 
 
 def test_make_grid_interns_while_held():
@@ -371,14 +385,12 @@ def test_make_grid_refuses_an_oversized_shape_before_building_ids(monkeypatch):
     assert built == []
 
 
-def test_dimension_bump_is_memoised_with_fresh_mappings(monkeypatch):
-    validated = []
-
-    def validate(*args):
-        validated.append(args)
-        _validate_bump(*args)
-
-    monkeypatch.setattr("finlat.grids._validate_bump", validate)
+def test_dimension_bump_gives_fresh_mappings_into_the_interned_grid(monkeypatch):
+    """Each call certifies and returns a map of its own; while the bumped
+    grid is held, every call bumps into that one interned grid."""
+    certified = []
+    real = grids._cover01_embedding
+    monkeypatch.setattr(grids, "_cover01_embedding", lambda *args: certified.append(args) or real(*args))
     grid = Grid((4, 3))
     bumped, first = dimension_bump(grid)
     first["0,0"] = "mutated"
@@ -386,11 +398,12 @@ def test_dimension_bump_is_memoised_with_fresh_mappings(monkeypatch):
     assert again is bumped
     assert second is not first and second["0,0"] == "0,0,0"
     assert second == dimension_bump(grid)[1]
-    assert len(validated) == 1
+    assert len(certified) == 3
     assert bumped.lattice == Grid((2, 3, 3)).lattice
     for _ in range(2):
         with pytest.raises(BooleanInput, match="every factor is a two-element chain"):
             dimension_bump(make_grid((2, 2)))
+    assert len(certified) == 3
 
 
 def _grid_sizes_of(lattice):

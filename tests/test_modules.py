@@ -4,8 +4,9 @@ imported name is used, every definition is used somewhere and, outside
 the tests and the export lists, by the package or the benchmark, every
 finlat name the benchmark tracer wraps still resolves, every grid the
 package builds goes through the intern table of `make_grid`, only `core`
-names `_sub_jmask`, only `core` and `morphisms` name `_induced`, and only
-`slim` names `_trusted`."""
+names `_sub_jmask`, only `core` and `morphisms` name `_induced`, only
+`slim` names `_trusted`, and outside `core` only `retractions.retract_onto`
+names `_memo`."""
 
 import ast
 import importlib
@@ -139,6 +140,20 @@ def test_only_slim_names_trusted():
     fork theorem, so only the grids and forks of `slim` build through it;
     every other caller goes through the validating constructor."""
     assert _named_outside("_trusted", {"slim"}) == []
+
+
+def test_only_core_names_memo():
+    """Memo entries are kept through `core._memoised`, which keeps each value
+    free of its lattice; only `retractions.retract_onto` names ``_memo``
+    itself, for its dict of checked maps by closed mask."""
+    (func,) = [
+        node
+        for node in ast.walk(_parse("retractions"))
+        if isinstance(node, ast.FunctionDef) and node.name == "retract_onto"
+    ]
+    allowed = {f"retractions.py:{line}" for line in range(func.lineno, func.end_lineno + 1)}
+    outside = _named_outside("_memo", {"core"})
+    assert outside and set(outside) <= allowed, outside
 
 
 def test_only_oracle_names_all_sublattices():

@@ -147,9 +147,9 @@ def _homomorphism_cases(rng):
             cases.append((source, target, {x: constant for x in source.elements}))
             for _ in range(3):
                 cases.append((source, target, {x: rng.choice(target.elements) for x in source.elements}))
-            order = sorted(target.elements, key=lambda e: len(target.down_set(e)))
+            order = sorted(target.elements, key=lambda e: len(target.interval(target.bottom, e)))
             cases.append((source, target, {
-                x: order[min(len(order) - 1, len(source.down_set(x)) - 1)] for x in source.elements
+                x: order[min(len(order) - 1, len(source.interval(source.bottom, x)) - 1)] for x in source.elements
             }))
     source, target = LATTICES[5], LATTICES[7]
     total = {x: target.bottom for x in source.elements}

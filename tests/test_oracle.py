@@ -298,7 +298,7 @@ def test_find_embedding_sound_and_complete():
 
 def _reference_find_embedding(small, big):
     """The former recursive `find_embedding`, with the same forcing and checks."""
-    order = sorted(small.elements, key=lambda x: (len(small.down_set(x)), x))
+    order = sorted(small.elements, key=lambda x: (len(small.interval(small.bottom, x)), x))
     position = {x: i for i, x in enumerate(order)}
     forced = {}
     for x in small.elements:

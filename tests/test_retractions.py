@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -349,8 +350,9 @@ def test_bump_witness_is_the_embedding_followed_by_the_bump():
 
 
 def test_bump_witness_builds_and_checks_only_the_final_map(monkeypatch, c5):
-    """Classify neither validates the grid embedding or the bump nor builds
-    a grid of the input's shape, and the witness is memoised on the input."""
+    """Classify neither embeds the lattice in its grid nor bumps a grid, and
+    builds no grid of the input's shape: it checks one extension, the final
+    map, once per lattice, and the witness is memoised on the input."""
     g33 = make_grid((3, 3)).lattice
     inputs = {(5,): lambda: build_lattice(c5.elements, c5.covers),
               (3, 3): lambda: build_lattice(g33.elements, g33.covers)}
@@ -358,27 +360,61 @@ def test_bump_witness_builds_and_checks_only_the_final_map(monkeypatch, c5):
     expected = {shape: classify_absolute_retract(make(), omega) for shape, make in inputs.items()}
 
     def refuse(*args):
-        raise AssertionError("an intermediate map was validated")
+        raise AssertionError("an intermediate map was built")
 
-    built = []
+    built, checked = [], []
 
     class RecordedGrid(grids.Grid):
         def __init__(self, sizes, *adopt):
             built.append(tuple(sizes))
             super().__init__(sizes, *adopt)
 
-    monkeypatch.setattr(grids, "_validate_bump", refuse)
-    monkeypatch.setattr(chains, "_validate_embedding", refuse)
+    real = retractions._cover01_embedding
+    monkeypatch.setattr(retractions, "_cover01_embedding", lambda *a: checked.append(a) or real(*a))
+    monkeypatch.setattr(chains, "grid_embed", refuse)
+    monkeypatch.setattr(grids, "dimension_bump", refuse)
     monkeypatch.setattr(grids, "_GRIDS", weakref.WeakValueDictionary())
     monkeypatch.setattr(grids, "Grid", RecordedGrid)
     for shape, make in inputs.items():
         lattice = make()
         built.clear()
+        checked.clear()
         assert classify_absolute_retract(lattice, omega) == expected[shape]
-        assert shape not in built and built
+        assert shape not in built and built and len(checked) == 1
         built.clear()
+        checked.clear()
         assert classify_absolute_retract(lattice, omega) == expected[shape]
-        assert built == []
+        assert built == [] and checked == []
+
+
+def test_same_dimension_witness_is_certified_once_per_lattice(monkeypatch):
+    """Once `dfin:n` gives a same-dimension verdict, `dcov:n` on the same
+    lattice reads the memoised witness: it builds no `Homomorphism`, runs no
+    search, and returns the verdict of `dfin:n` but for its class."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the same-dimension witness was certified again")
+
+    cases = 0
+    for lattice in enumerate_distributive_lattices(10):
+        for n in (1, 2, 3):
+            first = _fresh(lattice)
+            try:
+                verdict = classify_absolute_retract(first, ClassId.parse(f"dfin:{n}"))
+            except NotInClass:
+                continue
+            if verdict.case != "same-dimension":
+                continue
+            dcov = ClassId.parse(f"dcov:{n}")
+            with monkeypatch.context() as m:
+                m.setattr(morphisms.Homomorphism, "__init__", refuse)
+                m.setattr(retractions, "search_retraction", refuse)
+                again = classify_absolute_retract(first, dcov)
+            assert again.class_id == dcov
+            assert dataclasses.replace(again, class_id=verdict.class_id) == verdict
+            assert again.embedding is not verdict.embedding
+            cases += 1
+    assert cases == 93
 
 
 def test_classify_positive_cases(c3, b3):
@@ -457,8 +493,8 @@ def test_congruence_intersection_block_bound(grid33):
         {x: "0,0" if lat.leq(x, "0,2") else "2,2" for x in lat.elements},
     )
     # build two-block congruences directly and intersect
-    a = Congruence(lat, (frozenset(lat.down_set("0,2")), frozenset(lat.elements) - lat.down_set("0,2")))
-    b = Congruence(lat, (frozenset(lat.down_set("2,0")), frozenset(lat.elements) - lat.down_set("2,0")))
+    ideals = [frozenset(lat.interval(lat.bottom, x)) for x in ("0,2", "2,0")]
+    a, b = (Congruence(lat, (ideal, frozenset(lat.elements) - ideal)) for ideal in ideals)
     meet = a.intersect(b)
     assert meet.block_count() <= a.block_count() * b.block_count()
 
@@ -857,17 +893,20 @@ def _fill_memos(lattice):
             pass
 
 
-@pytest.mark.parametrize("sizes", [(4,), (3, 2), (4, 2), (2, 2, 2)])
-def test_filled_memos_leave_no_cycles_and_free_the_lattice(sizes):
+@pytest.mark.parametrize("sizes", [(4,), (3, 2), (4, 2), (2, 2, 2), pytest.param(None, id="d5")])
+def test_filled_memos_leave_no_cycles_and_free_the_lattice(sizes, request):
     """The kept maps and witnesses hold no reference to their lattice: calls
     that fill the memos of a fresh lattice leave nothing to the collector,
-    and the lattice goes with its last reference."""
-    grid = make_grid(sizes).lattice
+    and the lattice goes with its last reference.  ``None`` stands for D5,
+    distributive of dimension 2 but no grid, so only it keeps a
+    same-dimension witness."""
+    grid = make_grid(sizes).lattice if sizes else request.getfixturevalue("d5")
     assert _leaves_no_cycles(lambda: _fill_memos(_fresh(grid))) == 0
     lattice = _Referable(grid.elements, grid.covers)
     _fill_memos(lattice)
     assert lattice._memo[retract_onto]
     assert sizes == (2, 2, 2) or retractions._bump_witness.__wrapped__ in lattice._memo
+    assert (retractions._same_dimension_witness.__wrapped__ in lattice._memo) == (sizes is None)
     ref = weakref.ref(lattice)
     gc.disable()
     try:
