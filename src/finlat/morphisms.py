@@ -255,11 +255,10 @@ def check_cover01(f: Homomorphism) -> Cover01Report:
 
     For semimodular source and target, the cover-{0,1} lemma says the
     first flag holds exactly when the other two do.  The report does not
-    enforce it: `checks.embedding` compares the flags, `checks.cover01` the
-    same flags read off a sublattice's mask, and each names the map that
-    breaks the lemma.  The semimodularity precondition costs O(Σₓ deg⁺(x)²)
-    per lattice, over the pairs of upper covers of each element, and is
-    memoised.
+    enforce it: `checks.cover01` compares the same flags, read off a
+    sublattice's mask, and names the sublattice that breaks the lemma.  The
+    semimodularity precondition costs O(Σₓ deg⁺(x)²) per lattice, over the
+    pairs of upper covers of each element, and is memoised.
     """
     if not is_semimodular(f.source) or not is_semimodular(f.target):
         raise NotSemimodular("cover-{0,1} report needs semimodular source and target")

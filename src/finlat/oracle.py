@@ -19,8 +19,9 @@ One driver, `_backtrack`, runs the retraction search, the solver and
 `find_embedding` on an explicit stack, and one join/meet forcing
 propagator, `_forcing`, serves the retraction search and `find_embedding`.
 `find_embedding` first compares lengths and skips the search when the
-source is longer than the target, which no embedding allows.  The cover
-degrees that order both searches' variables are memoised per lattice.
+source is longer than the target, which no embedding allows.  The
+cover-degree order that both searches filter for their variables is
+memoised per lattice.
 Every search here keeps its choices on a stack, so its depth is not
 bounded by the interpreter's recursion limit and a call leaves no
 reference cycles.
@@ -132,11 +133,10 @@ def _backtrack(order, values, val, assigned, propagate, leaf) -> int:
 
 
 @_memoised
-def _cover_degrees(lattice: FiniteLattice) -> tuple[int, ...]:
-    """Number of upper plus lower covers of each element index."""
-    return tuple(
-        up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)
-    )
+def _degree_order(lattice: FiniteLattice) -> tuple[int, ...]:
+    """Element indices by decreasing cover degree (upper plus lower covers), ties by index."""
+    degree = [up.bit_count() + down.bit_count() for up, down in zip(lattice._ucov, lattice._lcov)]
+    return tuple(sorted(range(len(degree)), key=lambda i: (-degree[i], i)))
 
 
 def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injective: bool):
@@ -160,20 +160,30 @@ def _forcing(source: FiniteLattice, target: FiniteLattice, f, assigned, injectiv
             x = queue.pop()
             fx = f[x]
             sj, sm, tj, tm = s_join[x], s_meet[x], t_join[fx], t_meet[fx]
-            for y in list(assigned):
+            # Slots forced during this walk join it; checking them against x early
+            # changes no outcome, since the closure is a fixpoint.
+            for y in assigned:
                 if y == x:
                     continue
                 fy = f[y]
                 if injective and fy == fx:
                     return False
-                for z, t in ((sj[y], tj[fy]), (sm[y], tm[fy])):
-                    if f[z] == -1:
-                        f[z] = t
-                        trail.append(z)
-                        assigned.append(z)
-                        queue.append(z)
-                    elif f[z] != t:
-                        return False
+                z, t = sj[y], tj[fy]
+                if f[z] == -1:
+                    f[z] = t
+                    trail.append(z)
+                    assigned.append(z)
+                    queue.append(z)
+                elif f[z] != t:
+                    return False
+                z, t = sm[y], tm[fy]
+                if f[z] == -1:
+                    f[z] = t
+                    trail.append(z)
+                    assigned.append(z)
+                    queue.append(z)
+                elif f[z] != t:
+                    return False
         return True
 
     return propagate
@@ -196,10 +206,7 @@ def _search(lattice: FiniteLattice, mask: int, count_all: bool):
         f[i] = i
     assigned = list(sub_idx)
 
-    degree = _cover_degrees(lattice)
-    variables = sorted(
-        (i for i in range(n) if f[i] == -1), key=lambda i: (-degree[i], i)
-    )
+    variables = [i for i in _degree_order(lattice) if not mask >> i & 1]
 
     count = 0
     first: list[int] | None = None
@@ -335,9 +342,9 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     lat = system.ambient
     n = len(lat)
     by_unknown = system._by_unknown
-    degree = _cover_degrees(lat)
-    unknowns = sorted(by_unknown, key=lambda s: (-degree[s - n], s))
-    values = list(_bits(system._mask))
+    mask = system._mask
+    unknowns = [n + i for i in _degree_order(lat) if not mask >> i & 1]
+    values = list(_bits(mask))
     val = list(range(n)) + [-1] * n
     assigned: list[int] = []
     count = 0

@@ -3,6 +3,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import itemgetter
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,28 @@ from finlat.core import (
     _sub_jmask,
     _sublattice_mask,
 )
+
+
+def _reference_bits(mask):
+    """The set bit positions of mask, low bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_matches_a_low_bit_walk():
+    """Table lookups below 2^16 and the lazy walk above give the positions
+    a plain low-bit walk gives, in ascending order."""
+    rng = random.Random(20261021)
+    edges = [0, 1, 255, 256, 257, 65535, 65536, 65537, (1 << 1023) | 1]
+    masks = edges + [rng.getrandbits(rng.randint(1, 1024)) for _ in range(2000)]
+    for mask in masks:
+        assert list(_bits(mask)) == _reference_bits(mask), mask
+    assert all(isinstance(_bits(mask), tuple) for mask in (0, 255, 256, 65535))
+    assert all(isinstance(_bits(mask), GeneratorType) for mask in (65536, (1 << 1023) | 1))
 
 
 def test_build_chain(c3):

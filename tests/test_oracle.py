@@ -34,7 +34,7 @@ from finlat import (
 from finlat.core import _bits
 from finlat.oracle import (
     _canonical_posets_upto,
-    _cover_degrees,
+    _degree_order,
     _digraph_canonical_key,
     canonical_key,
 )
@@ -257,10 +257,13 @@ def test_find_embedding_refuses_a_longer_lattice_without_search(b3, monkeypatch)
     assert find_embedding(_chain(5), b3) is None
 
 
-def test_cover_degrees_are_memoised_per_lattice(b3):
-    degrees = _cover_degrees(b3)
-    assert degrees is _cover_degrees(b3)
-    assert degrees == tuple(len(b3.upper_covers(x)) + len(b3.lower_covers(x)) for x in b3.elements)
+def test_degree_order_is_memoised_per_lattice(b3, s7):
+    for lattice in (b3, s7):
+        order = _degree_order(lattice)
+        assert order is _degree_order(lattice)
+        ids = lattice.elements
+        degree = {x: len(lattice.upper_covers(x)) + len(lattice.lower_covers(x)) for x in ids}
+        assert [ids[i] for i in order] == sorted(ids, key=lambda x: (-degree[x], x))
 
 
 def brute_force_embedding_exists(small, big):

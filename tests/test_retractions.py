@@ -260,6 +260,30 @@ def test_cover01_check_names_the_pair_that_breaks_the_lemma(monkeypatch):
     assert "first failure: sublattice ['0', '2', '3'] of the 4-element lattice" in result.detail
 
 
+def test_embedding_check_fails_on_a_map_with_two_images_swapped(monkeypatch):
+    """The embedding check reads the map's image on the grid, not
+    `grid_embed`'s own certificate: swapping the images of the bottom and
+    the top keeps the image set, yet the check fails and names the lattice."""
+    from finlat import checks
+
+    real = checks.chains.grid_embed
+
+    def swapped(lattice):
+        emb = real(lattice)
+        mapping = dict(emb.mapping)
+        mapping[lattice.bottom], mapping[lattice.top] = mapping[lattice.top], mapping[lattice.bottom]
+        return dataclasses.replace(emb, mapping=mapping)
+
+    [result] = checks.embedding(4)
+    assert result.passed
+    monkeypatch.setattr(checks.chains, "grid_embed", swapped)
+    [result] = checks.embedding(4)
+    assert not result.passed
+    assert result.detail == (
+        "4 distributive lattices embedded, 4 failures; first failure: the 2-element lattice [0<1]"
+    )
+
+
 def test_cover01_and_subgrid_checks_build_no_lattice(monkeypatch):
     """Both checks read each sublattice off its closed mask: with the
     ambients and grids built beforehand, neither builds a lattice."""
