@@ -17,7 +17,7 @@ a long chain costs about one successor per element, not every comparable
 pair.  Each `grid_embed` call certifies its own map by
 `morphisms._cover01_embedding`.  An input that already is the grid's
 presentation (its elements and covers) is adopted as the target's
-lattice, not built a second time.
+lattice when no grid of that shape is live, not built a second time.
 """
 
 from __future__ import annotations
@@ -231,7 +231,8 @@ def grid_embed(lattice: FiniteLattice) -> GridEmbedding:
     covers, and the target has the same length as the source.  Each call
     checks the join law and the cover-{0,1} certificate of its own map.
     An input that already is the grid's presentation becomes the target's
-    lattice, not a second equal copy.
+    lattice when no grid of that shape is live; else the live grid is the
+    target.
     """
     if len(lattice) < 2:
         raise TrivialLattice("cannot embed the one-element lattice")

@@ -12,8 +12,9 @@ caller holds a grid, every request for its shape returns that one grid, so
 lattices of one grid shape share one witness lattice and its memoised
 invariants.  A grid leaves the table when its last holder drops it, so
 the table never outgrows what callers keep alive.  The grid embedding
-passes its input along, and a grid adopts it as its lattice when it has
-the grid's own elements and covers, rather than build an equal copy.  The
+passes its input along, and a grid built while none of its shape is live
+adopts it as its lattice when it has the grid's own elements and covers,
+rather than build an equal copy; a live grid is returned as it is.  The
 bump rule acts on coordinate tuples and is written once: `dimension_bump`
 applies it to a grid's own points and certifies each call's map, and the
 classifier in `retractions` applies it to the coordinates of a grid
@@ -142,17 +143,15 @@ def make_grid(sizes, _adopt: FiniteLattice | None = None) -> Grid:
     shape while some caller holds it.
 
     ``_adopt`` is a lattice that may already be the grid's presentation, with
-    the same elements and covers.  If it is, the grid returned holds it as
-    its lattice rather than an equal copy, and a new grid adopting it is
-    interned only if no grid of that shape is live.
+    the same elements and covers.  If it is and no grid of that shape is
+    live, the grid built holds it as its lattice rather than an equal copy;
+    a live grid is returned as it is.
     """
     key = _integral(sizes)
     grid = _GRIDS.get(key)
     if grid is None:
         grid = Grid(key, _adopt)
         grid = _GRIDS.setdefault(grid.factor_sizes, grid)
-    elif _adopt is not None and grid.lattice is not _adopt and grid.lattice == _adopt:
-        grid = Grid(key, _adopt)
     return grid
 
 

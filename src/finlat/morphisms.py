@@ -7,15 +7,14 @@ an index map that `_check_onto` has checked on the source's tables, which
 on a closed mask hold the sublattice's joins and meets, and builds its
 target, id mapping and target-index map only when they are first read.
 The check and the wrapper are apart, so `retractions` checks a map once
-and wraps it again on every call.  A `Congruence` checks that its
-partition is compatible with join and meet over all columns, except a
-homomorphism's kernel, which is one by theorem and is built by
-`Congruence._of_labels` unchecked.
-`_congruence_labels` closes a set of index pairs under translations by
-the join- and meet-irreducibles only, which generate all translations,
-and returns the block label of each element; `congruence_generated_by`
-turns those labels into a validated `Congruence` for `checks` and the
-public API, while `slim`'s congruence trace reads the labels directly.
+and wraps it again on every call.  A `Congruence` has one constructor,
+which checks that its partition is compatible with join and meet over all
+columns; a homomorphism's kernel (its fibers) and `congruence_generated_by`
+(its labels) both build through it, so a map that is no homomorphism has
+no kernel.  `_congruence_labels` closes a set of index pairs under
+translations by the join- and meet-irreducibles only, which generate all
+translations, and returns the block label of each element; `slim`'s
+congruence trace reads the labels directly.
 `check_cover01` reports the three flags of the cover-{0,1} lemma for a
 map between semimodular lattices, `Cover01Report.all_hold` is the one
 place their conjunction is written, and `_cover01_embedding` the one
@@ -176,15 +175,12 @@ class Homomorphism:
     def kernel(self) -> "Congruence":
         """The partition of the source into fibers, grouped by image index.
 
-        The kernel of a verified homomorphism is a congruence, so its
-        compatibility is not checked again; the tests compare it with the
-        validated `Congruence` of the same fibers.
+        The fibers go to the validated `Congruence` constructor, which checks
+        their compatibility over every column, so a map that is no
+        homomorphism gives no kernel.  Neither ``target`` nor ``mapping``
+        is built.
         """
-        # Fibers are numbered by their least element index, which is the
-        # least id, so the blocks come out sorted as `Congruence` keeps them.
-        number: dict[int, int] = {}
-        of = [number.setdefault(v, len(number)) for v in self._f]
-        return Congruence._of_labels(self.source, of)
+        return Congruence(self.source, _groups(self.source.elements, self._f))
 
     def __repr__(self) -> str:
         size = len(self.target) if self._mask is None else self._mask.bit_count()
@@ -313,22 +309,6 @@ class Congruence:
         self._of = of
         self._validate()
 
-    @classmethod
-    def _of_labels(cls, lattice: FiniteLattice, of: list[int]) -> "Congruence":
-        """The partition with element index i in block of[i], not validated.
-
-        For a partition known to be a congruence; blocks must be numbered
-        0, 1, ... in the order of their least element indices.
-        """
-        members: list[list[str]] = [[] for _ in range(max(of) + 1)]
-        for x, k in zip(lattice.elements, of):
-            members[k].append(x)
-        congruence = cls.__new__(cls)
-        congruence.lattice = lattice
-        congruence.blocks = tuple(map(frozenset, members))
-        congruence._of = of
-        return congruence
-
     def _validate(self):
         lat = self.lattice
         index = lat._index
@@ -360,23 +340,11 @@ class Congruence:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def intersect(self, other: "Congruence") -> "Congruence":
-        """Common refinement with another congruence of the same lattice."""
-        if other.lattice != self.lattice:
-            raise NotACongruence("congruences of different lattices do not intersect")
-        pieces: dict[tuple[int, int], set[str]] = {}
-        for i, x in enumerate(self.lattice.elements):
-            pieces.setdefault((self._of[i], other._of[i]), set()).add(x)
-        return Congruence(self.lattice, tuple(frozenset(p) for p in pieces.values()))
-
-    def restrict(self, subset) -> tuple[frozenset[str], ...]:
-        """Nonempty traces of the blocks on a subset."""
-        subset = set(subset)
-        out = [b & subset for b in self.blocks]
-        return tuple(b for b in out if b)
-
     def is_diagonal_on(self, subset) -> bool:
-        return all(len(b) == 1 for b in self.restrict(subset))
+        """No two members of ``subset`` share a block."""
+        of, index = self._of, self.lattice._index
+        labels = [of[index[x]] for x in set(subset)]
+        return len(set(labels)) == len(labels)
 
     def __repr__(self) -> str:
         return f"<Congruence {self.block_count()} blocks on {len(self.lattice)} elements>"
@@ -391,10 +359,15 @@ def congruence_generated_by(lattice: FiniteLattice, pairs) -> Congruence:
     """
     index = lattice._index
     label = _congruence_labels(lattice, [(index[a], index[b]) for a, b in pairs])
-    blocks: dict[int, set[str]] = {}
-    for i, x in enumerate(lattice.elements):
-        blocks.setdefault(label[i], set()).add(x)
-    return Congruence(lattice, tuple(frozenset(b) for b in blocks.values()))
+    return Congruence(lattice, _groups(lattice.elements, label))
+
+
+def _groups(ids, labels):
+    """The ids grouped by equal label, as the blocks for `Congruence`."""
+    groups: dict[int, set[str]] = {}
+    for x, k in zip(ids, labels):
+        groups.setdefault(k, set()).add(x)
+    return groups.values()
 
 
 def _congruence_labels(lattice: FiniteLattice, pairs) -> list[int]:

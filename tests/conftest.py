@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from finlat import build_lattice, make_grid
+from finlat import Congruence, build_lattice, make_grid
 from finlat.core import _sublattice_mask
 from finlat.oracle import _search
 
@@ -25,6 +25,16 @@ def homomorphism_fields(hom):
         hom.kernel().blocks,
         repr(hom),
     )
+
+
+def partition_meet(theta, phi):
+    """The common refinement of two congruences of one lattice, as a validated
+    `Congruence`: two elements share a block iff they do in both."""
+    assert theta.lattice is phi.lattice
+    pieces = {}
+    for x in theta.lattice.elements:
+        pieces.setdefault((theta.block_of(x), phi.block_of(x)), set()).add(x)
+    return Congruence(theta.lattice, pieces.values())
 
 
 def count_retractions(lattice, sub):

@@ -375,6 +375,29 @@ def test_oracle_verify_names_the_first_failure(monkeypatch, capsys):
     assert f"FAIL equation-system-vs-retraction: {check['detail']}\n" in capsys.readouterr().err
 
 
+def test_retraction_kernels_names_a_kernel_that_is_no_congruence(monkeypatch, capsys):
+    """A search that returns, on B2 and its bounds, the map sending both atoms
+    to the top fixes the bounds, but its kernel {0}, {a, b, 1} is not
+    meet-compatible: the suite fails on that pair and does not raise."""
+    search = oracle._search
+
+    def broken(lattice, mask, count_all):
+        if mask == 0b1001 and sorted(lattice.covers) == [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")]:
+            hom = Homomorphism._onto_sublattice(lattice, (0, 3, 3, 3), mask)
+            assert hom.is_retraction()
+            return hom, 1, 1
+        return search(lattice, mask, count_all)
+
+    monkeypatch.setattr(oracle, "_search", broken)
+    report, code = run(["oracle-verify", "--suite", "retraction-kernels", "--max-size", "4"])
+    assert code == 2 and report["passed"] is False
+    (check,) = report["checks"]
+    assert check["detail"].endswith(
+        "first failure: sublattice ['0', '3'] of the 4-element lattice [0<1, 0<2, 1<3, 2<3]"
+    )
+    assert f"FAIL retraction-kernels: {check['detail']}\n" in capsys.readouterr().err
+
+
 def test_unknown_command_is_domain_error():
     report, code = run(["frobnicate"])
     assert code == 1
@@ -405,7 +428,7 @@ def test_reports_are_deterministic(tmp_path):
         (["witness-sps", "C3", "--forks", "S"], {"base_sizes": "ab", "steps": []}),
         (["witness-sps", "C3", "--forks", "S"], {"base_sizes": [3, 3], "steps": [[1]]}),
         (["gen-slim", "--grid", "3x3", "--forks", "S"], {"base_sizes": [4, 4], "steps": [[1]]}),
-        (["oracle-verify", "--suite", "congruence-bound", "--max-size", "0"], None),
+        (["oracle-verify", "--suite", "swing", "--max-size", "0"], None),
     ],
 )
 def test_malformed_inputs_give_json_error(tmp_path, argv, script):
@@ -670,7 +693,7 @@ def test_any_sub_file_gives_a_json_report(sub_files, drawn):
 def test_any_seed_gives_a_passing_json_report(seed):
     """The suite's checks hold for every seed, so each run passes."""
     code, report = _main_report(
-        ["oracle-verify", "--suite", "congruence-bound", "--max-size", "3", "--seed", str(seed)]
+        ["oracle-verify", "--suite", "forks", "--seed", str(seed)]
     )
     assert (code, report["passed"]) == (0, True)
 

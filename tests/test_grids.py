@@ -320,16 +320,16 @@ def test_grid_embed_of_a_grid_leaves_no_cycle(sizes):
 
 @pytest.mark.parametrize("sizes", [(4,), (3, 3), (2, 2, 2)])
 def test_grid_embed_adopts_an_input_that_is_the_grid_presentation(sizes):
-    """An input with the grid's own elements and covers is the target's
-    lattice, whether or not a grid of that shape is live, and its memo
-    keeps no grid: the adopted grid goes with its last holder."""
+    """While a grid of that shape is live, it is the target; else an input
+    with the grid's own elements and covers is the target's lattice, and its
+    memo keeps no grid: the adopted grid goes with its last holder."""
     live = make_grid(sizes)
     copy = build_lattice(live.lattice.elements, live.lattice.covers)
     for _ in range(2):
         target = grid_embed(copy).target
-        assert target.lattice is copy and target.factor_sizes == sizes
+        assert target is live and target.factor_sizes == sizes
     assert make_grid(sizes) is live
-    del live
+    del live, target
     gc.collect()
     target = grid_embed(copy).target
     assert target.lattice is copy and make_grid(sizes) is target

@@ -5,8 +5,8 @@ the tests and the export lists, by the package or the benchmark, every
 finlat name the benchmark tracer wraps still resolves, every grid the
 package builds goes through the intern table of `make_grid`, only `core`
 names `_sub_jmask`, only `core` and `morphisms` name `_induced`, only
-`slim` names `_trusted`, and outside `core` only `retractions.retract_onto`
-names `_memo`."""
+`slim` names `_trusted`, outside `core` only `retractions.retract_onto`
+names `_memo`, and every `Congruence` goes through its constructor."""
 
 import ast
 import importlib
@@ -154,6 +154,33 @@ def test_only_core_names_memo():
     allowed = {f"retractions.py:{line}" for line in range(func.lineno, func.end_lineno + 1)}
     outside = _named_outside("_memo", {"core"})
     assert outside and set(outside) <= allowed, outside
+
+
+def test_congruence_is_built_only_by_its_constructor():
+    """`Congruence` defines no classmethod or staticmethod and no module calls
+    ``__new__`` on it, so every congruence is validated, and a wrapper of the
+    class sees every construction."""
+    (cls,) = [
+        node
+        for node in ast.walk(_parse("morphisms"))
+        if isinstance(node, ast.ClassDef) and node.name == "Congruence"
+    ]
+    alternative = [
+        func.name
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef)
+        and any(getattr(d, "id", None) in ("classmethod", "staticmethod") for d in func.decorator_list)
+    ]
+    assert alternative == []
+    bypasses = [
+        f"{module}.py:{node.lineno}"
+        for module in sorted(MODULES)
+        for node in ast.walk(_parse(module))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and "Congruence" in {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+    ]
+    assert bypasses == []
 
 
 def test_only_oracle_names_all_sublattices():

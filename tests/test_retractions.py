@@ -51,7 +51,7 @@ from finlat.retractions import (
     _prime_map,
     _upper_map,
 )
-from tests.conftest import REFERENCE_GRID_SIZES, _leaves_no_cycles
+from tests.conftest import REFERENCE_GRID_SIZES, _leaves_no_cycles, partition_meet
 
 
 def test_homomorphism_verifies_pairs(c3, b2):
@@ -510,19 +510,6 @@ def test_retraction_composition_is_idempotent(grid33):
     assert composed == hom.mapping
 
 
-def test_congruence_intersection_block_bound(grid33):
-    lat = grid33.lattice
-    theta1 = Homomorphism(
-        lat, induced_lattice(lat, {"0,0", "2,2"}),
-        {x: "0,0" if lat.leq(x, "0,2") else "2,2" for x in lat.elements},
-    )
-    # build two-block congruences directly and intersect
-    ideals = [frozenset(lat.interval(lat.bottom, x)) for x in ("0,2", "2,0")]
-    a, b = (Congruence(lat, (ideal, frozenset(lat.elements) - ideal)) for ideal in ideals)
-    meet = a.intersect(b)
-    assert meet.block_count() <= a.block_count() * b.block_count()
-
-
 # -- the closed forms against the congruence pipelines and loops they replaced
 
 
@@ -582,7 +569,7 @@ def _reference_grid_retraction(grid, subset):
             grid.lattice, g.target, {x: g.mapping[pi[x]] for x in grid.lattice.elements}
         )
         kernel = f_axis.kernel()
-        theta = kernel if theta is None else theta.intersect(kernel)
+        theta = kernel if theta is None else partition_meet(theta, kernel)
     return _reference_retraction_from_congruence(grid.lattice, subset, theta)
 
 
@@ -613,7 +600,7 @@ def _reference_boolean_retraction(lattice, subset):
         two_block = Congruence(
             lattice, (ideal, frozenset(lattice.elements) - ideal)
         )
-        theta = theta.intersect(two_block)
+        theta = partition_meet(theta, two_block)
     return _reference_retraction_from_congruence(lattice, subset, theta)
 
 
