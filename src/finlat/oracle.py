@@ -5,23 +5,23 @@ Everything here certifies or refutes by exhaustion.  Retractions are found
 follow the parameterized old/new rules and are solved independently of the
 retraction search, so the two routes can be compared (congruence
 generation lives in `morphisms` and is re-exported here).  Both run on
-index arrays: the search on the lattice's integer `_join`/`_meet` rows, the
-solver on integer equation slots built straight from those rows, with
-element ids only in the values they return.  An equation system is kept
-in one form, the solver's index, each unknown's codes read off its own
-join and meet rows; a solution is checked once, by the homomorphism it
-induces.  Each public entry checks its subset once, through `core`, and
-passes the mask to `_search` or `_equation_system`, which take a closed
-mask and check it no more; `checks` calls those two straight on the masks
-of `_sublattice_masks`.  The target of a retraction is built from that
-mask (an equation system keeps it for the retraction a solution induces).
-One driver, `_backtrack`, runs the retraction search, the solver and
-`find_embedding` on an explicit stack, and one join/meet forcing
-propagator, `_forcing`, serves the retraction search and `find_embedding`.
-`find_embedding` first compares lengths and skips the search when the
-source is longer than the target, which no embedding allows.  The
-cover-degree order that both searches filter for their variables is
-memoised per lattice.
+index arrays, the lattice's integer `_join`/`_meet` rows, with element ids
+only in the values they return.  An equation system keeps O(n) state, the
+slot of each element; the solver reads each unknown's equations off its
+join and meet rows through those slots as it walks the unknown, so no
+equation is materialised, and a solution is checked once, by the
+homomorphism it induces.  Each public entry checks its subset once,
+through `core`, and passes the mask to `_search` or `_equation_system`,
+which take a closed mask and check it no more; `checks` calls those two
+straight on the masks of `_sublattice_masks`.  The target of a retraction
+is built from that mask (an equation system keeps it for the retraction a
+solution induces).  One driver, `_backtrack`, runs the retraction search,
+the solver and `find_embedding` on an explicit stack, and one join/meet
+forcing propagator, `_forcing`, serves the retraction search and
+`find_embedding`.  `find_embedding` first compares lengths and skips the
+search when the source is longer than the target, which no embedding
+allows.  The cover-degree order that both searches filter for their
+variables is memoised per lattice.
 Every search here keeps its choices on a stack, so its depth is not
 bounded by the interpreter's recursion limit and a call leaves no
 reference cycles.
@@ -249,21 +249,20 @@ class EquationSystem:
     unknowns.  Substituting each new element for its own unknown always
     satisfies the system inside the ambient lattice.
 
-    Equations are slot codes: parameter e is slot index(e) and unknown x is
-    slot n + index(x), so a value array starting as
-    ``list(range(n)) + [-1] * n`` evaluates every term, and each code is
-    ``(table, left, right, result)`` with the ambient's join or meet table.
-    Only `_equation_system` builds one, from a closed sublattice mask.
-    ``unknowns`` is read off that mask in index order.
-    ``_by_unknown`` is the system's one form, the index the solver reads:
-    under each unknown slot, the codes with ``left <= right`` that have it
-    as an operand, in system order; a code with ``left > right`` says what
-    its mirror image does, since the tables are symmetric.  A solution is
-    checked by `induced_homomorphism`, not against the codes.
+    Terms are slots: parameter e is slot index(e) and unknown x is slot
+    n + index(x), so a value array starting as ``list(range(n)) + [-1] * n``
+    evaluates every term.  The system keeps O(n) state: the ambient, the
+    closed mask, ``unknowns`` (read off the mask in index order) and
+    ``_slot``, the slot of each element index.  Its equations are never
+    materialised; those of elements i and k read ``_slot[join[i][k]]`` and
+    ``_slot[meet[i][k]]`` off the ambient's rows.  Only `_equation_system`
+    builds one, from a closed sublattice mask.  A solution is checked by
+    `induced_homomorphism`, not equation by equation.
     """
 
-    def __init__(self, ambient: FiniteLattice, mask: int, by_unknown: dict):
-        self.ambient, self._mask, self._by_unknown = ambient, mask, by_unknown
+    def __init__(self, ambient: FiniteLattice, mask: int):
+        self.ambient, self._mask = ambient, mask
+        self._slot = _slots(len(ambient), mask)
         self.unknowns = tuple(x for i, x in enumerate(ambient.elements) if not mask >> i & 1)
 
 
@@ -285,63 +284,41 @@ def build_equation_system(lattice: FiniteLattice, sub) -> EquationSystem:
 
 
 def _equation_system(lattice: FiniteLattice, mask: int) -> EquationSystem:
-    """Emit the equations for all ordered pairs touching a new element.
+    """The equations for all ordered pairs touching a new element.
 
     ``mask`` must be closed under join and meet; it is not checked again,
-    and `NotProper` is raised when it is full.  The equations go straight
-    onto integer slots from the join and meet rows, so with every slot
-    holding its own element each code reads a table entry against itself
-    and holds; the tests assert it.  Only the solver's index is built: for
-    the unknown u at index i, its join and meet rows are read once through
-    the slots, giving (slot k, u) for k < i, then (u, slot k) for each
-    unknown k >= i, then (slot k, u) for each parameter k > i.  That is the
-    order in which the codes with ``left <= right`` touching u come in
-    system order, so the forcing order of the solver does not depend on how
-    the index was built.
+    and `NotProper` is raised when it is full.  Nothing is materialised:
+    the equations stay in the ambient's join and meet rows, read through
+    the slots, so with every slot holding its own element each equation
+    reads a table entry against itself and holds; the tests assert it.
     """
-    n = len(lattice)
-    if mask == (1 << n) - 1:
+    if mask == (1 << len(lattice)) - 1:
         raise NotProper("the sublattice must be proper")
-
-    join, meet = lattice._join, lattice._meet
-    slot = _slots(n, mask)
-    by_unknown: dict[int, list[tuple]] = {}
-    for i, u in enumerate(slot):
-        if u < n:
-            continue
-        joins, meets = join[i], meet[i]
-        codes = []
-        for k in range(i):
-            s = slot[k]
-            codes += (join, s, u, slot[joins[k]]), (meet, s, u, slot[meets[k]])
-        for k in range(i, n):
-            s = slot[k]
-            if s >= n:
-                codes += (join, u, s, slot[joins[k]]), (meet, u, s, slot[meets[k]])
-        for k in range(i + 1, n):
-            s = slot[k]
-            if s < n:
-                codes += (join, s, u, slot[joins[k]]), (meet, s, u, slot[meets[k]])
-        by_unknown[u] = codes
-    return EquationSystem(lattice, mask, by_unknown)
+    return EquationSystem(lattice, mask)
 
 
 def solve_equation_system(system: EquationSystem, mode: str = "first"):
     """Solve over the sublattice by backtracking with forcing.
 
-    Equations whose operand slots are fully assigned force (or check) their
-    result slot.  Unknowns are taken in decreasing cover-degree order,
-    values in canonical element order, on the integer slots of the system.
-    mode="first" returns an Assignment or None; mode="count" returns the
-    number of solutions.  A leaf is reached only when every code under
-    every unknown has been forced or checked, so the first solution is not
-    checked against the system again; the tests do that.
+    Unknowns are taken in decreasing cover-degree order, values in
+    canonical element order, on the integer slots of the system.  When the
+    unknown at index i takes the value v, the equations it is an operand of
+    are read off row i: for every partner k whose slot holds a value w, in
+    index order, the slots of ``join[i][k]`` and ``meet[i][k]`` are forced
+    to ``join[v][w]`` and ``meet[v][w]``, or checked against them; k = i
+    reads v ∨ v = v and v ∧ v = v, which hold.  Each forced slot is queued
+    and walked the same way, last in first out.  Every equation has an
+    unknown operand, whose walk reads it once both operands hold values,
+    so a leaf satisfies the whole system and the first solution is not
+    checked again; the tests do that.  mode="first" returns an Assignment
+    or None; mode="count" returns the number of solutions.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     lat = system.ambient
     n = len(lat)
-    by_unknown = system._by_unknown
+    join, meet = lat._join, lat._meet
+    slot = system._slot
     mask = system._mask
     unknowns = [n + i for i in _degree_order(lat) if not mask >> i & 1]
     values = list(_bits(mask))
@@ -353,18 +330,30 @@ def solve_equation_system(system: EquationSystem, mode: str = "first"):
     def propagate(x: int, trail: list[int]) -> bool:
         queue = [x]
         while queue:
-            for table, left, right, result in by_unknown[queue.pop()]:
-                a, b = val[left], val[right]
-                if a < 0 or b < 0:
+            x = queue.pop()
+            v = val[x]
+            vj, vm = join[v], meet[v]
+            for s, jk, mk in zip(slot, join[x - n], meet[x - n]):
+                w = val[s]
+                if w < 0:
                     continue
-                value = table[a][b]
-                have = val[result]
+                r, t = slot[jk], vj[w]
+                have = val[r]
                 if have < 0:
-                    val[result] = value
-                    trail.append(result)
-                    assigned.append(result)
-                    queue.append(result)
-                elif have != value:
+                    val[r] = t
+                    trail.append(r)
+                    assigned.append(r)
+                    queue.append(r)
+                elif have != t:
+                    return False
+                r, t = slot[mk], vm[w]
+                have = val[r]
+                if have < 0:
+                    val[r] = t
+                    trail.append(r)
+                    assigned.append(r)
+                    queue.append(r)
+                elif have != t:
                     return False
         return True
 

@@ -15,6 +15,7 @@ import finlat
 import finlat.core as core
 import finlat.grids as grids
 from finlat import (
+    Assignment,
     Homomorphism,
     build_lattice,
     induced_lattice,
@@ -372,6 +373,29 @@ def test_oracle_verify_names_the_first_failure(monkeypatch, capsys):
     (check,) = report["checks"]
     assert check["passed"] is False
     assert check["detail"].endswith("first failure: sublattice ['1'] of the 2-element lattice [0<1]")
+    assert f"FAIL equation-system-vs-retraction: {check['detail']}\n" in capsys.readouterr().err
+
+
+def test_proposition_names_a_solution_that_induces_no_retraction(monkeypatch, capsys):
+    """A solver that answers, on B2 and its bounds, with both atoms sent to
+    the bottom gives an assignment that breaks a ∨ b = 1: the suite fails on
+    that pair and does not raise."""
+    solve = oracle.solve_equation_system
+
+    def broken(system, mode="first"):
+        if system._mask == 0b1001 and sorted(system.ambient.covers) == [
+            ("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")
+        ]:
+            return Assignment({"1": "0", "2": "0"})
+        return solve(system, mode)
+
+    monkeypatch.setattr(oracle, "solve_equation_system", broken)
+    report, code = run(["oracle-verify", "--suite", "proposition", "--max-size", "4"])
+    assert code == 2 and report["passed"] is False
+    (check,) = report["checks"]
+    assert check["detail"].endswith(
+        "first failure: sublattice ['0', '3'] of the 4-element lattice [0<1, 0<2, 1<3, 2<3]"
+    )
     assert f"FAIL equation-system-vs-retraction: {check['detail']}\n" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 import types
 from collections import namedtuple
 from itertools import combinations, permutations, product
@@ -117,11 +118,14 @@ def test_equation_system_counts(c3):
     system = build_equation_system(c3, {"0", "1"})
     reference = _reference_build_equation_system(c3, {"0", "1"})
     assert system.unknowns == ("a",)
-    # 5 ordered pairs touch the single new element, 2 operations each; the
-    # 3 with left <= right are filed under it
+    # the system keeps the slots, not its equations
+    assert vars(system).keys() == {"ambient", "_mask", "_slot", "unknowns"}
+    # 5 ordered pairs touch the single new element, 2 operations each; its
+    # row gives the 3 with it on the left
     assert len(reference.codes) == 10
-    assert system._by_unknown == _reference_index(reference)
-    assert [len(codes) for codes in system._by_unknown.values()] == [6]
+    read = _solver_equations(system)
+    assert read == _reference_rows(reference)
+    assert [len(codes) for codes in read.values()] == [6]
     assert solve_equation_system(system, mode="count") == 2
 
 
@@ -133,14 +137,13 @@ def test_equation_system_b2_over_chain(b2):
     n = len(b2)
     x, p = n + b2.index("0,1"), b2.index("1,0")
     reference = _reference_build_equation_system(b2, {"0,0", "1,0", "1,1"})
-    assert system._by_unknown == _reference_index(reference)
-    # filed under x as (p, x), since p's slot is below x's
-    codes = {
-        (table is b2._join, left, right): result
-        for table, left, right, result in system._by_unknown[x]
-    }
-    assert codes[True, p, x] == b2.index("1,1")
-    assert codes[False, p, x] == b2.index("0,0")
+    assert system._slot == [b2.index("0,0"), x, p, b2.index("1,1")]
+    read = _solver_equations(system)
+    assert read == _reference_rows(reference)
+    # read off x's row as (x, p)
+    codes = {(table is b2._join, left, right): result for table, left, right, result in read[x]}
+    assert codes[True, x, p] == b2.index("1,1")
+    assert codes[False, x, p] == b2.index("0,0")
     assert solve_equation_system(system) is None
 
 
@@ -551,6 +554,8 @@ def _cover_digraph(lattice):
 
 def _vf2_isomorphic(a, b):
     nx = pytest.importorskip("networkx")
+    # plain VF2: VF2++ takes seconds on each non-isomorphic pair of the
+    # 20-element cycle lattices, which VF2 settles in milliseconds
     return nx.is_isomorphic(_cover_digraph(a), _cover_digraph(b))
 
 
@@ -607,7 +612,7 @@ def test_is_isomorphic_agrees_with_vf2_on_twin_blow_ups():
     for group in groups.values():
         graphs = [_cover_digraph(lattice) for lattice in group]
         for (first, g), (second, h) in combinations(zip(group, graphs), 2):
-            same = nx.is_isomorphic(g, h)
+            same = nx.vf2pp_is_isomorphic(g, h)
             assert is_isomorphic(first, second) == same, (first.covers, second.covers)
             pairs += 1
             isomorphic += same
@@ -871,17 +876,37 @@ def _holds(codes, val):
     return all(table[val[left]][val[right]] == val[result] for table, left, right, result in codes)
 
 
-def _reference_index(reference):
-    """The reference codes with left <= right, filed in order under each
-    unknown operand: what `EquationSystem._by_unknown` must hold."""
+def _solver_equations(system):
+    """The equations the solver reads, derived from the system's slots and
+    the ambient's rows: under the slot u of the unknown at index i, for
+    every k in index order, the join and then the meet code
+    (table, u, slot k, slot of i op k)."""
+    lattice = system.ambient
+    n = len(lattice)
+    slot = system._slot
+    read = {}
+    for i, u in enumerate(slot):
+        if u >= n:
+            read[u] = [
+                (table, u, s, slot[table[i][k]])
+                for k, s in enumerate(slot)
+                for table in (lattice._join, lattice._meet)
+            ]
+    return read
+
+
+def _reference_rows(reference):
+    """The reference codes with an unknown on the left, in system order
+    under that unknown.  Every code has an unknown operand and the system
+    holds both orders of each pair, so each code or its mirror image, which
+    the symmetric tables make the same equation, is filed."""
     lattice = reference.ambient
     n = len(lattice)
     filed = {n + lattice.index(x): [] for x in reference.unknowns}
     for code in reference.codes:
-        left, right = code[1:3]
-        if left <= right:
-            for s in {left, right} & filed.keys():
-                filed[s].append(code)
+        if code[1] in filed:
+            filed[code[1]].append(code)
+    assert all(code[1] in filed or code[2] in filed for code in reference.codes)
     return filed
 
 
@@ -965,7 +990,7 @@ def test_equation_systems_match_reference():
             reference = _reference_build_equation_system(lattice, sub)
             assert _holds(reference.codes, list(range(len(lattice))) * 2)
             assert system.unknowns == reference.unknowns
-            assert system._by_unknown == _reference_index(reference)
+            assert _solver_equations(system) == _reference_rows(reference)
             assert system.ambient == reference.ambient
             assert {lattice.elements[i] for i in _bits(system._mask)} == reference.sub
             solution = solve_equation_system(system)
@@ -981,12 +1006,12 @@ def test_equation_systems_match_reference():
     assert pairs == 767
 
 
-def test_equation_index_is_the_filed_codes_and_solutions_satisfy_them():
-    """The solver's index is read off each unknown's rows, not filed from
-    the codes: under each unknown it holds, in order, exactly the reference
-    codes with left <= right that have the unknown as an operand.  The
-    solver does not re-check its solutions, so every one is checked against
-    all reference codes, and its induced map must accept it."""
+def test_solver_rows_are_the_reference_codes_and_solutions_satisfy_them():
+    """The solver reads each unknown's equations off its join and meet rows
+    through the slots, with no index: for each unknown, in order, they are
+    exactly the reference codes with that unknown on the left.  The solver
+    does not re-check its solutions, so every one is checked against all
+    reference codes, and its induced map must accept it."""
     pairs = solved = 0
     for lattice in enumerate_small_lattices(6):
         for sub in all_sublattices(lattice):
@@ -994,7 +1019,7 @@ def test_equation_index_is_the_filed_codes_and_solutions_satisfy_them():
                 continue
             system = build_equation_system(lattice, sub)
             reference = _reference_build_equation_system(lattice, sub)
-            assert list(system._by_unknown.items()) == list(_reference_index(reference).items())
+            assert list(_solver_equations(system).items()) == list(_reference_rows(reference).items())
             solution = solve_equation_system(system)
             if solution is not None:
                 assert _reference_satisfies(reference, solution.values)
@@ -1084,6 +1109,22 @@ def test_induced_homomorphisms_equal_the_eager_route():
 def _chain(n):
     ids = [f"c{i:04d}" for i in range(n)]
     return build_lattice(ids, list(zip(ids, ids[1:])))
+
+
+def test_equation_system_memory_is_linear():
+    """On a 400-element chain over its bounds, building and solving the
+    system stays under 5 MB: it keeps O(n) state, where an index of the
+    2n equations of each of the 398 unknowns would need tens of MB."""
+    chain = _chain(400)
+    ends = {chain.bottom, chain.top}
+    tracemalloc.start()
+    try:
+        solution = solve_equation_system(build_equation_system(chain, ends))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution is not None and set(solution.values.values()) <= ends
+    assert peak < 5 << 20
 
 
 def test_searches_run_under_a_low_recursion_limit():
